@@ -8,6 +8,7 @@ explicit seeds.
 from __future__ import annotations
 
 import csv
+import functools
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -157,6 +158,18 @@ def mel_filterbank(cfg: FrontendConfig) -> np.ndarray:
     return np.maximum(0.0, np.minimum(rising, falling))
 
 
+@functools.lru_cache(maxsize=8)
+def _frontend_tables(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Periodic Hann window and mel filterbank of one config, built once and
+    shared as read-only arrays."""
+    n = cfg.frame_len
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+    filterbank = mel_filterbank(cfg)
+    for table in (window, filterbank):
+        table.flags.writeable = False
+    return window, filterbank
+
+
 def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig) -> LogMelSpectrogram:
     """ln(mel power + log_floor) over Hann-windowed frames.
 
@@ -167,11 +180,10 @@ def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig) -> LogMelSpectrogram:
     if n < frame_len:
         raise IngestionError(f"clip of {n} samples shorter than one {frame_len}-sample frame")
     frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_len)[::shift]
-    # periodic Hann
-    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(frame_len) / frame_len)
+    window, filterbank = _frontend_tables(cfg)
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
     powers = spectrum.real**2 + spectrum.imag**2
-    mel = powers @ mel_filterbank(cfg).T
+    mel = powers @ filterbank.T
     return LogMelSpectrogram(data=np.log(mel + cfg.log_floor).T.copy())
 
 

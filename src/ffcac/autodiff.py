@@ -4,7 +4,7 @@ Each operation on tensors appends to an implicit computation record: the
 output keeps links to its inputs plus a closure computing input gradients
 from the output gradient. ``backward()`` on a scalar topologically sorts
 that record and sweeps it once in reverse, accumulating ``.grad`` on every
-``requires_grad`` ancestor. The record is rebuilt on every forward pass.
+``requires_grad`` leaf. The record is rebuilt on every forward pass.
 
 Everything is double precision. Inference code should wrap calls in
 ``no_grad()`` so no record is kept.
@@ -211,7 +211,7 @@ def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     a = _as_tensor(a)
     x = a.values
-    t = np.tanh(_GELU_C * (x + _GELU_A * x**3))
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
 
     def backward(g):
         sech2 = 1.0 - t * t
@@ -257,25 +257,36 @@ def power(a: Tensor, p: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two rank-2 operands, or of two rank-3 stacks of
+    matrices with equal batch size (one product per leading index)."""
     a, b = _as_tensor(a), _as_tensor(b)
-    if a.values.ndim != 2 or b.values.ndim != 2 or a.shape[1] != b.shape[0]:
+    rank = a.values.ndim
+    if (rank not in (2, 3) or b.values.ndim != rank or a.shape[-1] != b.shape[-2]
+            or (rank == 3 and a.shape[0] != b.shape[0])):
         raise DimensionError(f"matmul: incompatible shapes {a.shape} x {b.shape}")
 
     def backward(g):
-        return g @ b.values.T, a.values.T @ g
+        return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
 
     return _from_op(a.values @ b.values, (a, b), backward)
 
 
-def transpose(a: Tensor) -> Tensor:
+def transpose(a: Tensor, axes=None) -> Tensor:
+    """Permute axes; without ``axes``, reverse the two axes of a matrix."""
     a = _as_tensor(a)
-    if a.values.ndim != 2:
-        raise DimensionError(f"transpose: expected rank-2 tensor, got shape {a.shape}")
+    if axes is None:
+        if a.values.ndim != 2:
+            raise DimensionError(f"transpose: expected rank-2 tensor, got shape {a.shape}")
+        axes = (1, 0)
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.values.ndim)):
+        raise DimensionError(f"transpose: axes {axes} do not permute the axes of {a.shape}")
+    inverse = tuple(np.argsort(axes))
 
     def backward(g):
-        return (g.T,)
+        return (g.transpose(inverse),)
 
-    return _from_op(a.values.T, (a,), backward)
+    return _from_op(a.values.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -401,7 +412,8 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar loss; accumulates into ``.grad``.
+    """Reverse sweep from a scalar loss; accumulates into the ``.grad`` of
+    every leaf tensor with ``requires_grad`` (interior nodes keep none).
 
     Gradients add onto any existing ``.grad`` arrays, so zero them
     (``p.grad = None``) between steps.
@@ -445,9 +457,6 @@ def backward(loss: Tensor) -> None:
                 grads[id(p)] = grads[id(p)] + pg
             else:
                 grads[id(p)] = pg
-        if node.requires_grad and node._parents:
-            # interior node someone may also inspect; keep its grad too
-            node.grad = g if node.grad is None else node.grad + g
 
 
 def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:

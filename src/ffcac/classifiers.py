@@ -31,6 +31,8 @@ from .errors import (
     SolverError,
     StratificationError,
     UsageError,
+    WeightsFormatError,
+    WeightsShapeError,
 )
 
 RESIDUAL_RTOL = 1e-8  # solve residual bound: ||(G+lam I)W - C||_inf <= rtol*(1+||C||_inf)
@@ -372,13 +374,33 @@ def load_state(path) -> RidgeState:
     tensors, labels = weights_io.load_container(path)
     for required in ("gram", "cross", "lambda"):
         if required not in tensors:
-            raise UsageError(f"classifier container missing tensor {required!r}")
-    return RidgeState(
-        gram=tensors["gram"],
-        cross=tensors["cross"],
-        lam=float(tensors["lambda"][0]),
-        registry=LabelRegistry(labels),
-    )
+            raise WeightsShapeError(f"classifier container missing tensor {required!r}")
+    gram, cross, lam = tensors["gram"], tensors["cross"], tensors["lambda"]
+    _check_state(gram, cross, lam, labels)
+    return RidgeState(gram=gram, cross=cross, lam=float(lam[0]), registry=LabelRegistry(labels))
+
+
+def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -> None:
+    """Reject a loaded learning memory that cannot be a ridge state, in
+    O(D^2) passes: gram square, symmetric and finite; cross of D rows and
+    one column per label, finite; lambda one finite value >= 0."""
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise WeightsShapeError(f"classifier gram must be square, got shape {gram.shape}")
+    d = gram.shape[0]
+    if cross.shape != (d, len(labels)):
+        raise WeightsShapeError(
+            f"classifier cross has shape {cross.shape}, expected ({d}, {len(labels)}) "
+            f"for D = {d} and {len(labels)} labels"
+        )
+    if lam.shape != (1,):
+        raise WeightsShapeError(f"classifier lambda must hold one value, got shape {lam.shape}")
+    if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
+        raise WeightsFormatError("classifier gram or cross holds non-finite values")
+    # exact: E^T E and sums of such products are symmetric to the bit
+    if not np.array_equal(gram, gram.T):
+        raise WeightsFormatError("classifier gram is not symmetric")
+    if not (np.isfinite(lam[0]) and lam[0] >= 0.0):
+        raise WeightsFormatError(f"classifier lambda must be finite and >= 0, got {lam[0]}")
 
 
 def state_checksum(state: RidgeState) -> str:

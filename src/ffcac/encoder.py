@@ -235,24 +235,29 @@ def params_from_dict(flat: dict[str, Tensor], cfg: EncoderConfig) -> MeeParams:
 
 
 def _affine_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    return ad.layer_norm(x, axis=1, eps=eps) * gain + bias
+    return ad.layer_norm(x, axis=-1, eps=eps) * gain + bias
 
 
-def _attention(h: Tensor, bp: BlockParams, cfg: EncoderConfig) -> Tensor:
-    q = ad.matmul(h, bp.wq) + bp.bq
-    k = ad.matmul(h, bp.wk) + bp.bk
-    v = ad.matmul(h, bp.wv) + bp.bv
+def _attention(h: Tensor, bp: BlockParams, cfg: EncoderConfig, batch: int) -> Tensor:
+    """Multi-head self-attention over ``batch`` clips of T tokens each.
+
+    ``h`` is (B*T, D). Heads are split by reshape and transpose so every
+    head of every clip runs in one batched product over (B*H, T, dh).
+    """
+    tokens = h.shape[0] // batch
     dh = cfg.dim // cfg.heads
-    inv_sqrt = 1.0 / math.sqrt(dh)
-    outs = []
-    for i in range(cfg.heads):
-        lo, hi = i * dh, (i + 1) * dh
-        qs = ad.slice_axis(q, 1, lo, hi)
-        ks = ad.slice_axis(k, 1, lo, hi)
-        vs = ad.slice_axis(v, 1, lo, hi)
-        scores = ad.scale(ad.matmul(qs, ad.transpose(ks)), inv_sqrt)
-        outs.append(ad.matmul(ad.softmax(scores, axis=1), vs))
-    return ad.matmul(ad.concat(outs, axis=1), bp.wo) + bp.bo
+
+    def split_heads(x: Tensor, axes) -> Tensor:
+        x = ad.transpose(ad.reshape(x, (batch, tokens, cfg.heads, dh)), axes)
+        return ad.reshape(x, (batch * cfg.heads,) + x.shape[2:])
+
+    q = split_heads(ad.matmul(h, bp.wq) + bp.bq, (0, 2, 1, 3))  # (B*H, T, dh)
+    k_t = split_heads(ad.matmul(h, bp.wk) + bp.bk, (0, 2, 3, 1))  # (B*H, dh, T)
+    v = split_heads(ad.matmul(h, bp.wv) + bp.bv, (0, 2, 1, 3))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))
+    heads = ad.matmul(ad.softmax(scores, axis=-1), v)  # (B*H, T, dh)
+    merged = ad.transpose(ad.reshape(heads, (batch, cfg.heads, tokens, dh)), (0, 2, 1, 3))
+    return ad.matmul(ad.reshape(merged, (batch * tokens, cfg.dim)), bp.wo) + bp.bo
 
 
 def _feed_forward(h: Tensor, bp: BlockParams) -> Tensor:
@@ -260,41 +265,61 @@ def _feed_forward(h: Tensor, bp: BlockParams) -> Tensor:
 
 
 def encoder_forward(patches, params: MeeParams, cfg: EncoderConfig) -> list[Tensor]:
-    """Run the block stack; return the per-block pooled feature vectors."""
+    """Run the block stack; return the per-block pooled feature vectors.
+
+    ``patches`` is one clip's (Z, P) patch matrix (or PatchSequence), giving
+    (D,) features, or a (B, Z, P) batch of equally long clips, giving (B, D)
+    features. Affine maps run as one 2-D product over all B*T tokens.
+    """
     mat = patches.patches if isinstance(patches, PatchSequence) else np.asarray(patches)
-    z, pd = mat.shape
+    single = mat.ndim == 2
+    if single:
+        mat = mat[None]
+    if mat.ndim != 3:
+        raise DimensionError(f"expected a (Z, P) clip or a (B, Z, P) batch, got shape {mat.shape}")
+    batch, z, pd = mat.shape
     if z > cfg.z_max:
         raise DimensionError(f"{z} patches exceed positional table length {cfg.z_max}")
     if pd != cfg.patch_dim:
         raise DimensionError(f"patch dim {pd} != configured {cfg.patch_dim}")
-    x = ad.matmul(Tensor(mat), params.patch_weight) + params.patch_bias
-    tokens = ad.concat([ad.reshape(params.cls_token, (1, cfg.dim)), x], axis=0)
-    tokens = tokens + ad.slice_axis(params.pos_table, 0, 0, z + 1)
+    t, d = z + 1, cfg.dim
+    x = ad.matmul(Tensor(mat.reshape(batch * z, pd)), params.patch_weight) + params.patch_bias
+    # one class token per clip: broadcast it over the batch by adding zeros
+    cls_rows = ad.reshape(params.cls_token, (1, 1, d)) + np.zeros((batch, 1, d))
+    tokens = ad.concat([cls_rows, ad.reshape(x, (batch, z, d))], axis=1)
+    tokens = ad.reshape(tokens + ad.slice_axis(params.pos_table, 0, 0, t), (batch * t, d))
 
     feats = []
     for bp in params.blocks:
-        attended = tokens + _attention(_affine_norm(tokens, bp.ln1_gain, bp.ln1_bias, cfg.ln_eps), bp, cfg)
+        attended = tokens + _attention(_affine_norm(tokens, bp.ln1_gain, bp.ln1_bias, cfg.ln_eps),
+                                       bp, cfg, batch)
         tokens = attended + _feed_forward(_affine_norm(attended, bp.ln2_gain, bp.ln2_bias, cfg.ln_eps), bp)
-        tapped = ad.layer_norm(tokens, axis=1, eps=cfg.ln_eps) * bp.feat_gain + bp.feat_bias
-        feats.append(ad.mean(tapped, axis=0))
+        tapped = _affine_norm(tokens, bp.feat_gain, bp.feat_bias, cfg.ln_eps)
+        pooled = ad.mean(ad.reshape(tapped, (batch, t, d)), axis=1)
+        feats.append(ad.reshape(pooled, (d,)) if single else pooled)
     return feats
 
 
 def fuse(block_features: list[Tensor], params: MeeParams) -> EmbeddingOutput:
     """Convex combination of block features, weighted by an MLP + softmax
-    over the concatenated features."""
-    n_blocks = len(block_features)
-    dim = block_features[0].shape[0]
-    stack = ad.concat([ad.reshape(f, (1, dim)) for f in block_features], axis=0)
-    eprime = ad.reshape(stack, (1, n_blocks * dim))
+    over the concatenated features.
+
+    Features are (D,) for one clip or (B, D) for a batch; the outputs keep
+    the same leading batch axis, or none.
+    """
+    lead = block_features[0].shape[:-1]  # () for one clip, (B,) for a batch
+    batch = lead[0] if lead else 1
+    n_blocks, dim = len(block_features), block_features[0].shape[-1]
+    stack = ad.concat([ad.reshape(f, (batch, 1, dim)) for f in block_features], axis=1)
+    eprime = ad.reshape(stack, (batch, n_blocks * dim))
     hidden = ad.relu(ad.matmul(eprime, params.fusion_w1) + params.fusion_b1)
     logits = ad.matmul(hidden, params.fusion_w2) + params.fusion_b2
-    weights = ad.softmax(logits, axis=1)
-    e = ad.reshape(ad.matmul(weights, stack), (dim,))
+    weights = ad.softmax(logits, axis=1)  # (B, L)
+    e = ad.matmul(ad.reshape(weights, (batch, 1, n_blocks)), stack)  # (B, 1, D)
     return EmbeddingOutput(
-        e=e,
-        fusion_weights=ad.reshape(weights, (n_blocks,)),
-        concat=ad.reshape(eprime, (n_blocks * dim,)),
+        e=ad.reshape(e, lead + (dim,)),
+        fusion_weights=ad.reshape(weights, lead + (n_blocks,)),
+        concat=ad.reshape(eprime, lead + (n_blocks * dim,)),
         block_features=block_features,
     )
 
@@ -311,7 +336,8 @@ def mee_forward(lms: LogMelSpectrogram, params: MeeParams, cfg: EncoderConfig,
 
 
 def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndarray:
-    """Forward-only embedding of a pre-split patch matrix."""
+    """Forward-only embedding of a pre-split (Z, P) patch matrix, giving
+    (D,), or of a (B, Z, P) batch, giving (B, D)."""
     with ad.no_grad():
         feats = encoder_forward(patches, params, cfg)
         if not cfg.use_fusion:

@@ -46,6 +46,10 @@ _TAG_INIT = 23
 _TAG_EPISODE = 37
 _TAG_HEAD = 53
 
+# clips per frozen-extractor forward pass: batching amortizes the per-op
+# overhead, the bound keeps the peak memory of a large evaluation flat
+EMBED_CHUNK = 64
+
 
 def _rng(*entropy) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -225,7 +229,14 @@ class ClipPipeline:
         return enc.extract_embedding(self.patches(ref), params, self.enc_cfg)
 
     def embed_batch(self, refs, params: enc.MeeParams) -> np.ndarray:
-        return np.stack([self.embed(ref, params) for ref in refs])
+        """(len(refs), D) embeddings, EMBED_CHUNK clips per forward pass."""
+        refs = list(refs)
+        chunks = [
+            enc.extract_embedding(np.stack([self.patches(ref) for ref in refs[i : i + EMBED_CHUNK]]),
+                                  params, self.enc_cfg)
+            for i in range(0, len(refs), EMBED_CHUNK)
+        ]
+        return np.concatenate(chunks) if chunks else np.zeros((0, self.enc_cfg.dim))
 
 
 # ---------------------------------------------------------------------------
@@ -264,16 +275,14 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
         int(_rng(seed, _TAG_HEAD).integers(0, 2**31 - 1)),
     )
     trainable = params.tensors() + [head.weight]
-    patch_mats = [pipeline.patches(ref) for ref in episode.pairs]
+    batch = np.stack([pipeline.patches(ref) for ref in episode.pairs])  # (B, Z, P)
 
     losses: list[float] = []
     for epoch in range(cfg.train.epochs):
-        rows = []
-        for mat in patch_mats:
-            feats = enc.encoder_forward(mat, params, enc_cfg)
-            out = enc.fuse(feats, params) if enc_cfg.use_fusion else enc.EmbeddingOutput(e=feats[-1])
-            rows.append(ad.reshape(out.e, (1, enc_cfg.dim)))
-        loss = cls.cosine_loss(ad.concat(rows, axis=0), targets, head)
+        # one graph per epoch: the whole episode runs as one batch
+        feats = enc.encoder_forward(batch, params, enc_cfg)
+        e_batch = enc.fuse(feats, params).e if enc_cfg.use_fusion else feats[-1]
+        loss = cls.cosine_loss(e_batch, targets, head)
         value = loss.values.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
@@ -349,14 +358,15 @@ def evaluate(params: enc.MeeParams, classifier, plan: SessionPlan, m: int,
         if label not in registry:
             raise ProtocolViolationError(f"test class {label!r} not yet registered")
         refs.extend(plan.test_items[label])
+    embeddings = dict(zip(refs, pipeline.embed_batch(refs, params)))
     if isinstance(classifier, cls.Prototypes):
         def predict_fn(ref):
-            return cls.prototype_predict(classifier, pipeline.embed(ref, params))[0]
+            return cls.prototype_predict(classifier, embeddings[ref])[0]
     else:
         w = cls.solve_weights(classifier)
 
         def predict_fn(ref):
-            return cls.predict(w, registry, pipeline.embed(ref, params))[0]
+            return cls.predict(w, registry, embeddings[ref])[0]
     return evaluate_items(predict_fn, refs)
 
 

@@ -20,6 +20,7 @@ Weights default to f32 on disk; in-memory math stays f64.
 from __future__ import annotations
 
 import hashlib
+import math
 import struct
 from pathlib import Path
 
@@ -101,9 +102,14 @@ def parse_container(data: bytes) -> tuple[dict[str, np.ndarray], list[str]]:
         if tag not in _TAG_DTYPES:
             raise WeightsFormatError(f"unknown dtype tag {tag} for tensor {name!r}")
         np_dtype = _TAG_DTYPES[tag]
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        raw = cur.take(count * np_dtype.itemsize)
-        tensors[name] = np.frombuffer(raw, dtype=np_dtype).reshape(shape).astype(np.float64)
+        # exact integer product: extents whose product overflows int64 must
+        # read as a truncated container, not wrap round to a small count
+        raw = cur.take(math.prod(shape) * np_dtype.itemsize)
+        try:
+            values = np.frombuffer(raw, dtype=np_dtype).reshape(shape)
+        except ValueError:
+            raise WeightsFormatError(f"tensor {name!r} has unusable extents {shape}") from None
+        tensors[name] = values.astype(np.float64)
     labels = [cur.take(cur.u16()).decode("utf-8") for _ in range(cur.u32())]
     if cur.pos != len(data):
         raise WeightsFormatError(f"{len(data) - cur.pos} trailing bytes after container")

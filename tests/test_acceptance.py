@@ -157,6 +157,30 @@ def test_gradient_correctness_through_toy_extractor():
         assert elapsed < 60.0, f"took {elapsed:.1f} s"
 
 
+def test_batched_gradient_correctness_through_toy_extractor():
+    """The same criterion for the batched path used in training: one
+    (B, Z, P) forward of equally long clips, gradients at 1e-4 against
+    central differences over 5 random parameter draws."""
+    with criterion("batched end-to-end gradient correctness"):
+        cfg = enc.EncoderConfig(blocks=2, dim=16, heads=2, mlp_hidden=32,
+                                fusion_hidden=16, z_max=6, patch_dim=64)
+        worst = 0.0
+        for draw in range(5):
+            rng = np.random.default_rng(9500 + draw)
+            params = enc.init_mee_params(cfg, seed=1500 + draw)
+            head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=2500 + draw)
+            batch = rng.normal(size=(3, int(rng.integers(2, 7)), 64))
+            labels = np.array([0, 1, 2])
+            tensors = params.tensors() + [head.weight]
+
+            def make_loss():
+                e = enc.fuse(enc.encoder_forward(batch, params, cfg), params).e
+                return cls.cosine_loss(e, labels, head)
+
+            worst = max(worst, grad_check(make_loss, tensors, max_coords_per_tensor=3, rng=rng))
+        assert worst <= 1e-4, f"worst rel err {worst:.3e}"
+
+
 # ---------------------------------------------------------------------------
 # patch counting
 

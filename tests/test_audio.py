@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ffcac.audio import (
     FrontendConfig,
+    _frontend_tables,
     LogMelSpectrogram,
     ManifestRow,
     SynthConfig,
@@ -125,6 +126,16 @@ def test_pure_tone_argmax_bin_constant_and_contains_tone():
     k = np.argmin(np.abs(freqs - 1000.0))
     responding = np.flatnonzero(fb[:, k] > 0)
     assert argmax[0] in responding
+
+
+def test_frontend_tables_built_once_per_config_and_read_only():
+    window, filterbank = _frontend_tables(CFG)
+    again = _frontend_tables(FrontendConfig())  # an equal config, another object
+    assert again[0] is window and again[1] is filterbank
+    assert np.array_equal(filterbank, mel_filterbank(CFG))
+    for table in (window, filterbank):
+        with pytest.raises(ValueError):
+            table[0] = 1.0
 
 
 def test_translation_by_one_frame_shift_moves_columns():

@@ -33,6 +33,34 @@ def test_matmul_shape_mismatch_names_both_shapes():
         ad.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))))
 
 
+def test_batched_matmul_is_one_product_per_batch_index():
+    rng = np.random.default_rng(1)
+    a, b = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 4, 5))
+    out = ad.matmul(Tensor(a), Tensor(b))
+    for i in range(3):
+        assert np.allclose(out.values[i], a[i] @ b[i], atol=1e-14)
+
+
+def test_batched_matmul_batch_mismatch_names_both_shapes():
+    with pytest.raises(DimensionError, match=r"\(2, 3, 4\).*\(3, 4, 5\)"):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((3, 4, 5))))
+
+
+def test_matmul_rejects_mixed_ranks():
+    with pytest.raises(DimensionError):
+        ad.matmul(Tensor(np.zeros((2, 3, 4))), Tensor(np.zeros((4, 5))))
+
+
+def test_transpose_axes_permutes():
+    x = np.arange(24.0).reshape(2, 3, 4)
+    out = ad.transpose(Tensor(x), (2, 0, 1))
+    assert np.array_equal(out.values, x.transpose(2, 0, 1))
+    with pytest.raises(DimensionError):
+        ad.transpose(Tensor(x), (0, 0, 1))
+    with pytest.raises(DimensionError):
+        ad.transpose(Tensor(x))  # no axes: rank 2 only
+
+
 def test_softmax_uniform_logits():
     out = ad.softmax(Tensor([[0.0, 0.0, 0.0]]), axis=1)
     assert np.allclose(out.values, 1.0 / 3.0, atol=1e-15)
@@ -104,6 +132,14 @@ def test_forward_deterministic():
     one = ad.softmax(ad.matmul(Tensor(a), ad.gelu(Tensor(b))), axis=1).values
     two = ad.softmax(ad.matmul(Tensor(a), ad.gelu(Tensor(b))), axis=1).values
     assert np.array_equal(one, two)
+
+
+def test_backward_keeps_no_grad_on_interior_nodes():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    y = x * x
+    ad.backward(ad.sum_(y))
+    assert y.grad is None
+    assert np.allclose(x.grad, [2.0, 4.0])
 
 
 def test_no_grad_builds_no_graph():
@@ -243,3 +279,20 @@ def test_sgd_rejects_nonpositive_lr():
     p = Tensor([1.0], requires_grad=True)
     with pytest.raises(UsageError):
         ad.sgd_step([p], [np.zeros(1)], lr=0.0)
+
+
+def test_batched_matmul_gradient():
+    rng = np.random.default_rng(31)
+    a = Tensor(rng.uniform(-2, 2, (3, 2, 4)), requires_grad=True)
+    b = Tensor(rng.uniform(-2, 2, (3, 4, 5)), requires_grad=True)
+    weights = rng.normal(size=(3, 2, 5))
+    err = grad_check(lambda: ad.sum_(ad.matmul(a, b) * weights), [a, b])
+    assert err <= PRIMITIVE_TOL
+
+
+def test_transpose_axes_gradient():
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.uniform(-2, 2, (2, 3, 4, 5)), requires_grad=True)
+    weights = rng.normal(size=(2, 4, 5, 3))
+    err = grad_check(lambda: ad.sum_(ad.transpose(x, (0, 2, 3, 1)) * weights), [x])
+    assert err <= PRIMITIVE_TOL

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from ffcac import autodiff as ad
 from ffcac import classifiers as cls
+from ffcac import weights_io as wio
 from ffcac.autodiff import Tensor
 from ffcac.errors import (
     NumericError,
@@ -12,6 +13,8 @@ from ffcac.errors import (
     SolverError,
     StratificationError,
     UsageError,
+    WeightsFormatError,
+    WeightsShapeError,
 )
 
 from tests.helpers import grad_check, lstsq_weights
@@ -385,3 +388,51 @@ def test_state_round_trip(tmp_path):
     assert loaded.lam == state.lam
     assert loaded.registry.labels == ("a", "b", "c")
     assert np.allclose(cls.solve_weights(loaded), cls.solve_weights(state), atol=1e-15)
+
+
+def _saved_state(tmp_path, gram, cross, lam, labels):
+    path = tmp_path / "bad.weights"
+    tensors = [("gram", np.asarray(gram, dtype=float)), ("cross", np.asarray(cross, dtype=float)),
+               ("lambda", np.asarray(lam, dtype=float))]
+    path.write_bytes(wio.serialize_container(tensors, labels=labels, dtype="f64"))
+    return path
+
+
+GOOD_GRAM = [[2.0, 0.5], [0.5, 1.0]]
+GOOD_CROSS = [[1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "gram, cross, lam, error, match",
+    [
+        (GOOD_GRAM, GOOD_CROSS, [-1.0], WeightsFormatError, "lambda"),
+        (GOOD_GRAM, GOOD_CROSS, [np.nan], WeightsFormatError, "lambda"),
+        (GOOD_GRAM, GOOD_CROSS, [np.inf], WeightsFormatError, "lambda"),
+        (GOOD_GRAM, GOOD_CROSS, [0.1, 0.2], WeightsShapeError, "lambda"),
+        (GOOD_GRAM, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.1], WeightsShapeError, "cross"),
+        (GOOD_GRAM, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.1], WeightsShapeError, "cross"),
+        ([[2.0, 0.5, 0.0], [0.5, 1.0, 0.0]], GOOD_CROSS, [0.1], WeightsShapeError, "square"),
+        ([[2.0, 0.5], [0.4, 1.0]], GOOD_CROSS, [0.1], WeightsFormatError, "symmetric"),
+        ([[2.0, np.nan], [np.nan, 1.0]], GOOD_CROSS, [0.1], WeightsFormatError, "non-finite"),
+        (GOOD_GRAM, [[1.0, np.inf], [0.0, 1.0]], [0.1], WeightsFormatError, "non-finite"),
+    ],
+    ids=["negative-lambda", "nan-lambda", "inf-lambda", "two-lambdas", "cross-columns",
+         "cross-rows", "non-square-gram", "asymmetric-gram", "nan-gram", "inf-cross"],
+)
+def test_load_state_rejects_inconsistent_memory(tmp_path, gram, cross, lam, error, match):
+    path = _saved_state(tmp_path, gram, cross, lam, ["a", "b"])
+    with pytest.raises(error, match=match):
+        cls.load_state(path)
+
+
+def test_load_state_rejects_missing_tensor(tmp_path):
+    path = tmp_path / "nolambda.weights"
+    tensors = [("gram", np.asarray(GOOD_GRAM)), ("cross", np.asarray(GOOD_CROSS))]
+    path.write_bytes(wio.serialize_container(tensors, labels=["a", "b"], dtype="f64"))
+    with pytest.raises(WeightsShapeError, match="lambda"):
+        cls.load_state(path)
+
+
+def test_load_state_accepts_a_consistent_memory(tmp_path):
+    loaded = cls.load_state(_saved_state(tmp_path, GOOD_GRAM, GOOD_CROSS, [0.0], ["a", "b"]))
+    assert loaded.lam == 0.0 and loaded.registry.labels == ("a", "b")

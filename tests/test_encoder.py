@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 from ffcac import autodiff as ad
 from ffcac import classifiers as cls
 from ffcac import encoder as enc
+from ffcac import weights_io as wio
 from ffcac.audio import LogMelSpectrogram
 from ffcac.autodiff import Tensor
 from ffcac.config import ast_base_config
@@ -68,12 +71,41 @@ def test_forward_deterministic():
     assert np.array_equal(one, two)
 
 
+def test_batched_forward_equals_per_clip_calls():
+    params = enc.init_mee_params(TINY, seed=12)
+    rng = np.random.default_rng(29)
+    batch = rng.normal(size=(4, 6, 10))
+    feats = enc.encoder_forward(batch, params, TINY)
+    embedded = enc.extract_embedding(batch, params, TINY)
+    assert [f.shape for f in feats] == [(4, TINY.dim)] * TINY.blocks
+    assert embedded.shape == (4, TINY.dim)
+    for i, clip in enumerate(batch):
+        for f_batch, f_one in zip(feats, enc.encoder_forward(clip, params, TINY)):
+            assert np.max(np.abs(f_batch.values[i] - f_one.values)) <= 1e-12
+        assert np.max(np.abs(embedded[i] - enc.extract_embedding(clip, params, TINY))) <= 1e-12
+
+
+def test_batched_fuse_keeps_the_batch_axis():
+    params = enc.init_mee_params(TINY, seed=13)
+    rng = np.random.default_rng(31)
+    feats = [Tensor(rng.normal(size=(3, TINY.dim))) for _ in range(TINY.blocks)]
+    out = enc.fuse(feats, params)
+    assert out.e.shape == (3, TINY.dim)
+    assert out.fusion_weights.shape == (3, TINY.blocks)
+    assert out.concat.shape == (3, TINY.blocks * TINY.dim)
+    for i in range(3):
+        one = enc.fuse([Tensor(f.values[i]) for f in feats], params)
+        assert np.max(np.abs(out.e.values[i] - one.e.values)) <= 1e-12
+
+
 def test_too_many_patches_rejected():
     params = enc.init_mee_params(TINY, seed=2)
     with pytest.raises(DimensionError, match="positional"):
         enc.encoder_forward(np.zeros((7, 10)), params, TINY)
     with pytest.raises(DimensionError, match="patch dim"):
         enc.encoder_forward(np.zeros((3, 11)), params, TINY)
+    with pytest.raises(DimensionError, match="batch"):
+        enc.encoder_forward(np.zeros((1, 2, 3, 10)), params, TINY)
 
 
 def test_init_matches_declared_shapes():
@@ -223,6 +255,16 @@ def test_truncated_container_rejected(tmp_path):
         enc.load_params(path, TINY)
 
 
+def test_overflowing_extents_rejected():
+    # one f64 tensor of 2^32 x 2^32 elements: the element count overflows int64
+    name = b"g"
+    data = (wio.MAGIC + struct.pack("<I", 1) + struct.pack("<H", len(name)) + name
+            + struct.pack("<B", 2) + struct.pack("<2Q", 2**32, 2**32) + struct.pack("<B", 1)
+            + struct.pack("<I", 0))
+    with pytest.raises(WeightsFormatError):
+        wio.parse_container(data)
+
+
 def test_block_count_mismatch_lists_missing_names(tmp_path):
     params = enc.init_mee_params(TINY, seed=10)  # 2 blocks
     path = tmp_path / "two.weights"
@@ -278,8 +320,6 @@ def test_toy_param_census_matches_hand_count():
 def test_param_census_equals_serialized_elements():
     params = enc.init_mee_params(TINY, seed=12)
     report = enc.count_params_macs(TINY, num_classes=0)
-    import ffcac.weights_io as wio
-
     stored, _ = wio.parse_container(enc.serialize_params(params))
     assert report.num_params_extractor == sum(v.size for v in stored.values())
 

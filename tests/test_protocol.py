@@ -200,6 +200,17 @@ def test_incremental_equals_batch_refit_on_same_embeddings():
     assert np.max(np.abs(cls.solve_weights(updated) - cls.solve_weights(batch))) <= 1e-8
 
 
+def test_embed_batch_across_chunks_equals_per_clip_embedding():
+    pipe = sessions.ClipPipeline(desk_config())
+    params = enc.init_mee_params(pipe.enc_cfg, seed=3)
+    refs = [item.ref for item in tiny_items(clips=13)][: sessions.EMBED_CHUNK + 1]
+    assert len(refs) == sessions.EMBED_CHUNK + 1
+    batched = pipe.embed_batch(refs, params)
+    one_by_one = np.stack([pipe.embed(ref, params) for ref in refs])
+    assert batched.shape == one_by_one.shape
+    assert np.max(np.abs(batched - one_by_one)) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # evaluation and metrics
 
