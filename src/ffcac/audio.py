@@ -221,12 +221,10 @@ def patch_counts(big_f: int, big_t: int, s_f: int, s_t: int, d: int) -> PatchGri
 
 def patch_split(lms: LogMelSpectrogram, s_f: int, s_t: int, d: int) -> PatchSequence:
     grid = patch_counts(lms.s_f, lms.s_t, s_f, s_t, d)
-    patches = np.empty((grid.z, s_f * s_t))
-    k = 0
-    for i in range(grid.rows):
-        for j in range(grid.cols):
-            patches[k] = lms.data[i * d : i * d + s_f, j * d : j * d + s_t].ravel()
-            k += 1
+    # every s_f x s_t window, kept at stride d: (rows, cols, s_f, s_t),
+    # flattened frequency-major into a fresh (Z, s_f * s_t) array
+    windows = np.lib.stride_tricks.sliding_window_view(lms.data, (s_f, s_t))[::d, ::d]
+    patches = np.array(windows, dtype=np.float64).reshape(grid.z, s_f * s_t)
     return PatchSequence(patches=patches, grid=grid)
 
 

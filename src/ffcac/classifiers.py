@@ -9,6 +9,10 @@ Two objects answer "which class":
 * Prototypes — per-class mean embeddings scored by cosine (ablation
   baseline).
 
+Both expose ``registry``, ``weights()`` — the (D, N) columns that
+``predict`` scores by cosine — and ``update(E, Y, labels)``, the session
+update that returns a new classifier with the new classes registered.
+
 A third object, CosineHead, exists only to finetune the extractor in the
 base session: scaled cosine-softmax cross entropy, differentiable through
 the autodiff graph, discarded once the extractor is frozen.
@@ -146,12 +150,12 @@ class RidgeState:
     def dim(self) -> int:
         return self.gram.shape[0]
 
+    def weights(self) -> np.ndarray:
+        """(D, N) columns scored by cosine: the ridge solution."""
+        return solve_weights(self)
 
-def _one_hot(labels, index_of, num_cols: int) -> np.ndarray:
-    y = np.zeros((len(labels), num_cols))
-    for i, label in enumerate(labels):
-        y[i, index_of(label)] = 1.0
-    return y
+    def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "RidgeState":
+        return update_incremental(self, E_m, Y_m, new_labels)
 
 
 def fit_base(E: np.ndarray, Y: np.ndarray, lam: float, labels=None) -> RidgeState:
@@ -246,23 +250,34 @@ def solve_weights(state: RidgeState) -> np.ndarray:
 
 
 def cosine_scores(W: np.ndarray, e: np.ndarray) -> np.ndarray:
-    """Cosine between a query embedding and every weight column; zero-norm
-    columns score 0."""
-    e = np.asarray(e, dtype=np.float64).ravel()
-    e_norm = np.linalg.norm(e)
-    if e_norm <= 0.0:
+    """Cosine between each query embedding and every weight column; zero-norm
+    columns score 0. ``e`` is one (D,) row, giving (N,) scores, or an (n, D)
+    matrix, giving (n, N)."""
+    e = np.asarray(e, dtype=np.float64)
+    if e.ndim not in (1, 2):
+        raise UsageError(f"expected a (D,) row or an (n, D) matrix, got shape {e.shape}")
+    rows = np.atleast_2d(e)
+    e_norms = np.linalg.norm(rows, axis=1)
+    if np.any(e_norms <= 0.0):
         raise NumericError("zero embedding: cosine scores undefined")
     col_norms = np.linalg.norm(W, axis=0)
     safe = np.where(col_norms > 0.0, col_norms, 1.0)
-    scores = (W.T @ e) / (safe * e_norm)
-    return np.where(col_norms > 0.0, scores, 0.0)
+    scores = (rows @ W) / (e_norms[:, None] * safe)
+    scores = np.where(col_norms > 0.0, scores, 0.0)
+    return scores if e.ndim == 2 else scores[0]
 
 
 def predict(W: np.ndarray, registry: LabelRegistry, e: np.ndarray):
-    """Argmax cosine class (ties -> lowest registry index) plus the full
-    score vector."""
+    """Argmax cosine class (ties -> lowest registry index) plus the scores.
+
+    One (D,) row gives (label, (N,) scores); an (n, D) matrix gives an (n,)
+    object array of labels and (n, N) scores.
+    """
     scores = cosine_scores(W, e)
-    return registry.labels[int(np.argmax(scores))], scores
+    best = np.argmax(scores, axis=-1)
+    if scores.ndim == 1:
+        return registry.labels[int(best)], scores
+    return np.array(registry.labels, dtype=object)[best], scores
 
 
 def _stratified_folds(labels: np.ndarray, k_folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -301,11 +316,9 @@ def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int
         for fold in range(k_folds):
             train = fold_of != fold
             state = fit_base(E[train], Y[train], lam)
-            w = solve_weights(state)
-            for row, true_cls in zip(E[~train], labels[~train]):
-                pred, _ = predict(w, state.registry, row)
-                correct += int(pred == true_cls)
-                total += 1
+            pred, _ = predict(solve_weights(state), state.registry, E[~train])
+            correct += int(np.sum(pred == labels[~train]))
+            total += len(pred)
         acc = correct / total
         if acc > best_acc:
             best_lam, best_acc = lam, acc
@@ -321,6 +334,17 @@ class Prototypes:
     means: np.ndarray  # (N_total, D)
     registry: LabelRegistry
 
+    def weights(self) -> np.ndarray:
+        """(D, N) columns scored by cosine: the class means."""
+        return self.means.T
+
+    def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "Prototypes":
+        """Append mean prototypes for the new classes; old rows untouched."""
+        added = prototype_fit(E_m, Y_m, list(new_labels))
+        registry = self.registry.copy()
+        registry.add(added.registry.labels)
+        return Prototypes(means=np.vstack([self.means, added.means]), registry=registry)
+
 
 def prototype_fit(E: np.ndarray, Y: np.ndarray, labels=None) -> Prototypes:
     """Per-class mean embeddings."""
@@ -334,19 +358,6 @@ def prototype_fit(E: np.ndarray, Y: np.ndarray, labels=None) -> Prototypes:
         raise UsageError(f"classes with no samples: {empty}")
     means = (Y.T @ E) / counts[:, None]
     return Prototypes(means=means, registry=LabelRegistry(labels))
-
-
-def prototype_update(protos: Prototypes, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> Prototypes:
-    """Append mean prototypes for the new classes; old rows untouched."""
-    added = prototype_fit(E_m, Y_m, list(new_labels))
-    registry = protos.registry.copy()
-    registry.add(list(new_labels))
-    return Prototypes(means=np.vstack([protos.means, added.means]), registry=registry)
-
-
-def prototype_predict(protos: Prototypes, e: np.ndarray):
-    scores = cosine_scores(protos.means.T, e)
-    return protos.registry.labels[int(np.argmax(scores))], scores
 
 
 # ---------------------------------------------------------------------------

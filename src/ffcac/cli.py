@@ -107,7 +107,10 @@ def cmd_ablate(args) -> int:
             case_cfg = dataclasses.replace(
                 cfg,
                 encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion),
-                classifier=dataclasses.replace(cfg.classifier, kind=kind),
+                # λ re-selection exists only for the ridge classifier
+                classifier=dataclasses.replace(
+                    cfg.classifier, kind=kind,
+                    relambda_each_session=cfg.classifier.relambda_each_session and kind == "rrc"),
             )
             report = sessions.run_repeated(case_cfg)
             rows.append((use_fusion, kind, report))

@@ -288,6 +288,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(len(cl.lam_grid) > 0, "classifier.lam_grid", "must be nonempty")
     check(all(g >= 0 for g in cl.lam_grid), "classifier.lam_grid", "entries must be >= 0")
     check(cl.cv_folds >= 2, "classifier.cv_folds", "must be >= 2")
+    check(not cl.relambda_each_session or (cl.kind == "rrc" and cl.lam == "cv"),
+          "classifier.relambda_each_session",
+          "needs classifier.kind = rrc and classifier.lambda = cv")
 
     pl = cfg.plan
     check(pl.base_classes >= 1, "plan.base_classes", "must be >= 1")

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import weights_io
-from .audio import LogMelSpectrogram, PatchSequence, patch_split
+from .audio import PatchSequence
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, WeightsShapeError
 
@@ -121,12 +121,10 @@ class MeeParams:
 
 @dataclass
 class EmbeddingOutput:
-    """Embedding plus the intermediates the fusion stage produced."""
+    """Embedding plus the fusion weights that produced it."""
 
     e: Tensor  # (D,)
     fusion_weights: Tensor | None = None  # (L,), convex
-    concat: Tensor | None = None  # (L*D,) pre-fusion concatenation
-    block_features: list[Tensor] = field(default_factory=list)
 
 
 def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -319,20 +317,7 @@ def fuse(block_features: list[Tensor], params: MeeParams) -> EmbeddingOutput:
     return EmbeddingOutput(
         e=ad.reshape(e, lead + (dim,)),
         fusion_weights=ad.reshape(weights, lead + (n_blocks,)),
-        concat=ad.reshape(eprime, lead + (n_blocks * dim,)),
-        block_features=block_features,
     )
-
-
-def mee_forward(lms: LogMelSpectrogram, params: MeeParams, cfg: EncoderConfig,
-                s_f: int, s_t: int, stride: int) -> EmbeddingOutput:
-    """patch_split -> encoder -> fusion (or last-block feature when fusion
-    is disabled)."""
-    seq = patch_split(lms, s_f, s_t, stride)
-    feats = encoder_forward(seq, params, cfg)
-    if not cfg.use_fusion:
-        return EmbeddingOutput(e=feats[-1], block_features=feats)
-    return fuse(feats, params)
 
 
 def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndarray:

@@ -6,7 +6,9 @@ Session 0 finetunes the extractor on one few-shot episode and fits the
 classifier from the resulting embeddings. Sessions 1..M freeze the
 extractor, extract embeddings for a new episode of unseen classes, and
 update the classifier analytically. After session m the model is scored
-on the union of the test sets of sessions 0..m.
+on the union of the test sets of sessions 0..m; since the extractor is
+frozen, every test clip is embedded once, right after session 0, and each
+session scores its rows of that matrix.
 """
 
 from __future__ import annotations
@@ -225,9 +227,6 @@ class ClipPipeline:
             self._patches[ref] = cached
         return cached
 
-    def embed(self, ref: ClipRef, params: enc.MeeParams) -> np.ndarray:
-        return enc.extract_embedding(self.patches(ref), params, self.enc_cfg)
-
     def embed_batch(self, refs, params: enc.MeeParams) -> np.ndarray:
         """(len(refs), D) embeddings, EMBED_CHUNK clips per forward pass."""
         refs = list(refs)
@@ -315,15 +314,13 @@ def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
     labels = episode.labels
     embeddings = pipeline.embed_batch(episode.pairs, params)
     onehot = _episode_onehot(episode, labels)
-    if isinstance(classifier, cls.Prototypes):
-        updated = cls.prototype_update(classifier, embeddings, onehot, labels)
-    else:
-        updated = cls.update_incremental(classifier, embeddings, onehot, labels)
-        if cfg.classifier.relambda_each_session and cfg.classifier.fixed_lam() is None:
-            # optional per-session re-selection on the new episode only
-            updated.lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
-                                               min(cfg.classifier.cv_folds, len(embeddings)), seed)
-            updated._weights = None
+    updated = classifier.update(embeddings, onehot, labels)
+    if cfg.classifier.relambda_each_session:
+        # optional per-session re-selection on the new episode only; config
+        # validation admits it only for a ridge classifier with lam = cv
+        updated.lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
+                                           min(cfg.classifier.cv_folds, len(embeddings)), seed)
+        updated._weights = None
     after = enc.params_checksum(params)
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")
@@ -341,33 +338,34 @@ class EvalResult:
     total: int
 
 
-def evaluate_items(predict_fn, refs) -> EvalResult:
-    refs = list(refs)
+def union_test_refs(plan: SessionPlan, m: int) -> list[ClipRef]:
+    """The union of the test sets of sessions 0..m, in session and label
+    order; so the refs through m are a prefix of the refs through M > m."""
+    refs: list[ClipRef] = []
+    for label in plan.labels_through(m):
+        refs.extend(plan.test_items[label])
+    return refs
+
+
+def evaluate(classifier, plan: SessionPlan, m: int, embedded: np.ndarray) -> EvalResult:
+    """Accuracy over the union of the test sets of sessions 0..m.
+
+    ``embedded`` holds the frozen-extractor embeddings of
+    ``union_test_refs(plan, M)`` for some M >= m, in that order; its first
+    rows are the test set through m, scored in one ``predict`` call.
+    """
+    for label in plan.labels_through(m):
+        if label not in classifier.registry:
+            raise ProtocolViolationError(f"test class {label!r} not yet registered")
+    refs = union_test_refs(plan, m)
     if not refs:
         raise UsageError("no test items to evaluate")
-    correct = sum(int(predict_fn(ref) == ref.label) for ref in refs)
+    if embedded.shape[0] < len(refs):
+        raise UsageError(f"{embedded.shape[0]} embedded test rows, session {m} needs {len(refs)}")
+    predicted, _ = cls.predict(classifier.weights(), classifier.registry, embedded[: len(refs)])
+    truth = np.array([ref.label for ref in refs], dtype=object)
+    correct = int(np.sum(predicted == truth))
     return EvalResult(accuracy=correct / len(refs), correct=correct, total=len(refs))
-
-
-def evaluate(params: enc.MeeParams, classifier, plan: SessionPlan, m: int,
-             pipeline: ClipPipeline) -> EvalResult:
-    """Accuracy over the union of the test sets of sessions 0..m."""
-    registry = classifier.registry
-    refs = []
-    for label in plan.labels_through(m):
-        if label not in registry:
-            raise ProtocolViolationError(f"test class {label!r} not yet registered")
-        refs.extend(plan.test_items[label])
-    embeddings = dict(zip(refs, pipeline.embed_batch(refs, params)))
-    if isinstance(classifier, cls.Prototypes):
-        def predict_fn(ref):
-            return cls.prototype_predict(classifier, embeddings[ref])[0]
-    else:
-        w = cls.solve_weights(classifier)
-
-        def predict_fn(ref):
-            return cls.predict(w, registry, embeddings[ref])[0]
-    return evaluate_items(predict_fn, refs)
 
 
 def compute_aa(accuracies) -> float:
@@ -440,12 +438,14 @@ def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
                pipeline: ClipPipeline) -> tuple[RunReport, BaseSessionResult]:
     base_episode = sample_episode(plan, 0, run_seed)
     base = run_base_session(base_episode, pipeline, cfg, run_seed)
+    # the extractor is frozen from here on: embed every test clip once
+    embedded = pipeline.embed_batch(union_test_refs(plan, plan.num_incremental), base.params)
     classifier = base.classifier
-    accuracies = [evaluate(base.params, classifier, plan, 0, pipeline).accuracy]
+    accuracies = [evaluate(classifier, plan, 0, embedded).accuracy]
     for m in range(1, plan.num_incremental + 1):
         episode = sample_episode(plan, m, run_seed)
         classifier = run_incremental_session(base.params, classifier, episode, pipeline, cfg, run_seed)
-        accuracies.append(evaluate(base.params, classifier, plan, m, pipeline).accuracy)
+        accuracies.append(evaluate(classifier, plan, m, embedded).accuracy)
     report = RunReport(seed=run_seed, accuracies=accuracies,
                        aa=compute_aa(accuracies), pd=compute_pd(accuracies))
     base.classifier = classifier  # final state after all sessions

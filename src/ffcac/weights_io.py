@@ -19,7 +19,6 @@ Weights default to f32 on disk; in-memory math stays f64.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import struct
 from pathlib import Path
@@ -116,16 +115,8 @@ def parse_container(data: bytes) -> tuple[dict[str, np.ndarray], list[str]]:
     return tensors, labels
 
 
-def save_container(path, tensors, labels=(), dtype: str = "f32") -> None:
-    Path(path).write_bytes(serialize_container(tensors, labels, dtype))
-
-
 def load_container(path) -> tuple[dict[str, np.ndarray], list[str]]:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{path}: no such file")
     return parse_container(path.read_bytes())
-
-
-def container_checksum(tensors, labels=(), dtype: str = "f32") -> str:
-    return hashlib.sha256(serialize_container(tensors, labels, dtype)).hexdigest()

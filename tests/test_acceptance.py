@@ -281,13 +281,14 @@ def desk_run():
         run_seed = cfg.run.seed + r
         base = sessions.run_base_session(sessions.sample_episode(plan, 0, run_seed),
                                          pipeline, cfg, run_seed)
-        a0 = sessions.evaluate(base.params, base.classifier, plan, 0, pipeline).accuracy
+        embedded = pipeline.embed_batch(sessions.union_test_refs(plan, 1), base.params)
+        a0 = sessions.evaluate(base.classifier, plan, 0, embedded).accuracy
         before = enc.params_checksum(base.params)
         episode = sessions.sample_episode(plan, 1, run_seed)
         state = sessions.run_incremental_session(base.params, base.classifier,
                                                  episode, pipeline, cfg)
         freezing_ok.append(enc.params_checksum(base.params) == before)
-        a1 = sessions.evaluate(base.params, state, plan, 1, pipeline).accuracy
+        a1 = sessions.evaluate(state, plan, 1, embedded).accuracy
         firsts.append(a0)
         finals.append(a1)
         pds.append(a0 - a1)

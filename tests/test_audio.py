@@ -212,6 +212,28 @@ def test_patch_order_is_frequency_major():
     assert np.array_equal(seq.patches[2], [8, 9, 12, 13])
 
 
+def _patch_split_reference(data, s_f, s_t, d):
+    """Frequency-major double loop over the patch origins."""
+    rows = (data.shape[0] - s_f) // d + 1
+    cols = (data.shape[1] - s_t) // d + 1
+    return np.array([data[i * d : i * d + s_f, j * d : j * d + s_t].ravel()
+                     for i in range(rows) for j in range(cols)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 24), st.integers(1, 24), st.integers(1, 8), st.integers(1, 8),
+       st.integers(1, 8), st.integers(0, 2**31 - 1))
+def test_patch_split_matches_double_loop(big_f, big_t, s_f, s_t, d, seed):
+    # strides below the patch size make the patches overlap
+    s_f, s_t = min(s_f, big_f), min(s_t, big_t)
+    data = np.random.default_rng(seed).normal(size=(big_f, big_t))
+    seq = patch_split(LogMelSpectrogram(data), s_f, s_t, d)
+    expected = _patch_split_reference(data, s_f, s_t, d)
+    assert seq.patches.shape == (seq.grid.z, s_f * s_t) == expected.shape
+    assert seq.patches.dtype == np.float64 and seq.patches.flags.writeable
+    assert np.array_equal(seq.patches, expected)
+
+
 def test_nonoverlapping_reassembly_is_exact():
     # d = s_f = s_t: tiles cover the cropped spectrogram exactly once
     rng = np.random.default_rng(2)

@@ -272,6 +272,39 @@ def test_predict_rejects_zero_embedding():
         cls.predict(np.ones((3, 1)), registry, np.zeros(3))
 
 
+def test_predict_matrix_matches_row_by_row_calls():
+    # integer entries keep every dot product exact, so the duplicated
+    # columns 1 and 4 tie exactly in both the matrix and the one-row call
+    rng = np.random.default_rng(41)
+    w = rng.integers(-3, 4, size=(6, 5)).astype(float)
+    w[:, 2] = 0.0  # zero-norm column: scores 0
+    w[:, 4] = w[:, 1]
+    registry = cls.LabelRegistry(["a", "b", "c", "d", "e"])
+    rows = rng.integers(1, 4, size=(12, 6)) * rng.choice([-1.0, 1.0], size=(12, 6))
+    e = np.vstack([rows, w[:, 1], 2.0 * w[:, 1]])
+    labels, scores = cls.predict(w, registry, e)
+    assert labels.shape == (len(e),) and scores.shape == (len(e), 5)
+    assert np.all(scores[:, 2] == 0.0)
+    assert np.array_equal(scores[:, 1], scores[:, 4])
+    assert list(labels[-2:]) == ["b", "b"]  # tie between b and e: lowest index
+    for row, label, row_scores in zip(e, labels, scores):
+        one_label, one_scores = cls.predict(w, registry, row)
+        assert one_label == label
+        assert np.max(np.abs(one_scores - row_scores)) <= 1e-12
+
+
+def test_predict_matrix_rejects_a_zero_row():
+    registry = cls.LabelRegistry(["a", "b"])
+    e = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(NumericError):
+        cls.predict(np.eye(3)[:, :2], registry, e)
+
+
+def test_predict_rejects_higher_rank_queries():
+    with pytest.raises(UsageError):
+        cls.predict(np.eye(3), cls.LabelRegistry(list("abc")), np.ones((2, 2, 3)))
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -347,14 +380,28 @@ def test_prototype_predict_scale_invariant():
     rng = np.random.default_rng(37)
     protos = cls.prototype_fit(rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, 6)])
     e = rng.normal(size=4)
-    assert cls.prototype_predict(protos, e)[0] == cls.prototype_predict(protos, 9.0 * e)[0]
+    w = protos.weights()
+    assert w.shape == (4, 3)
+    assert cls.predict(w, protos.registry, e)[0] == cls.predict(w, protos.registry, 9.0 * e)[0]
 
 
 def test_prototype_update_appends():
     protos = cls.prototype_fit(np.eye(2), np.eye(2), labels=["a", "b"])
-    grown = cls.prototype_update(protos, np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
+    grown = protos.update(np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
     assert grown.registry.labels == ("a", "b", "c")
     assert np.array_equal(grown.means[:2], protos.means)
+    assert protos.registry.labels == ("a", "b")  # the old classifier is untouched
+
+
+def test_ridge_interface_is_solve_and_update_incremental():
+    rng = np.random.default_rng(43)
+    state = cls.fit_base(rng.normal(size=(6, 3)), np.eye(2)[[0, 1, 0, 1, 0, 1]], 0.5, ["a", "b"])
+    assert state.weights() is cls.solve_weights(state)
+    e, y = rng.normal(size=(2, 3)), np.eye(1)[[0, 0]]
+    grown = state.update(e, y, ["c"])
+    direct = cls.update_incremental(state, e, y, ["c"])
+    assert grown.registry.labels == ("a", "b", "c")
+    assert np.array_equal(grown.gram, direct.gram) and np.array_equal(grown.cross, direct.cross)
 
 
 # ---------------------------------------------------------------------------

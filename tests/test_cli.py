@@ -3,10 +3,11 @@ import json
 
 import pytest
 
-from ffcac import cli
+from ffcac import cli, sessions
 from ffcac import encoder as enc
 from ffcac.audio import read_manifest
 from ffcac.config import ast_base_config, load_config, parse_config_text
+from ffcac.errors import ConfigError
 
 TOY_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -117,6 +118,18 @@ def test_run_bad_config_lists_every_key(tmp_path, capsys):
     assert rc == 2 and "train.epochs" in err and "run.repeats" in err
 
 
+@pytest.mark.parametrize("contradiction", ["classifier.kind = pbc", "classifier.lambda = 0.5"])
+def test_relambda_needs_ridge_with_cv_lambda(contradiction, tmp_path, capsys):
+    text = f"classifier.relambda_each_session = true\n{contradiction}\n"
+    with pytest.raises(ConfigError, match="relambda_each_session"):
+        parse_config_text(text)
+    path = tmp_path / "contradiction.cfg"
+    path.write_text(text)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert "relambda_each_session" in capsys.readouterr().err
+    parse_config_text("classifier.relambda_each_session = true\n")  # rrc + cv is fine
+
+
 def test_run_numeric_failure_exit_code(tmp_path, capsys):
     # lam = 0 with far fewer samples than dimensions: singular normal equations
     path = tmp_path / "sing.cfg"
@@ -187,6 +200,21 @@ def test_ablate_emits_four_rows(toy_config, tmp_path, capsys):
     assert lines[0].startswith("fusion,classifier,A_0")
     cases = {tuple(l.split(",")[:2]) for l in lines[1:]}
     assert cases == {("off", "pbc"), ("on", "pbc"), ("off", "rrc"), ("on", "rrc")}
+
+
+def test_ablate_keeps_relambda_for_the_ridge_rows_only(tmp_path, monkeypatch, capsys):
+    path = tmp_path / "relambda.cfg"
+    path.write_text("classifier.relambda_each_session = true\n")
+    seen = []
+
+    def fake_run_repeated(cfg):
+        seen.append((cfg.classifier.kind, cfg.classifier.relambda_each_session))
+        run = sessions.RunReport(seed=1, accuracies=[1.0, 0.5], aa=0.75, pd=0.5)
+        return sessions.aggregate_runs([run])
+
+    monkeypatch.setattr(sessions, "run_repeated", fake_run_repeated)
+    assert cli.main(["ablate", "--config", str(path), "--fusion", "on"]) == 0
+    assert seen == [("pbc", False), ("rrc", True)]
 
 
 # ---------------------------------------------------------------------------

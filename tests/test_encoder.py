@@ -9,7 +9,6 @@ from ffcac import autodiff as ad
 from ffcac import classifiers as cls
 from ffcac import encoder as enc
 from ffcac import weights_io as wio
-from ffcac.audio import LogMelSpectrogram
 from ffcac.autodiff import Tensor
 from ffcac.config import ast_base_config
 from ffcac.errors import DimensionError, WeightsFormatError, WeightsShapeError
@@ -92,7 +91,6 @@ def test_batched_fuse_keeps_the_batch_axis():
     out = enc.fuse(feats, params)
     assert out.e.shape == (3, TINY.dim)
     assert out.fusion_weights.shape == (3, TINY.blocks)
-    assert out.concat.shape == (3, TINY.blocks * TINY.dim)
     for i in range(3):
         one = enc.fuse([Tensor(f.values[i]) for f in feats], params)
         assert np.max(np.abs(out.e.values[i] - one.e.values)) <= 1e-12
@@ -137,7 +135,6 @@ def test_fuse_hand_case():
     out = enc.fuse(feats, params)
     assert np.allclose(out.fusion_weights.values, [0.75, 0.25], atol=1e-12)
     assert np.allclose(out.e.values, [0.75, 0.25], atol=1e-12)
-    assert np.array_equal(out.concat.values, [1.0, 0.0, 0.0, 1.0])
 
 
 def test_fuse_uniform_logits_takes_mean():
@@ -189,19 +186,6 @@ def test_fusion_weights_convex_for_arbitrary_mlps(seed):
     stack = np.stack([f.values for f in feats])
     assert np.all(out.e.values >= stack.min(axis=0) - 1e-12)
     assert np.all(out.e.values <= stack.max(axis=0) + 1e-12)
-
-
-def test_mee_forward_composition():
-    rng = np.random.default_rng(17)
-    lms = LogMelSpectrogram(rng.normal(size=(16, 12)))
-    cfg = enc.EncoderConfig(blocks=2, dim=8, heads=2, mlp_hidden=12, fusion_hidden=8,
-                            z_max=12, patch_dim=16)
-    params = enc.init_mee_params(cfg, seed=6)
-    out1 = enc.mee_forward(lms, params, cfg, s_f=4, s_t=4, stride=4)
-    out2 = enc.mee_forward(lms, params, cfg, s_f=4, s_t=4, stride=4)
-    assert np.array_equal(out1.e.values, out2.e.values)
-    cos = np.dot(out1.e.values, out2.e.values) / np.dot(out1.e.values, out1.e.values)
-    assert abs(cos - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

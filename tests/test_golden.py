@@ -1,0 +1,70 @@
+"""Golden reports: `ffcac run` on small synthetic configs must reproduce
+the exact bytes of report.json (and of the ridge classifier.weights).
+
+The hashes were recorded before the frozen sessions moved onto embedding
+matrices, so any refactor of the session protocol, the classifiers or the
+extractor that changes a prediction shows up here. Three incremental
+sessions put the union test set (70 clips at the last session) past one
+embedding chunk. The noise amplitude keeps the accuracies well below 1, so
+a changed prediction changes a report byte.
+
+The hashes hold for the float64 numpy/OpenBLAS stack the project is
+developed on (x86-64); another BLAS may round differently.
+"""
+
+import hashlib
+
+import pytest
+
+from ffcac import cli
+
+GOLDEN_BASE = """\
+train.epochs = 3
+run.repeats = 2
+run.seed = 41
+plan.base_classes = 5
+plan.inc_classes = 3
+plan.sessions = 3
+synth.num_classes = 14
+synth.clips_per_class = 12
+synth.train_per_class = 7
+synth.noise_amplitude = 0.8
+"""
+
+# case -> (extra config lines, report.json sha256, classifier.weights sha256)
+GOLDEN = {
+    "rrc": (
+        "classifier.kind = rrc\n",
+        "1d1985fd02977f1f604d285bc3ade0a38a2ec53d5e339e8155cdbc4b4fbcae64",
+        "d706b9a90a1018578c59ad83c29efdd781b88a626193dc5649f32efcb2bb8c3f",
+    ),
+    "rrc-relambda": (
+        "classifier.kind = rrc\nclassifier.relambda_each_session = true\n",
+        "2459561f0072dfe9619ff2f1fb8b19c4e8aae0082a68c19760b1092729937226",
+        "66469573b3e160f7954218c4fc3fcc98f6ea52b5cf537180abc96cca369c0361",
+    ),
+    "pbc": (
+        "classifier.kind = pbc\n",
+        "7c9aed3691d3964a35a9ed3075858c67c4b38a1e1150a93ebc0a4406b5cfabb9",
+        None,  # prototypes have no weight file
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN))
+def test_golden_report_bytes(case, tmp_path, capsys):
+    extra, report_sha, weights_sha = GOLDEN[case]
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_BASE + extra)
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    assert _sha256(out / "report.json") == report_sha
+    weights = out / "classifier.weights"
+    if weights_sha is None:
+        assert not weights.exists()
+    else:
+        assert _sha256(weights) == weights_sha

@@ -193,7 +193,7 @@ def test_incremental_equals_batch_refit_on_same_embeddings():
     all_labels = list(base.classifier.registry.labels) + ep1.labels
     e_all, rows = [], []
     for ref in list(ep0.pairs) + list(ep1.pairs):
-        e_all.append(pipe.embed(ref, base.params))
+        e_all.append(enc.extract_embedding(pipe.patches(ref), base.params, pipe.enc_cfg))
         rows.append(all_labels.index(ref.label))
     y_all = np.eye(len(all_labels))[rows]
     batch = cls.fit_base(np.stack(e_all), y_all, updated.lam, labels=all_labels)
@@ -206,7 +206,8 @@ def test_embed_batch_across_chunks_equals_per_clip_embedding():
     refs = [item.ref for item in tiny_items(clips=13)][: sessions.EMBED_CHUNK + 1]
     assert len(refs) == sessions.EMBED_CHUNK + 1
     batched = pipe.embed_batch(refs, params)
-    one_by_one = np.stack([pipe.embed(ref, params) for ref in refs])
+    one_by_one = np.stack([enc.extract_embedding(pipe.patches(ref), params, pipe.enc_cfg)
+                           for ref in refs])
     assert batched.shape == one_by_one.shape
     assert np.max(np.abs(batched - one_by_one)) <= 1e-12
 
@@ -215,34 +216,71 @@ def test_embed_batch_across_chunks_equals_per_clip_embedding():
 # evaluation and metrics
 
 
-def test_evaluate_items_perfect_and_stub():
-    refs = [sessions.ClipRef(label=f"c{i % 4}") for i in range(200)]
-    perfect = sessions.evaluate_items(lambda r: r.label, refs)
-    assert perfect.accuracy == 1.0 and perfect.total == 200
+def _hand_plan():
+    """Session 0: classes a, b; session 1: class c. Test refs in plan order:
+    a0 a1 b0 | c0 c1."""
+    test = {label: [sessions.ClipRef(label=label, synth_seed=i) for i in range(n)]
+            for label, n in (("a", 2), ("b", 1), ("c", 2))}
+    return sessions.SessionPlan(session_labels=[["a", "b"], ["c"]], shots=[1, 1],
+                                train_items={}, test_items=test)
 
-    rng = np.random.default_rng(0)
-    stub = sessions.evaluate_items(lambda r: f"c{rng.integers(0, 4)}", refs)
-    p = 1.0 / 4.0
-    sigma = np.sqrt(p * (1 - p) / 200)
-    assert abs(stub.accuracy - p) <= 3 * sigma
+
+def test_evaluate_scores_hand_made_embeddings():
+    plan = _hand_plan()
+    assert [r.label for r in sessions.union_test_refs(plan, 1)] == ["a", "a", "b", "c", "c"]
+    protos = cls.prototype_fit(np.eye(3)[:2], np.eye(2), ["a", "b"])  # a = e0, b = e1
+    # rows: a0 right, a1 wrong (-> b), b0 right, c0 (-> c once registered), c1 wrong (-> a)
+    embedded = np.array([[1.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.0, 1.0, 0.3],
+                         [0.0, 0.2, 1.0], [1.0, 0.0, 0.5]])
+    r0 = sessions.evaluate(protos, plan, 0, embedded)
+    assert (r0.correct, r0.total, r0.accuracy) == (2, 3, 2 / 3)
+    grown = protos.update(np.array([[0.0, 0.0, 1.0]]), np.ones((1, 1)), ["c"])
+    r1 = sessions.evaluate(grown, plan, 1, embedded)
+    assert (r1.correct, r1.total, r1.accuracy) == (3, 5, 0.6)
+    # the ridge classifier goes through the same interface
+    ridge = cls.fit_base(np.eye(3), np.eye(3), 1e-3, ["a", "b", "c"])
+    assert sessions.evaluate(ridge, plan, 1, embedded).correct == 3
+    with pytest.raises(UsageError, match="embedded test rows"):
+        sessions.evaluate(grown, plan, 1, embedded[:4])
 
 
 def test_evaluate_covers_union_of_test_sets():
     cfg = desk_config(epochs=0)
     plan, pipe, base = _trained(cfg)
-    r0 = sessions.evaluate(base.params, base.classifier, plan, 0, pipe)
+    embedded = pipe.embed_batch(sessions.union_test_refs(plan, 1), base.params)
+    r0 = sessions.evaluate(base.classifier, plan, 0, embedded)
     assert r0.total == sum(len(plan.test_items[l]) for l in plan.session_labels[0])
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
     updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe, cfg)
-    r1 = sessions.evaluate(base.params, updated, plan, 1, pipe)
+    r1 = sessions.evaluate(updated, plan, 1, embedded)
     assert r1.total == sum(len(plan.test_items[l]) for l in plan.labels_through(1))
 
 
 def test_evaluate_unregistered_class_rejected():
     cfg = desk_config(epochs=0)
     plan, pipe, base = _trained(cfg)
+    embedded = pipe.embed_batch(sessions.union_test_refs(plan, 1), base.params)
     with pytest.raises(ProtocolViolationError):
-        sessions.evaluate(base.params, base.classifier, plan, 1, pipe)
+        sessions.evaluate(base.classifier, plan, 1, embedded)
+
+
+def test_run_single_embeds_each_distinct_clip_once(monkeypatch):
+    cfg = desk_config(epochs=1, clips_per_class=25, train_per_class=15)  # configs/desk.cfg
+    plan = sessions.build_plan(cfg)
+    pipe = sessions.ClipPipeline(cfg)
+    seen = []
+    extract = enc.extract_embedding
+
+    def counting(patches, params, enc_cfg):
+        seen.extend(clip.tobytes() for clip in np.asarray(patches).reshape(-1, *patches.shape[-2:]))
+        return extract(patches, params, enc_cfg)
+
+    monkeypatch.setattr(enc, "extract_embedding", counting)
+    sessions.run_single(cfg, cfg.run.seed, plan, pipe)
+    clips = {ref for m in range(2) for ref in sessions.sample_episode(plan, m, cfg.run.seed).pairs}
+    clips.update(sessions.union_test_refs(plan, 1))
+    assert len(clips) == 150  # 50 episode clips + 100 test clips
+    assert len(seen) == len(set(seen)) == len(clips)
 
 
 def test_aa_permutation_invariant_pd_endpoints_only():
