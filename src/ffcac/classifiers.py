@@ -256,15 +256,15 @@ def cosine_scores(W: np.ndarray, e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     if e.ndim not in (1, 2):
         raise UsageError(f"expected a (D,) row or an (n, D) matrix, got shape {e.shape}")
-    rows = np.atleast_2d(e)
-    e_norms = np.linalg.norm(rows, axis=1)
+    # einsum sums the squares without the (D, N) temporaries of np.linalg.norm
+    e_norms = np.sqrt(np.einsum("...j,...j->...", e, e))
     if np.any(e_norms <= 0.0):
         raise NumericError("zero embedding: cosine scores undefined")
-    col_norms = np.linalg.norm(W, axis=0)
-    safe = np.where(col_norms > 0.0, col_norms, 1.0)
-    scores = (rows @ W) / (e_norms[:, None] * safe)
-    scores = np.where(col_norms > 0.0, scores, 0.0)
-    return scores if e.ndim == 2 else scores[0]
+    col_norms = np.sqrt(np.einsum("ij,ij->j", W, W))
+    live = col_norms > 0.0
+    scores = (e @ W) / (e_norms[..., None] * np.where(live, col_norms, 1.0))
+    scores[..., ~live] = 0.0
+    return scores
 
 
 def predict(W: np.ndarray, registry: LabelRegistry, e: np.ndarray):
@@ -297,32 +297,79 @@ def _stratified_folds(labels: np.ndarray, k_folds: int, rng: np.random.Generator
 def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int) -> float:
     """Pick lam from the grid by stratified k-fold held-out accuracy.
 
-    Ties break toward the smaller lam; deterministic for a fixed seed.
+    Each fold builds one small system and factors it once per lam (see
+    ``_fold_weights``); no D x D gram is built when a fold has fewer
+    training rows than dimensions. Ties break toward the smaller lam;
+    deterministic for a fixed seed.
     """
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise UsageError("empty lam grid")
+    if grid[0] < 0:
+        raise UsageError(f"ridge lam must be >= 0, got {grid[0]}")
     E = np.asarray(E, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
+    if E.ndim != 2 or Y.ndim != 2 or E.shape[0] != Y.shape[0]:
+        raise UsageError(f"embeddings {E.shape} and targets {Y.shape} disagree")
     labels = np.argmax(Y, axis=1)
     if not 2 <= k_folds <= len(labels):
         raise UsageError(f"need 2 <= k_folds <= n, got k_folds={k_folds}, n={len(labels)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF))))
     fold_of = _stratified_folds(labels, k_folds, rng)
+    registry = LabelRegistry(range(Y.shape[1]))
 
-    best_lam, best_acc = grid[0], -1.0
+    correct = np.zeros(len(grid), dtype=np.int64)
+    for fold in range(k_folds):
+        train = fold_of != fold
+        for i, w in enumerate(_fold_weights(E[train], Y[train], grid)):
+            pred, _ = predict(w, registry, E[~train])
+            correct[i] += np.sum(pred == labels[~train])
+    return grid[int(np.argmax(correct))]  # first maximum: the smaller lam
+
+
+def _fold_weights(E: np.ndarray, Y: np.ndarray, grid):
+    """Yield the ridge weights W = (E^T E + lam I)^(-1) E^T Y for each lam.
+
+    The smaller of E E^T (n x n) and E^T E (D x D) is built once and
+    factored once per lam. With n < D the push-through identity
+    (E^T E + lam I)^(-1) E^T Y = E^T (E E^T + lam I)^(-1) Y gives W. Each W
+    must meet solve_weights' residual bound, evaluated as
+    ||E^T (E W - Y) + lam W||_inf without the gram. At lam = 0 with n < D
+    the gram is singular in exact arithmetic, so that lam is rejected as
+    solve_weights rejects it.
+    """
+    n, d = E.shape
+    cross = E.T @ Y
+    bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(cross), initial=0.0))
+    kernel = n < d
+    system = E @ E.T if kernel else E.T @ E
+    rhs = Y if kernel else cross
     for lam in grid:
-        correct = total = 0
-        for fold in range(k_folds):
-            train = fold_of != fold
-            state = fit_base(E[train], Y[train], lam)
-            pred, _ = predict(solve_weights(state), state.registry, E[~train])
-            correct += int(np.sum(pred == labels[~train]))
-            total += len(pred)
-        acc = correct / total
-        if acc > best_acc:
-            best_lam, best_acc = lam, acc
-    return best_lam
+        factor = None
+        if lam > 0.0 or not kernel:  # E E^T may be regular where the gram is not
+            try:
+                factor = scipy.linalg.cho_factor(
+                    system + lam * np.eye(len(system)), lower=True, check_finite=False
+                )
+            except np.linalg.LinAlgError:
+                pass
+        if factor is None:
+            if lam == 0.0:
+                raise SolverError(
+                    "gram matrix is singular at lam = 0; use lam > 0 "
+                    "(required whenever E^T E is singular)"
+                )
+            raise SolverError(f"gram + lam*I is not positive definite at lam = {lam}; increase lam")
+        w = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        if kernel:
+            w = E.T @ w
+        residual = np.max(np.abs(E.T @ (E @ w - Y) + lam * w))
+        if residual > bound:
+            raise SolverError(
+                f"normal-equation residual {residual:.3e} exceeds bound {bound:.3e} "
+                f"at lam = {lam}; system too ill-conditioned"
+            )
+        yield w
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +441,8 @@ def load_state(path) -> RidgeState:
 def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -> None:
     """Reject a loaded learning memory that cannot be a ridge state, in
     O(D^2) passes: gram square, symmetric and finite; cross of D rows and
-    one column per label, finite; lambda one finite value >= 0."""
+    one column per label, finite; lambda one finite value >= 0; no label
+    twice."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise WeightsShapeError(f"classifier gram must be square, got shape {gram.shape}")
     d = gram.shape[0]
@@ -412,6 +460,8 @@ def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -
         raise WeightsFormatError("classifier gram is not symmetric")
     if not (np.isfinite(lam[0]) and lam[0] >= 0.0):
         raise WeightsFormatError(f"classifier lambda must be finite and >= 0, got {lam[0]}")
+    if len(set(labels)) != len(labels):
+        raise WeightsFormatError(f"classifier labels repeat: {labels}")
 
 
 def state_checksum(state: RidgeState) -> str:

@@ -245,10 +245,8 @@ class ClipPipeline:
 @dataclass
 class BaseSessionResult:
     params: enc.MeeParams
-    head: cls.CosineHead
     classifier: "cls.RidgeState | cls.Prototypes"
     epoch_losses: list[float]
-    lam: float | None
 
 
 def _episode_onehot(episode: Episode, labels: list[str]) -> np.ndarray:
@@ -295,15 +293,13 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     onehot = _episode_onehot(episode, labels)
     if cfg.classifier.kind == "pbc":
         classifier = cls.prototype_fit(embeddings, onehot, labels)
-        lam = None
     else:
         lam = cfg.classifier.fixed_lam()
         if lam is None:
             lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
                                        cfg.classifier.cv_folds, seed)
         classifier = cls.fit_base(embeddings, onehot, lam, labels)
-    return BaseSessionResult(params=params, head=head, classifier=classifier,
-                             epoch_losses=losses, lam=lam)
+    return BaseSessionResult(params=params, classifier=classifier, epoch_losses=losses)
 
 
 def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
@@ -320,7 +316,6 @@ def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
         # validation admits it only for a ridge classifier with lam = cv
         updated.lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
                                            min(cfg.classifier.cv_folds, len(embeddings)), seed)
-        updated._weights = None
     after = enc.params_checksum(params)
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")

@@ -84,6 +84,16 @@ class _Cursor:
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
+    def text(self) -> str:
+        """A u16 byte length, then that many UTF-8 bytes."""
+        raw = self.take(self.u16())
+        try:
+            return raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise WeightsFormatError(
+                f"invalid UTF-8 at offset {self.pos - len(raw) + e.start}: {e.reason}"
+            ) from None
+
 
 def parse_container(data: bytes) -> tuple[dict[str, np.ndarray], list[str]]:
     """Decode container bytes; tensors come back as float64 arrays."""
@@ -92,7 +102,7 @@ def parse_container(data: bytes) -> tuple[dict[str, np.ndarray], list[str]]:
         raise WeightsFormatError("bad magic: not a weight container")
     tensors: dict[str, np.ndarray] = {}
     for _ in range(cur.u32()):
-        name = cur.take(cur.u16()).decode("utf-8")
+        name = cur.text()
         if name in tensors:
             raise WeightsFormatError(f"duplicate tensor name {name!r}")
         rank = cur.u8()
@@ -109,7 +119,7 @@ def parse_container(data: bytes) -> tuple[dict[str, np.ndarray], list[str]]:
         except ValueError:
             raise WeightsFormatError(f"tensor {name!r} has unusable extents {shape}") from None
         tensors[name] = values.astype(np.float64)
-    labels = [cur.take(cur.u16()).decode("utf-8") for _ in range(cur.u32())]
+    labels = [cur.text() for _ in range(cur.u32())]
     if cur.pos != len(data):
         raise WeightsFormatError(f"{len(data) - cur.pos} trailing bytes after container")
     return tensors, labels

@@ -305,6 +305,29 @@ def test_predict_rejects_higher_rank_queries():
         cls.predict(np.eye(3), cls.LabelRegistry(list("abc")), np.ones((2, 2, 3)))
 
 
+def _norm_cosine_scores(W, e):
+    """The np.linalg.norm formula cosine_scores replaced, as an oracle."""
+    rows = np.atleast_2d(e)
+    col_norms = np.linalg.norm(W, axis=0)
+    scores = (rows @ W) / (np.linalg.norm(rows, axis=1)[:, None]
+                           * np.where(col_norms > 0.0, col_norms, 1.0))
+    scores = np.where(col_norms > 0.0, scores, 0.0)
+    return scores if e.ndim == 2 else scores[0]
+
+
+@pytest.mark.parametrize("order", ["C", "F"])  # solve_weights returns F-ordered W
+def test_cosine_scores_match_norm_formula(order):
+    rng = np.random.default_rng(43)
+    w = np.asarray(rng.normal(size=(768, 100)), order=order)
+    w[:, 7] = 0.0
+    for e in (rng.normal(size=768), rng.normal(size=(9, 768))):
+        scores, oracle = cls.cosine_scores(w, e), _norm_cosine_scores(w, e)
+        assert scores.shape == oracle.shape
+        assert np.max(np.abs(scores - oracle)) <= 1e-15
+        assert np.array_equal(np.argmax(scores, axis=-1), np.argmax(oracle, axis=-1))
+        assert np.all(scores[..., 7] == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # cross-validation
 
@@ -353,6 +376,84 @@ def test_cv_rejects_underfilled_class():
 def test_cv_rejects_empty_grid():
     with pytest.raises(UsageError):
         cls.select_lambda_cv(np.eye(4), np.eye(4), [], k_folds=2, seed=0)
+
+
+def test_cv_rejects_negative_lam():
+    with pytest.raises(UsageError):
+        cls.select_lambda_cv(np.eye(4), np.eye(2)[[0, 0, 1, 1]], [-1.0, 1.0], k_folds=2, seed=0)
+
+
+def _clustered_data(rng, n_classes, per_class, dim, spread):
+    means = rng.normal(size=(n_classes, dim))
+    e = np.concatenate([m + spread * rng.normal(size=(per_class, dim)) for m in means])
+    return e, np.eye(n_classes)[np.repeat(np.arange(n_classes), per_class)]
+
+
+def _cv_oracle(E, Y, grid, k_folds, seed):
+    """The per-(fold, lam) CV that select_lambda_cv replaced: fit_base (a
+    D x D gram), solve_weights and predict for every pair. Returns the
+    picked lam and the weights in the order the folds and lams are scored."""
+    grid = sorted(grid)
+    labels = np.argmax(Y, axis=1)
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF))))
+    fold_of = cls._stratified_folds(labels, k_folds, rng)
+    weights = {}
+    best_lam, best_acc = grid[0], -1.0
+    for lam in grid:
+        correct = total = 0
+        for fold in range(k_folds):
+            train = fold_of != fold
+            state = cls.fit_base(E[train], Y[train], lam)
+            weights[fold, lam] = cls.solve_weights(state)
+            pred, _ = cls.predict(weights[fold, lam], state.registry, E[~train])
+            correct += int(np.sum(pred == labels[~train]))
+            total += len(pred)
+        if correct / total > best_acc:
+            best_lam, best_acc = lam, correct / total
+    return best_lam, [weights[fold, lam] for fold in range(k_folds) for lam in grid]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize(
+    "n_classes, per_class, dim, k_folds",
+    [(4, 6, 40, 3), (5, 10, 200, 5), (4, 10, 6, 5)],
+    ids=["n<D", "n<D-wide", "n>=D"],
+)
+def test_cv_matches_per_fold_fit_oracle(monkeypatch, seed, n_classes, per_class, dim, k_folds):
+    rng = np.random.default_rng(100 + seed)
+    e, y = _clustered_data(rng, n_classes, per_class, dim, spread=1.5)
+    grid = [1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0]
+    oracle_lam, oracle_weights = _cv_oracle(e, y, grid, k_folds, seed)
+    scored = []
+    real_predict = cls.predict
+
+    def spy(w, registry, rows):
+        scored.append(w)
+        return real_predict(w, registry, rows)
+
+    monkeypatch.setattr(cls, "predict", spy)
+    assert cls.select_lambda_cv(e, y, grid, k_folds, seed) == oracle_lam
+    assert len(scored) == len(oracle_weights)
+    for w, oracle in zip(scored, oracle_weights):
+        assert w.shape == oracle.shape
+        assert np.max(np.abs(w - oracle)) <= 1e-8
+
+
+def test_cv_lam_zero_needs_full_column_rank():
+    rng = np.random.default_rng(47)
+    wide = _clustered_data(rng, 3, 5, 20, spread=1.0)  # 10 training rows per fold, D = 20
+    with pytest.raises(SolverError, match="singular at lam = 0"):
+        cls.select_lambda_cv(*wide, [0.0, 1.0], k_folds=3, seed=0)
+    tall = _clustered_data(rng, 3, 10, 4, spread=1.0)  # 20 training rows, D = 4
+    assert cls.select_lambda_cv(*tall, [0.0], k_folds=3, seed=0) == 0.0
+
+
+@pytest.mark.parametrize("dim", [20, 4], ids=["n<D", "n>=D"])
+def test_cv_checks_the_residual_bound(monkeypatch, dim):
+    e, y = _clustered_data(np.random.default_rng(53), 3, 10, dim, spread=1.0)
+    monkeypatch.setattr(cls, "RESIDUAL_RTOL", 0.0)
+    with pytest.raises(SolverError, match="residual"):
+        cls.select_lambda_cv(e, y, [0.1], k_folds=3, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +579,46 @@ def test_load_state_rejects_missing_tensor(tmp_path):
     path.write_bytes(wio.serialize_container(tensors, labels=["a", "b"], dtype="f64"))
     with pytest.raises(WeightsShapeError, match="lambda"):
         cls.load_state(path)
+
+
+def test_load_state_rejects_repeated_labels(tmp_path):
+    path = _saved_state(tmp_path, GOOD_GRAM, GOOD_CROSS, [0.1], ["a", "a"])
+    with pytest.raises(WeightsFormatError, match="labels repeat"):
+        cls.load_state(path)
+
+
+def test_load_state_rejects_undecodable_label(tmp_path):
+    path = _saved_state(tmp_path, GOOD_GRAM, GOOD_CROSS, [0.1], ["a", "é"])
+    data = path.read_bytes()
+    path.write_bytes(data[:-1] + b"\xff")  # the second byte of "é"
+    with pytest.raises(WeightsFormatError, match="UTF-8"):
+        cls.load_state(path)
+
+
+_FUZZ_STATE = cls.serialize_state(cls.fit_base(
+    np.random.default_rng(59).normal(size=(8, 2)), np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]], 0.25,
+    labels=["a", "b", "é"],
+))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    edits=st.lists(st.tuples(st.integers(0, len(_FUZZ_STATE) - 1), st.integers(0, 255)),
+                   max_size=4),
+    cut=st.none() | st.integers(0, len(_FUZZ_STATE)),
+)
+def test_load_state_fuzzed_container_raises_only_weights_errors(tmp_path_factory, edits, cut):
+    # mutated or truncated ridge containers load into a state or fail typed
+    data = bytearray(_FUZZ_STATE)
+    for pos, value in edits:
+        data[pos] = value
+    path = tmp_path_factory.mktemp("fuzz") / "clf.weights"
+    path.write_bytes(bytes(data[:cut]))
+    try:
+        state = cls.load_state(path)
+    except (WeightsFormatError, WeightsShapeError):
+        return
+    assert state.cross.shape == (state.dim, len(state.registry))
 
 
 def test_load_state_accepts_a_consistent_memory(tmp_path):

@@ -9,14 +9,26 @@ embedding chunk. The noise amplitude keeps the accuracies well below 1, so
 a changed prediction changes a report byte.
 
 The hashes hold for the float64 numpy/OpenBLAS stack the project is
-developed on (x86-64); another BLAS may round differently.
+developed on (x86-64); another BLAS may round differently. They were
+recorded with two OpenBLAS threads, and the weights bytes depend on the
+thread count (with one thread classifier.weights differs while report.json
+does not), so each `ffcac run` runs in a child process with
+OPENBLAS_NUM_THREADS and OMP_NUM_THREADS pinned to 2. OpenBLAS uses at most
+one thread per core, so the hashes need a host with two cores or more.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from ffcac import cli
+import ffcac
+
+SRC = Path(ffcac.__file__).resolve().parent.parent
+BLAS_THREADS = "2"  # the thread count the hashes were recorded under
 
 GOLDEN_BASE = """\
 train.epochs = 3
@@ -55,13 +67,26 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _ffcac_run(cfg, out) -> None:
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": BLAS_THREADS,
+        "OMP_NUM_THREADS": BLAS_THREADS,
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    code = "import sys; from ffcac import cli; sys.exit(cli.main(sys.argv[1:]))"
+    argv = [sys.executable, "-c", code, "run", "--config", str(cfg), "--out", str(out)]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+
+
 @pytest.mark.parametrize("case", sorted(GOLDEN))
-def test_golden_report_bytes(case, tmp_path, capsys):
+def test_golden_report_bytes(case, tmp_path):
     extra, report_sha, weights_sha = GOLDEN[case]
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(GOLDEN_BASE + extra)
     out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
+    _ffcac_run(cfg, out)
     assert _sha256(out / "report.json") == report_sha
     weights = out / "classifier.weights"
     if weights_sha is None:

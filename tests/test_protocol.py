@@ -141,7 +141,7 @@ def test_base_session_cv_lambda_comes_from_grid():
     plan = sessions.build_plan(cfg)
     pipe = sessions.ClipPipeline(cfg)
     out = sessions.run_base_session(sessions.sample_episode(plan, 0, 7), pipe, cfg, 7)
-    assert out.lam in cfg.classifier.lam_grid
+    assert out.classifier.lam in cfg.classifier.lam_grid
 
 
 # ---------------------------------------------------------------------------
