@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,16 +46,6 @@ class FrontendConfig:
     @property
     def clip_samples(self) -> int:
         return int(round(self.clip_seconds * self.sample_rate_hz))
-
-    def validate(self) -> None:
-        if self.frame_len <= 0 or self.frame_shift <= 0:
-            raise ConfigError("frame length and shift must be positive")
-        if self.fft_size < self.frame_len:
-            raise ConfigError(f"fft_size {self.fft_size} < frame length {self.frame_len}")
-        if not 0 <= self.fmin_hz < self.fmax_hz <= self.sample_rate_hz / 2:
-            raise ConfigError("mel range must satisfy 0 <= fmin < fmax <= nyquist")
-        if self.log_floor <= 0:
-            raise ConfigError("log_floor must be positive")
 
 
 @dataclass
@@ -112,14 +103,16 @@ def load_wav(path, expected_rate_hz: int = 16000) -> Waveform:
             width = wf.getsampwidth()
             rate = wf.getframerate()
             raw = wf.readframes(wf.getnframes())
-    except (wave.Error, EOFError) as e:
-        raise IngestionError(f"{path}: not a readable PCM WAV file ({e})") from e
+    except (wave.Error, EOFError, RuntimeError) as e:  # RuntimeError: a chunk seek out of range
+        raise IngestionError(f"{path}: not a readable PCM WAV file ({e!r})") from e
     if channels != 1:
         raise IngestionError(f"{path}: expected mono, got {channels} channels")
     if width != 2:
         raise IngestionError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
     if rate != expected_rate_hz:
         raise IngestionError(f"{path}: sample rate {rate} Hz, expected {expected_rate_hz} Hz")
+    if len(raw) % 2:
+        raise IngestionError(f"{path}: data chunk ends inside a sample")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
     if samples.size == 0:
         raise IngestionError(f"{path}: contains no samples")
@@ -295,24 +288,27 @@ def read_manifest(path) -> list[ManifestRow]:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{path}: no such manifest")
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise IngestionError(f"{path}: empty manifest") from None
-        if header != MANIFEST_HEADER:
-            raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
-        rows = []
-        for ln, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise IngestionError(f"{path}:{ln}: expected 3 fields, got {len(row)}")
-            p, label, split = row
-            if split not in VALID_SPLITS:
-                raise IngestionError(f"{path}:{ln}: split must be train or test, got {split!r}")
-            rows.append(ManifestRow(path=p, label=label, split=split))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise IngestionError(f"{path}: empty manifest") from None
+    if header != MANIFEST_HEADER:
+        raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
+    rows = []
+    for ln, row in enumerate(reader, start=2):
+        if not row:
+            continue
+        if len(row) != 3:
+            raise IngestionError(f"{path}:{ln}: expected 3 fields, got {len(row)}")
+        p, label, split = row
+        if split not in VALID_SPLITS:
+            raise IngestionError(f"{path}:{ln}: split must be train or test, got {split!r}")
+        rows.append(ManifestRow(path=p, label=label, split=split))
     return rows
 
 

@@ -170,8 +170,8 @@ def fit_base(E: np.ndarray, Y: np.ndarray, lam: float, labels=None) -> RidgeStat
         raise UsageError(f"embeddings {E.shape} and targets {Y.shape} disagree")
     if E.shape[0] < 1:
         raise UsageError("need at least one training sample")
-    if lam < 0:
-        raise UsageError(f"ridge lam must be >= 0, got {lam}")
+    if not 0.0 <= lam < np.inf:
+        raise UsageError(f"ridge lam must be finite and >= 0, got {lam}")
     if labels is None:
         labels = list(range(Y.shape[1]))
     if len(labels) != Y.shape[1]:
@@ -240,7 +240,7 @@ def solve_weights(state: RidgeState) -> np.ndarray:
     w = scipy.linalg.cho_solve(factor, state.cross, check_finite=False)
     residual = np.max(np.abs(system @ w - state.cross))
     bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross), initial=0.0))
-    if residual > bound:
+    if not residual <= bound:  # a NaN residual fails too
         raise SolverError(
             f"normal-equation residual {residual:.3e} exceeds bound {bound:.3e}; "
             "system too ill-conditioned, increase lam"
@@ -305,8 +305,9 @@ def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int
     grid = sorted(float(g) for g in grid)
     if not grid:
         raise UsageError("empty lam grid")
-    if grid[0] < 0:
-        raise UsageError(f"ridge lam must be >= 0, got {grid[0]}")
+    bad = [g for g in grid if not 0.0 <= g < np.inf]
+    if bad:
+        raise UsageError(f"ridge lam must be finite and >= 0, got {bad[0]}")
     E = np.asarray(E, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if E.ndim != 2 or Y.ndim != 2 or E.shape[0] != Y.shape[0]:
@@ -364,7 +365,7 @@ def _fold_weights(E: np.ndarray, Y: np.ndarray, grid):
         if kernel:
             w = E.T @ w
         residual = np.max(np.abs(E.T @ (E @ w - Y) + lam * w))
-        if residual > bound:
+        if not residual <= bound:  # a NaN residual fails too
             raise SolverError(
                 f"normal-equation residual {residual:.3e} exceeds bound {bound:.3e} "
                 f"at lam = {lam}; system too ill-conditioned"

@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -17,16 +16,8 @@ from . import classifiers as cls
 from . import encoder as enc
 from . import sessions
 from .audio import ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
-from .config import ast_base_config, default_config, load_config
+from .config import ast_base_config, default_config, load_config, validate_config
 from .errors import ConfigError, FfcacError, IngestionError
-
-
-def _threads_default() -> int:
-    raw = os.environ.get("FFCAC_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def cmd_synth_data(args) -> int:
@@ -78,9 +69,9 @@ def _write_run_outputs(out: Path, report, cfg, last) -> None:
 
 def cmd_run(args) -> int:
     cfg = load_config(args.config)
-    if args.threads is not None or "FFCAC_THREADS" in os.environ:
-        threads = args.threads if args.threads is not None else _threads_default()
-        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=threads))
+    if args.threads is not None:
+        cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=args.threads))
+        validate_config(cfg)
     report, last = sessions.run_repeated(cfg, keep_last=True)
     _write_run_outputs(Path(args.out), report, cfg, last)
     accs = " ".join(f"{a:.4f}" for a in report.mean_accuracies)
@@ -194,7 +185,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--threads", type=int, default=None,
-                   help="parallel runs (default 1; env FFCAC_THREADS)")
+                   help="parallel runs; overrides run.threads in the config")
     p.set_defaults(fn=cmd_run)
 
     p = sub.add_parser("ablate", help="fusion x classifier ablation grid")

@@ -10,6 +10,7 @@ Defaults are the method's published operating point: 25/15 ms frames,
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -157,8 +158,7 @@ _SECTIONS = (
     ("run", RunConfig),
 )
 
-# config-file spelling -> dataclass field, where they differ
-_KEY_ALIASES = {"classifier.lambda": ("classifier", "lam")}
+# dataclass field -> config-file spelling, where they differ
 _FIELD_ALIASES = {("classifier", "lam"): "classifier.lambda"}
 
 _TRUE = {"true", "on", "yes", "1"}
@@ -177,19 +177,29 @@ def _known_fields() -> dict[str, tuple[str, dataclasses.Field]]:
     return known
 
 
+def _finite(raw: str) -> float:
+    v = float(raw)  # may raise ValueError
+    if not math.isfinite(v):
+        raise ValueError(f"must be finite, got {raw!r}")
+    return v
+
+
 def _parse_value(key: str, raw: str, f: dataclasses.Field):
     kind = f.type if isinstance(f.type, str) else f.type.__name__
     if key == "classifier.lambda":
         if raw == "cv":
             return "cv"
-        v = float(raw)  # may raise ValueError
+        v = _finite(raw)
         if v < 0:
             raise ValueError("lambda must be >= 0 or 'cv'")
         return repr(v)  # stored as str; fixed_lam() parses it back
     if kind == "int":
-        return int(raw)
+        v = int(raw)
+        if not -2**63 <= v < 2**63:
+            raise ValueError(f"must fit in 64 bits, got {raw!r}")
+        return v
     if kind == "float":
-        return float(raw)
+        return _finite(raw)
     if kind == "bool":
         low = raw.lower()
         if low in _TRUE:
@@ -198,7 +208,7 @@ def _parse_value(key: str, raw: str, f: dataclasses.Field):
             return False
         raise ValueError(f"not a boolean: {raw!r}")
     if kind == "tuple":
-        return tuple(float(x) for x in raw.split(",") if x.strip())
+        return tuple(_finite(x) for x in raw.split(",") if x.strip())
     return raw
 
 
@@ -242,7 +252,11 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{path}: no such config file")
-    return parse_config_text(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    return parse_config_text(text)
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
@@ -257,17 +271,26 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(fe.sample_rate_hz > 0, "frontend.sample_rate_hz", "must be positive")
     check(fe.frame_ms > 0 and fe.shift_ms > 0, "frontend.frame_ms/shift_ms", "must be positive")
     check(fe.mel_bins >= 1, "frontend.mel_bins", "must be >= 1")
-    check(fe.fft_size >= fe.frame_len, "frontend.fft_size", f"must be >= frame length {fe.frame_len}")
     check(0 <= fe.fmin_hz < fe.fmax_hz <= fe.sample_rate_hz / 2, "frontend.fmin_hz/fmax_hz",
           "need 0 <= fmin < fmax <= nyquist")
     check(fe.log_floor > 0, "frontend.log_floor", "must be positive")
-    check(fe.clip_samples >= fe.frame_len, "frontend.clip_seconds",
-          "clip must be at least one frame long")
+    # frame, shift and clip lengths in samples are read only once they are finite
+    spans_ms = (fe.frame_ms, fe.shift_ms, 1000.0 * fe.clip_seconds)
+    finite = all(math.isfinite(ms * max(fe.sample_rate_hz, 1)) for ms in spans_ms)
+    check(finite, "frontend.frame_ms/shift_ms/clip_seconds", "too long to count in samples")
+    frames = 0
+    if fe.sample_rate_hz > 0 and finite:
+        check(fe.frame_len >= 1 and fe.frame_shift >= 1, "frontend.frame_ms/shift_ms",
+              "must each span at least one sample")
+        check(fe.fft_size >= fe.frame_len, "frontend.fft_size", f"must be >= frame length {fe.frame_len}")
+        check(fe.clip_samples >= fe.frame_len, "frontend.clip_seconds",
+              "clip must be at least one frame long")
+        if 1 <= fe.frame_len <= fe.clip_samples and fe.frame_shift >= 1:
+            frames = cfg.lms_frames()
 
     pa = cfg.patch
     check(pa.stride >= 1, "patch.stride", "must be >= 1")
     check(1 <= pa.s_f <= fe.mel_bins, "patch.s_f", f"must be in [1, {fe.mel_bins}]")
-    frames = cfg.lms_frames() if fe.clip_samples >= fe.frame_len else 0
     check(1 <= pa.s_t <= max(frames, 1), "patch.s_t", f"must be in [1, {frames}]")
 
     en = cfg.encoder
@@ -313,6 +336,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
         check(bool(da.manifest), "data.manifest", "required when data.source = manifest")
 
     ru = cfg.run
+    check(ru.seed >= 0, "run.seed", "must be >= 0")
     check(ru.repeats >= 1, "run.repeats", "must be >= 1")
     check(ru.threads >= 1, "run.threads", "must be >= 1")
 

@@ -20,7 +20,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import weights_io
-from .audio import PatchSequence
 from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, WeightsShapeError
 
@@ -49,74 +48,9 @@ class EncoderConfig:
                 raise ConfigError(f"encoder.{name} must be positive")
 
 
-@dataclass
-class BlockParams:
-    ln1_gain: Tensor
-    ln1_bias: Tensor
-    wq: Tensor
-    bq: Tensor
-    wk: Tensor
-    bk: Tensor
-    wv: Tensor
-    bv: Tensor
-    wo: Tensor
-    bo: Tensor
-    ln2_gain: Tensor
-    ln2_bias: Tensor
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
-    feat_gain: Tensor
-    feat_bias: Tensor
-
-
-@dataclass
-class MeeParams:
-    patch_weight: Tensor
-    patch_bias: Tensor
-    cls_token: Tensor
-    pos_table: Tensor
-    blocks: list[BlockParams]
-    fusion_w1: Tensor | None = None
-    fusion_b1: Tensor | None = None
-    fusion_w2: Tensor | None = None
-    fusion_b2: Tensor | None = None
-
-    def named_tensors(self):
-        """(name, tensor) pairs in the canonical container order."""
-        yield "patch_embed.weight", self.patch_weight
-        yield "patch_embed.bias", self.patch_bias
-        yield "cls_token", self.cls_token
-        yield "pos_table", self.pos_table
-        for i, b in enumerate(self.blocks):
-            prefix = f"block{i}"
-            yield f"{prefix}.ln1.gain", b.ln1_gain
-            yield f"{prefix}.ln1.bias", b.ln1_bias
-            yield f"{prefix}.attn.wq", b.wq
-            yield f"{prefix}.attn.bq", b.bq
-            yield f"{prefix}.attn.wk", b.wk
-            yield f"{prefix}.attn.bk", b.bk
-            yield f"{prefix}.attn.wv", b.wv
-            yield f"{prefix}.attn.bv", b.bv
-            yield f"{prefix}.attn.wo", b.wo
-            yield f"{prefix}.attn.bo", b.bo
-            yield f"{prefix}.ln2.gain", b.ln2_gain
-            yield f"{prefix}.ln2.bias", b.ln2_bias
-            yield f"{prefix}.ffn.w1", b.w1
-            yield f"{prefix}.ffn.b1", b.b1
-            yield f"{prefix}.ffn.w2", b.w2
-            yield f"{prefix}.ffn.b2", b.b2
-            yield f"{prefix}.feature_norm.gain", b.feat_gain
-            yield f"{prefix}.feature_norm.bias", b.feat_bias
-        if self.fusion_w1 is not None:
-            yield "fusion.w1", self.fusion_w1
-            yield "fusion.b1", self.fusion_b1
-            yield "fusion.w2", self.fusion_w2
-            yield "fusion.b2", self.fusion_b2
-
-    def tensors(self) -> list[Tensor]:
-        return [t for _, t in self.named_tensors()]
+# One name -> tensor map in param_shapes order: the container order, the
+# order training hands the tensors to the optimizer, and the census order.
+MeeParams = dict[str, Tensor]
 
 
 @dataclass
@@ -185,58 +119,18 @@ def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) ->
 def init_mee_params(cfg: EncoderConfig, seed: int) -> MeeParams:
     cfg.validate()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0DE))))
-    flat = {name: _init_tensor(name, shape, rng) for name, shape in param_shapes(cfg)}
-    return params_from_dict(flat, cfg)
-
-
-def params_from_dict(flat: dict[str, Tensor], cfg: EncoderConfig) -> MeeParams:
-    blocks = []
-    for i in range(cfg.blocks):
-        p = f"block{i}"
-        blocks.append(
-            BlockParams(
-                ln1_gain=flat[f"{p}.ln1.gain"],
-                ln1_bias=flat[f"{p}.ln1.bias"],
-                wq=flat[f"{p}.attn.wq"],
-                bq=flat[f"{p}.attn.bq"],
-                wk=flat[f"{p}.attn.wk"],
-                bk=flat[f"{p}.attn.bk"],
-                wv=flat[f"{p}.attn.wv"],
-                bv=flat[f"{p}.attn.bv"],
-                wo=flat[f"{p}.attn.wo"],
-                bo=flat[f"{p}.attn.bo"],
-                ln2_gain=flat[f"{p}.ln2.gain"],
-                ln2_bias=flat[f"{p}.ln2.bias"],
-                w1=flat[f"{p}.ffn.w1"],
-                b1=flat[f"{p}.ffn.b1"],
-                w2=flat[f"{p}.ffn.w2"],
-                b2=flat[f"{p}.ffn.b2"],
-                feat_gain=flat[f"{p}.feature_norm.gain"],
-                feat_bias=flat[f"{p}.feature_norm.bias"],
-            )
-        )
-    return MeeParams(
-        patch_weight=flat["patch_embed.weight"],
-        patch_bias=flat["patch_embed.bias"],
-        cls_token=flat["cls_token"],
-        pos_table=flat["pos_table"],
-        blocks=blocks,
-        fusion_w1=flat.get("fusion.w1"),
-        fusion_b1=flat.get("fusion.b1"),
-        fusion_w2=flat.get("fusion.w2"),
-        fusion_b2=flat.get("fusion.b2"),
-    )
+    return {name: _init_tensor(name, shape, rng) for name, shape in param_shapes(cfg)}
 
 
 # ---------------------------------------------------------------------------
 # forward passes
 
 
-def _affine_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float) -> Tensor:
-    return ad.layer_norm(x, axis=-1, eps=eps) * gain + bias
+def _affine_norm(x: Tensor, params: MeeParams, prefix: str, eps: float) -> Tensor:
+    return ad.layer_norm(x, axis=-1, eps=eps) * params[f"{prefix}.gain"] + params[f"{prefix}.bias"]
 
 
-def _attention(h: Tensor, bp: BlockParams, cfg: EncoderConfig, batch: int) -> Tensor:
+def _attention(h: Tensor, params: MeeParams, block: str, cfg: EncoderConfig, batch: int) -> Tensor:
     """Multi-head self-attention over ``batch`` clips of T tokens each.
 
     ``h`` is (B*T, D). Heads are split by reshape and transpose so every
@@ -245,31 +139,35 @@ def _attention(h: Tensor, bp: BlockParams, cfg: EncoderConfig, batch: int) -> Te
     tokens = h.shape[0] // batch
     dh = cfg.dim // cfg.heads
 
+    def project(x: Tensor, name: str) -> Tensor:
+        return ad.matmul(x, params[f"{block}.attn.w{name}"]) + params[f"{block}.attn.b{name}"]
+
     def split_heads(x: Tensor, axes) -> Tensor:
         x = ad.transpose(ad.reshape(x, (batch, tokens, cfg.heads, dh)), axes)
         return ad.reshape(x, (batch * cfg.heads,) + x.shape[2:])
 
-    q = split_heads(ad.matmul(h, bp.wq) + bp.bq, (0, 2, 1, 3))  # (B*H, T, dh)
-    k_t = split_heads(ad.matmul(h, bp.wk) + bp.bk, (0, 2, 3, 1))  # (B*H, dh, T)
-    v = split_heads(ad.matmul(h, bp.wv) + bp.bv, (0, 2, 1, 3))
+    q = split_heads(project(h, "q"), (0, 2, 1, 3))  # (B*H, T, dh)
+    k_t = split_heads(project(h, "k"), (0, 2, 3, 1))  # (B*H, dh, T)
+    v = split_heads(project(h, "v"), (0, 2, 1, 3))
     scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))
     heads = ad.matmul(ad.softmax(scores, axis=-1), v)  # (B*H, T, dh)
     merged = ad.transpose(ad.reshape(heads, (batch, cfg.heads, tokens, dh)), (0, 2, 1, 3))
-    return ad.matmul(ad.reshape(merged, (batch * tokens, cfg.dim)), bp.wo) + bp.bo
+    return project(ad.reshape(merged, (batch * tokens, cfg.dim)), "o")
 
 
-def _feed_forward(h: Tensor, bp: BlockParams) -> Tensor:
-    return ad.matmul(ad.gelu(ad.matmul(h, bp.w1) + bp.b1), bp.w2) + bp.b2
+def _feed_forward(h: Tensor, params: MeeParams, block: str) -> Tensor:
+    hidden = ad.gelu(ad.matmul(h, params[f"{block}.ffn.w1"]) + params[f"{block}.ffn.b1"])
+    return ad.matmul(hidden, params[f"{block}.ffn.w2"]) + params[f"{block}.ffn.b2"]
 
 
-def encoder_forward(patches, params: MeeParams, cfg: EncoderConfig) -> list[Tensor]:
+def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> list[Tensor]:
     """Run the block stack; return the per-block pooled feature vectors.
 
-    ``patches`` is one clip's (Z, P) patch matrix (or PatchSequence), giving
-    (D,) features, or a (B, Z, P) batch of equally long clips, giving (B, D)
-    features. Affine maps run as one 2-D product over all B*T tokens.
+    ``patches`` is one clip's (Z, P) patch matrix, giving (D,) features, or
+    a (B, Z, P) batch of equally long clips, giving (B, D) features. Affine
+    maps run as one 2-D product over all B*T tokens.
     """
-    mat = patches.patches if isinstance(patches, PatchSequence) else np.asarray(patches)
+    mat = np.asarray(patches)
     single = mat.ndim == 2
     if single:
         mat = mat[None]
@@ -281,18 +179,21 @@ def encoder_forward(patches, params: MeeParams, cfg: EncoderConfig) -> list[Tens
     if pd != cfg.patch_dim:
         raise DimensionError(f"patch dim {pd} != configured {cfg.patch_dim}")
     t, d = z + 1, cfg.dim
-    x = ad.matmul(Tensor(mat.reshape(batch * z, pd)), params.patch_weight) + params.patch_bias
+    x = ad.matmul(Tensor(mat.reshape(batch * z, pd)), params["patch_embed.weight"]) \
+        + params["patch_embed.bias"]
     # one class token per clip: broadcast it over the batch by adding zeros
-    cls_rows = ad.reshape(params.cls_token, (1, 1, d)) + np.zeros((batch, 1, d))
+    cls_rows = ad.reshape(params["cls_token"], (1, 1, d)) + np.zeros((batch, 1, d))
     tokens = ad.concat([cls_rows, ad.reshape(x, (batch, z, d))], axis=1)
-    tokens = ad.reshape(tokens + ad.slice_axis(params.pos_table, 0, 0, t), (batch * t, d))
+    tokens = ad.reshape(tokens + ad.slice_axis(params["pos_table"], 0, 0, t), (batch * t, d))
 
     feats = []
-    for bp in params.blocks:
-        attended = tokens + _attention(_affine_norm(tokens, bp.ln1_gain, bp.ln1_bias, cfg.ln_eps),
-                                       bp, cfg, batch)
-        tokens = attended + _feed_forward(_affine_norm(attended, bp.ln2_gain, bp.ln2_bias, cfg.ln_eps), bp)
-        tapped = _affine_norm(tokens, bp.feat_gain, bp.feat_bias, cfg.ln_eps)
+    for i in range(cfg.blocks):
+        block = f"block{i}"
+        attended = tokens + _attention(_affine_norm(tokens, params, f"{block}.ln1", cfg.ln_eps),
+                                       params, block, cfg, batch)
+        tokens = attended + _feed_forward(_affine_norm(attended, params, f"{block}.ln2", cfg.ln_eps),
+                                          params, block)
+        tapped = _affine_norm(tokens, params, f"{block}.feature_norm", cfg.ln_eps)
         pooled = ad.mean(ad.reshape(tapped, (batch, t, d)), axis=1)
         feats.append(ad.reshape(pooled, (d,)) if single else pooled)
     return feats
@@ -310,8 +211,8 @@ def fuse(block_features: list[Tensor], params: MeeParams) -> EmbeddingOutput:
     n_blocks, dim = len(block_features), block_features[0].shape[-1]
     stack = ad.concat([ad.reshape(f, (batch, 1, dim)) for f in block_features], axis=1)
     eprime = ad.reshape(stack, (batch, n_blocks * dim))
-    hidden = ad.relu(ad.matmul(eprime, params.fusion_w1) + params.fusion_b1)
-    logits = ad.matmul(hidden, params.fusion_w2) + params.fusion_b2
+    hidden = ad.relu(ad.matmul(eprime, params["fusion.w1"]) + params["fusion.b1"])
+    logits = ad.matmul(hidden, params["fusion.w2"]) + params["fusion.b2"]
     weights = ad.softmax(logits, axis=1)  # (B, L)
     e = ad.matmul(ad.reshape(weights, (batch, 1, n_blocks)), stack)  # (B, 1, D)
     return EmbeddingOutput(
@@ -320,14 +221,18 @@ def fuse(block_features: list[Tensor], params: MeeParams) -> EmbeddingOutput:
     )
 
 
+def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
+    """The extractor's embedding: fused block features, or the last block's
+    features when fusion is off. (D,) for one clip, (B, D) for a batch."""
+    feats = encoder_forward(patches, params, cfg)
+    return fuse(feats, params).e if cfg.use_fusion else feats[-1]
+
+
 def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndarray:
     """Forward-only embedding of a pre-split (Z, P) patch matrix, giving
     (D,), or of a (B, Z, P) batch, giving (B, D)."""
     with ad.no_grad():
-        feats = encoder_forward(patches, params, cfg)
-        if not cfg.use_fusion:
-            return feats[-1].values.copy()
-        return fuse(feats, params).e.values.copy()
+        return embed(patches, params, cfg).values.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +241,7 @@ def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndar
 
 def serialize_params(params: MeeParams, dtype: str = "f32") -> bytes:
     return weights_io.serialize_container(
-        [(name, t.values) for name, t in params.named_tensors()], dtype=dtype
+        [(name, t.values) for name, t in params.items()], dtype=dtype
     )
 
 
@@ -348,7 +253,9 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     """Read a weight container and validate it against the config.
 
     Missing, unexpected, and wrongly-shaped tensors are all reported in one
-    error so a mismatched config is diagnosable in a single pass.
+    error so a mismatched config is diagnosable in a single pass. The map
+    is built in param_shapes order, whatever order the container lists its
+    tensors in.
     """
     tensors, _ = weights_io.load_container(path)
     expected = dict(param_shapes(cfg))
@@ -368,8 +275,7 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
         problems.append("shape mismatch: " + "; ".join(bad_shape))
     if problems:
         raise WeightsShapeError("weight container does not fit config — " + " | ".join(problems))
-    flat = {n: Tensor(tensors[n], requires_grad=True) for n in tensors}
-    return params_from_dict(flat, cfg)
+    return {n: Tensor(tensors[n], requires_grad=True) for n in expected}
 
 
 def params_checksum(params: MeeParams, dtype: str = "f32") -> str:

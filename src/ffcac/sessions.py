@@ -271,15 +271,13 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
         len(labels), enc_cfg.dim, cfg.train.eta,
         int(_rng(seed, _TAG_HEAD).integers(0, 2**31 - 1)),
     )
-    trainable = params.tensors() + [head.weight]
+    trainable = list(params.values()) + [head.weight]
     batch = np.stack([pipeline.patches(ref) for ref in episode.pairs])  # (B, Z, P)
 
     losses: list[float] = []
     for epoch in range(cfg.train.epochs):
         # one graph per epoch: the whole episode runs as one batch
-        feats = enc.encoder_forward(batch, params, enc_cfg)
-        e_batch = enc.fuse(feats, params).e if enc_cfg.use_fusion else feats[-1]
-        loss = cls.cosine_loss(e_batch, targets, head)
+        loss = cls.cosine_loss(enc.embed(batch, params, enc_cfg), targets, head)
         value = loss.values.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")

@@ -140,7 +140,7 @@ def test_gradient_correctness_through_toy_extractor():
             head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=2000 + draw)
             clips = [rng.normal(size=(int(rng.integers(2, 7)), 64)) for _ in range(3)]
             labels = np.array([0, 1, 2])
-            tensors = params.tensors() + [head.weight]
+            tensors = list(params.values()) + [head.weight]
 
             def make_loss():
                 rows = [
@@ -171,7 +171,7 @@ def test_batched_gradient_correctness_through_toy_extractor():
             head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=2500 + draw)
             batch = rng.normal(size=(3, int(rng.integers(2, 7)), 64))
             labels = np.array([0, 1, 2])
-            tensors = params.tensors() + [head.weight]
+            tensors = list(params.values()) + [head.weight]
 
             def make_loss():
                 e = enc.fuse(enc.encoder_forward(batch, params, cfg), params).e

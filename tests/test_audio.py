@@ -92,6 +92,46 @@ def test_garbage_file_rejected(tmp_path):
         load_wav(path)
 
 
+def _short_wav_bytes(tmp_path) -> bytes:
+    path = tmp_path / "short.wav"
+    write_wav(path, Waveform(np.sin(np.arange(100) / 5.0) * 0.5, 16000))
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("offset, value", [
+    (16, 0xFF),  # fmt chunk size past the end of the file: wave's chunk seek fails
+    (4, 0x7F),  # RIFF size that cuts the data chunk inside a sample
+])
+def test_corrupt_header_rejected(tmp_path, offset, value):
+    data = bytearray(_short_wav_bytes(tmp_path))
+    data[offset] = value
+    path = tmp_path / "bad.wav"
+    path.write_bytes(bytes(data))
+    with pytest.raises(IngestionError):
+        load_wav(path)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_mutated_header_loads_or_raises_ingestion_error(tmp_path_factory, data):
+    """Random bytes written over the first 60 bytes of a valid WAV, with an
+    optional truncation: load_wav returns a waveform or raises only
+    IngestionError."""
+    base = tmp_path_factory.getbasetemp()
+    blob = bytearray(_short_wav_bytes(base))
+    for _ in range(data.draw(st.integers(1, 4))):
+        blob[data.draw(st.integers(0, 59))] = data.draw(st.integers(0, 255))
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+    path = base / "mutated.wav"
+    path.write_bytes(bytes(blob))
+    try:
+        w = load_wav(path)
+    except IngestionError:
+        return
+    assert w.samples.ndim == 1 and w.samples.size > 0
+
+
 # ---------------------------------------------------------------------------
 # log mel spectrogram
 
@@ -311,4 +351,11 @@ def test_manifest_bad_split(tmp_path):
     path = tmp_path / "m.csv"
     path.write_text("path,label,split\na.wav,cat,validation\n")
     with pytest.raises(IngestionError, match="split"):
+        read_manifest(path)
+
+
+def test_manifest_undecodable_utf8(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes(b"path,label,split\na.wav,\xff\xfe,train\n")
+    with pytest.raises(IngestionError, match="UTF-8"):
         read_manifest(path)

@@ -110,6 +110,29 @@ def test_fit_base_rejects_bad_inputs():
         cls.fit_base(np.eye(2), np.eye(2), -1.0)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf])
+def test_non_finite_lam_rejected(lam):
+    rng = np.random.default_rng(4)
+    E, Y = rng.normal(size=(20, 6)), np.eye(4)[np.arange(20) % 4]
+    with pytest.raises(UsageError, match="finite"):
+        cls.fit_base(E, Y, lam)
+    with pytest.raises(UsageError, match="finite"):
+        cls.select_lambda_cv(E, Y, [1.0, lam], k_folds=5, seed=0)
+    # a state built around fit_base: the NaN residual fails the bound
+    state = cls.RidgeState(gram=E.T @ E, cross=E.T @ Y, lam=lam, registry=cls.LabelRegistry(range(4)))
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="residual"):
+        cls.solve_weights(state)
+
+
+@pytest.mark.parametrize("dim", [6, 40])  # both fold system sides
+def test_cv_nan_residual_fails_the_bound(dim):
+    rng = np.random.default_rng(5)
+    E, Y = rng.normal(size=(20, dim)), np.eye(4)[np.arange(20) % 4]
+    E[3, 2] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="residual"):
+        cls.select_lambda_cv(E, Y, [1.0, 10.0], k_folds=5, seed=0)
+
+
 def test_lam_zero_full_rank_matches_lstsq_oracle():
     rng = np.random.default_rng(7)
     E = rng.normal(size=(30, 8))

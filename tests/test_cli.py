@@ -2,11 +2,13 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffcac import cli, sessions
 from ffcac import encoder as enc
 from ffcac.audio import read_manifest
-from ffcac.config import ast_base_config, load_config, parse_config_text
+from ffcac.config import ast_base_config, default_config, load_config, parse_config_text
 from ffcac.errors import ConfigError
 
 TOY_CONFIG = """\
@@ -86,7 +88,7 @@ def test_run_emits_reports_and_weights(toy_config, tmp_path, capsys):
     # weights readable under the config used for the run
     cfg = load_config(toy_config)
     params = enc.load_params(out / "mee.weights", cfg.encoder_config())
-    assert params.patch_weight.values.shape == (256, cfg.encoder.dim)
+    assert params["patch_embed.weight"].values.shape == (256, cfg.encoder.dim)
 
 
 def test_run_byte_identical_reports(toy_config, tmp_path):
@@ -130,6 +132,61 @@ def test_relambda_needs_ridge_with_cv_lambda(contradiction, tmp_path, capsys):
     parse_config_text("classifier.relambda_each_session = true\n")  # rrc + cv is fine
 
 
+@pytest.mark.parametrize("line", [
+    "classifier.lambda = nan",
+    "classifier.lambda = inf",
+    "classifier.lam_grid = 1,inf",
+    "classifier.lam_grid = nan",
+    "frontend.frame_ms = nan",
+    "frontend.shift_ms = inf",
+    "frontend.clip_seconds = nan",
+    "frontend.sample_rate_hz = 0",
+    "frontend.frame_ms = 0.01",  # rounds to a zero-sample frame
+    "frontend.frame_ms = 1e308",
+    "frontend.sample_rate_hz = " + "9" * 400,
+    "run.seed = -1",
+])
+def test_run_rejects_out_of_range_value_without_traceback(line, tmp_path, capsys):
+    with pytest.raises(ConfigError):
+        parse_config_text(line + "\n")
+    path = tmp_path / "bad.cfg"
+    path.write_text(TOY_CONFIG.replace("classifier.lambda = 0.1\n", "") + line + "\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert line.split(" =")[0] in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_run_undecodable_config_is_io_error(tmp_path, capsys):
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(TOY_CONFIG.encode() + b"# caf\xe9\n")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 3
+    assert "UTF-8" in capsys.readouterr().err
+
+
+_CONFIG_VALUES = st.one_of(
+    st.text(max_size=12),
+    st.integers().map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "0", "0.01", "1e308", "9" * 400, "1,inf",
+                     "cv", "rrc", "pbc", "true", "off", ","]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(
+    st.tuples(st.sampled_from(sorted(default_config().to_flat_dict())), _CONFIG_VALUES)
+    .map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.text(max_size=30),
+), max_size=4))
+def test_random_config_text_parses_or_raises_config_error(lines):
+    """Known keys with random values, mixed with random lines: the parser
+    returns a config or raises only ConfigError."""
+    try:
+        parse_config_text("\n".join(lines))
+    except ConfigError:
+        pass
+
+
 def test_run_numeric_failure_exit_code(tmp_path, capsys):
     # lam = 0 with far fewer samples than dimensions: singular normal equations
     path = tmp_path / "sing.cfg"
@@ -138,6 +195,24 @@ def test_run_numeric_failure_exit_code(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 4
     assert "lam" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", ["manifest", "wav"])
+def test_run_on_corrupt_manifest_data_is_io_error(corrupt, tmp_path, capsys):
+    data = tmp_path / "data"
+    assert cli.main(["synth-data", "--classes", "10", "--per-class", "8",
+                     "--out", str(data), "--seed", "5", "--train-fraction", "0.75"]) == 0
+    if corrupt == "manifest":
+        (data / "manifest.csv").write_bytes((data / "manifest.csv").read_bytes() + b"\xff\n")
+    else:  # every fmt chunk size past the end of its file
+        for wav in data.glob("*.wav"):
+            blob = wav.read_bytes()
+            wav.write_bytes(blob[:16] + b"\xff" + blob[17:])
+    cfg_path = tmp_path / "manifest.cfg"
+    cfg_path.write_text(f"data.source = manifest\ndata.manifest = {data / 'manifest.csv'}\n"
+                        "train.epochs = 1\nrun.repeats = 1\nclassifier.lambda = 0.1\n")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "error:" in capsys.readouterr().err
 
 
 def test_run_on_manifest_data(tmp_path, capsys):
@@ -234,16 +309,13 @@ def test_report_missing_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# threads env fallback
+# threads
 
 
-def test_threads_env_fallback(toy_config, tmp_path, monkeypatch):
-    monkeypatch.setenv("FFCAC_THREADS", "2")
-    out = tmp_path / "out"
-    assert cli.main(["run", "--config", str(toy_config), "--out", str(out)]) == 0
-    serial = tmp_path / "serial"
-    monkeypatch.delenv("FFCAC_THREADS")
-    assert cli.main(["run", "--config", str(toy_config), "--out", str(serial)]) == 0
-    a = json.loads((out / "report.json").read_text())
-    b = json.loads((serial / "report.json").read_text())
-    assert a["runs"] == b["runs"]  # same runs regardless of scheduling
+@pytest.mark.parametrize("threads", ["0", "-4"])
+def test_threads_flag_is_validated_like_the_config_key(threads, toy_config, tmp_path, capsys):
+    rc = cli.main(["run", "--config", str(toy_config), "--out", str(tmp_path / "o"),
+                   "--threads", threads])
+    assert rc == 2
+    assert "run.threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -23,8 +23,8 @@ def _zero_mixing_params(cfg: enc.EncoderConfig, seed: int = 0) -> enc.MeeParams:
     """Random embedding/positions, but all attention and feed-forward
     weights and biases zeroed: every block is an exact identity."""
     params = enc.init_mee_params(cfg, seed)
-    for b in params.blocks:
-        for t in (b.wq, b.bq, b.wk, b.bk, b.wv, b.bv, b.wo, b.bo, b.w1, b.b1, b.w2, b.b2):
+    for name, t in params.items():
+        if ".attn." in name or ".ffn." in name:
             t.values[...] = 0.0
     return params
 
@@ -44,15 +44,15 @@ def test_identity_blocks_pool_layer_normed_embedded_tokens():
     feats = enc.encoder_forward(patches, params, cfg)
 
     # independent trace of the residual path
-    embedded = patches @ params.patch_weight.values + params.patch_bias.values
-    tokens = np.vstack([params.cls_token.values, embedded]) + params.pos_table.values[:5]
+    embedded = patches @ params["patch_embed.weight"].values + params["patch_embed.bias"].values
+    tokens = np.vstack([params["cls_token"].values, embedded]) + params["pos_table"].values[:5]
     expected = _np_layer_norm(tokens).mean(axis=0)
     assert np.allclose(feats[0].values, expected, atol=1e-12)
 
 
 def test_patch_permutation_invariance_without_positions():
     params = enc.init_mee_params(TINY, seed=1)
-    params.pos_table.values[...] = 0.0
+    params["pos_table"].values[...] = 0.0
     rng = np.random.default_rng(7)
     patches = rng.normal(size=(5, 10))
     base = [f.values for f in enc.encoder_forward(patches, params, TINY)]
@@ -109,7 +109,7 @@ def test_too_many_patches_rejected():
 def test_init_matches_declared_shapes():
     params = enc.init_mee_params(TINY, seed=0)
     declared = dict(enc.param_shapes(TINY))
-    actual = {name: t.values.shape for name, t in params.named_tensors()}
+    actual = {name: t.values.shape for name, t in params.items()}
     assert actual == declared
 
 
@@ -120,10 +120,10 @@ def test_init_matches_declared_shapes():
 def _constant_logit_params(cfg, logits):
     """Fusion MLP that ignores its input: weights zero, output bias = logits."""
     params = enc.init_mee_params(cfg, seed=0)
-    params.fusion_w1.values[...] = 0.0
-    params.fusion_b1.values[...] = 0.0
-    params.fusion_w2.values[...] = 0.0
-    params.fusion_b2.values[...] = np.asarray(logits)
+    params["fusion.w1"].values[...] = 0.0
+    params["fusion.b1"].values[...] = 0.0
+    params["fusion.w2"].values[...] = 0.0
+    params["fusion.b2"].values[...] = np.asarray(logits)
     return params
 
 
@@ -164,7 +164,7 @@ def test_fusion_logit_shift_invariance():
     params = enc.init_mee_params(cfg, seed=5)
     feats = [Tensor(rng.normal(size=4)) for _ in range(2)]
     base = enc.fuse(feats, params).e.values
-    params.fusion_b2.values += 17.3  # uniform additive shift of all logits
+    params["fusion.b2"].values += 17.3  # uniform additive shift of all logits
     shifted = enc.fuse(feats, params).e.values
     assert np.allclose(base, shifted, atol=1e-12)
 
@@ -176,7 +176,7 @@ def test_fusion_weights_convex_for_arbitrary_mlps(seed):
                             z_max=4, patch_dim=4)
     rng = np.random.default_rng(seed)
     params = enc.init_mee_params(cfg, seed=int(rng.integers(0, 2**31)))
-    for t in (params.fusion_w1, params.fusion_b1, params.fusion_w2, params.fusion_b2):
+    for t in (params["fusion.w1"], params["fusion.b1"], params["fusion.w2"], params["fusion.b2"]):
         t.values[...] = rng.normal(scale=3.0, size=t.values.shape)
     feats = [Tensor(rng.normal(size=5)) for _ in range(3)]
     out = enc.fuse(feats, params)
@@ -214,8 +214,20 @@ def test_save_load_f64_is_exact(tmp_path):
     path = tmp_path / "full.weights"
     enc.save_params(path, params, dtype="f64")
     loaded = enc.load_params(path, TINY)
-    for (_, a), (_, b) in zip(params.named_tensors(), loaded.named_tensors()):
+    for a, b in zip(params.values(), loaded.values()):
         assert np.array_equal(a.values, b.values)
+
+
+def test_load_reorders_a_reversed_container_to_param_shapes_order(tmp_path):
+    params = enc.init_mee_params(TINY, seed=12)
+    canonical = enc.serialize_params(params)
+    path = tmp_path / "reversed.weights"
+    path.write_bytes(wio.serialize_container([(n, t.values) for n, t in reversed(params.items())]))
+    assert path.read_bytes() != canonical
+    loaded = enc.load_params(path, TINY)
+    assert list(loaded) == [name for name, _ in enc.param_shapes(TINY)]
+    assert enc.serialize_params(loaded) == canonical
+    assert enc.params_checksum(loaded) == enc.params_checksum(params)
 
 
 def test_bad_magic_rejected(tmp_path):
@@ -263,7 +275,7 @@ def test_checksum_tracks_values():
     params = enc.init_mee_params(TINY, seed=11)
     before = enc.params_checksum(params)
     assert before == enc.params_checksum(params)
-    params.blocks[0].wq.values[0, 0] += 1.0
+    params["block0.attn.wq"].values[0, 0] += 1.0
     assert enc.params_checksum(params) != before
 
 
@@ -342,7 +354,7 @@ def test_end_to_end_gradient_through_loss():
     head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=22)
     clips = [rng.normal(size=(5, 64)) for _ in range(3)]
     labels = np.array([0, 1, 2])
-    tensors = params.tensors() + [head.weight]
+    tensors = list(params.values()) + [head.weight]
 
     def make_loss():
         rows = [ad.reshape(enc.fuse(enc.encoder_forward(c, params, cfg), params).e, (1, cfg.dim))
