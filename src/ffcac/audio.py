@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import math
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -225,20 +226,36 @@ def patch_split(lms: LogMelSpectrogram, s_f: int, s_t: int, d: int) -> PatchSequ
 # synthetic classes
 
 
+HARMONIC_AMPS = (1.0, 0.45, 0.2)  # relative amplitudes of harmonics 1, 2, 3
+SYNTH_PEAK = 0.9  # every synthetic clip is scaled to this absolute peak
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Class c is a harmonic stack on a fundamental geometrically spaced
-    between base_freq_hz and max_freq_hz, so distinct classes occupy
-    disjoint mel bands."""
+    """The ``synth.*`` keys. Class c is a harmonic stack on a fundamental
+    geometrically spaced between base_freq_hz and max_freq_hz, so distinct
+    classes occupy disjoint mel bands; each class has clips_per_class
+    clips, the first train_per_class of them in the train split."""
 
     num_classes: int = 10
-    sample_rate_hz: int = 16000
-    clip_seconds: float = 1.0
+    clips_per_class: int = 25
+    train_per_class: int = 15
     base_freq_hz: float = 220.0
     max_freq_hz: float = 4000.0
     noise_amplitude: float = 0.02
-    harmonic_amps: tuple = (1.0, 0.45, 0.2)
-    peak: float = 0.9
+
+    def problems(self, sample_rate_hz: int) -> list[tuple[str, str]]:
+        """Every range violation as a (field, why) pair."""
+        checks = (
+            (self.num_classes >= 1, "num_classes", "must be >= 1"),
+            (self.clips_per_class >= 2, "clips_per_class", "must be >= 2 (train + test)"),
+            (1 <= self.train_per_class < self.clips_per_class, "train_per_class",
+             "must leave at least one test clip"),
+            (0 < self.base_freq_hz < self.max_freq_hz <= sample_rate_hz / 2, "base_freq_hz/max_freq_hz",
+             "need 0 < base < max <= nyquist"),
+            (0 <= self.noise_amplitude < math.inf, "noise_amplitude", "must be finite and >= 0"),
+        )
+        return [(name, why) for ok, name, why in checks if not ok]
 
     def fundamental(self, class_id: int) -> float:
         if self.num_classes == 1:
@@ -247,18 +264,21 @@ class SynthConfig:
         return self.base_freq_hz * ratio ** (class_id / (self.num_classes - 1))
 
 
-def synth_class_waveform(class_id: int, instance_seed: int, cfg: SynthConfig) -> Waveform:
-    """Deterministic per (class_id, instance_seed) harmonic-plus-noise clip."""
+def synth_class_waveform(class_id: int, instance_seed: int, cfg: SynthConfig,
+                         frontend: FrontendConfig) -> Waveform:
+    """Deterministic per (class_id, instance_seed) harmonic-plus-noise clip
+    of ``frontend.clip_samples`` samples at the frontend's rate."""
     if not 0 <= class_id < cfg.num_classes:
         raise ConfigError(f"class_id {class_id} out of range for {cfg.num_classes} classes")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((class_id, instance_seed))))
-    n = int(round(cfg.clip_seconds * cfg.sample_rate_hz))
-    t = np.arange(n) / cfg.sample_rate_hz
+    rate = frontend.sample_rate_hz
+    n = frontend.clip_samples
+    t = np.arange(n) / rate
     f0 = cfg.fundamental(class_id) * (1.0 + 0.01 * rng.uniform(-1.0, 1.0))
     x = np.zeros(n)
-    for k, amp in enumerate(cfg.harmonic_amps, start=1):
+    for k, amp in enumerate(HARMONIC_AMPS, start=1):
         freq = k * f0
-        if freq >= 0.475 * cfg.sample_rate_hz:  # keep clear of Nyquist
+        if freq >= 0.475 * rate:  # keep clear of Nyquist
             continue
         jitter = 1.0 + 0.1 * rng.uniform(-1.0, 1.0)
         x += amp * jitter * np.sin(2.0 * np.pi * freq * t + rng.uniform(0.0, 2.0 * np.pi))
@@ -266,8 +286,8 @@ def synth_class_waveform(class_id: int, instance_seed: int, cfg: SynthConfig) ->
         x += cfg.noise_amplitude * rng.standard_normal(n)
     top = np.max(np.abs(x))
     if top > 0:
-        x *= cfg.peak / top
-    return Waveform(samples=x, sample_rate_hz=cfg.sample_rate_hz)
+        x *= SYNTH_PEAK / top
+    return Waveform(samples=x, sample_rate_hz=rate)
 
 
 # ---------------------------------------------------------------------------
@@ -292,15 +312,17 @@ def read_manifest(path) -> list[ManifestRow]:
         text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
-    reader = csv.reader(io.StringIO(text, newline=""))
     try:
-        header = next(reader)
-    except StopIteration:
-        raise IngestionError(f"{path}: empty manifest") from None
+        table = list(csv.reader(io.StringIO(text, newline="")))
+    except csv.Error as e:  # e.g. a field past csv.field_size_limit()
+        raise IngestionError(f"{path}: not a readable CSV manifest ({e})") from e
+    if not table:
+        raise IngestionError(f"{path}: empty manifest")
+    header = table[0]
     if header != MANIFEST_HEADER:
         raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
     rows = []
-    for ln, row in enumerate(reader, start=2):
+    for ln, row in enumerate(table[1:], start=2):
         if not row:
             continue
         if len(row) != 3:

@@ -15,38 +15,46 @@ from pathlib import Path
 from . import classifiers as cls
 from . import encoder as enc
 from . import sessions
-from .audio import ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
+from .audio import FrontendConfig, ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
 from .config import ast_base_config, default_config, load_config, validate_config
 from .errors import ConfigError, FfcacError, IngestionError
 
 
+# synth-data flag -> the synth.* field it sets
+_SYNTH_FLAGS = {"num_classes": "--classes", "clips_per_class": "--per-class",
+                "train_per_class": "--train-fraction", "noise_amplitude": "--noise"}
+
+
 def cmd_synth_data(args) -> int:
-    if args.classes < 1:
-        raise ConfigError(f"--classes must be >= 1, got {args.classes}")
-    if args.per_class < 2:
-        raise ConfigError(f"--per-class must be >= 2, got {args.per_class}")
+    frontend = FrontendConfig()
+    fraction = args.train_fraction
+    if not 0.0 <= fraction <= 1.0:  # also rejects nan
+        raise ConfigError(f"--train-fraction must be in [0, 1], got {fraction}")
+    cfg = SynthConfig(num_classes=args.classes, clips_per_class=args.per_class,
+                      train_per_class=min(max(1, round(fraction * args.per_class)), args.per_class - 1),
+                      noise_amplitude=args.noise)
+    bad = cfg.problems(frontend.sample_rate_hz)
+    if bad:
+        raise ConfigError("invalid synth-data options:\n  " + "\n  ".join(
+            f"{_SYNTH_FLAGS.get(name, 'synth.' + name)}: {why}" for name, why in bad))
     out = Path(args.out)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise IngestionError(f"cannot create output dir {out}: {e}") from e
-    cfg = SynthConfig(num_classes=args.classes, noise_amplitude=args.noise)
-    train_per_class = max(1, int(round(args.train_fraction * args.per_class)))
-    if train_per_class >= args.per_class:
-        train_per_class = args.per_class - 1
     rows = []
-    for c in range(args.classes):
+    for c in range(cfg.num_classes):
         label = f"class{c:02d}"
-        for i in range(args.per_class):
+        for i in range(cfg.clips_per_class):
             seed_rng = sessions._rng(args.seed, c, i)
-            wav = synth_class_waveform(c, int(seed_rng.integers(0, 2**31 - 1)), cfg)
+            wav = synth_class_waveform(c, int(seed_rng.integers(0, 2**31 - 1)), cfg, frontend)
             name = f"{label}_{i:03d}.wav"
             try:
                 write_wav(out / name, wav)
             except OSError as e:
                 raise IngestionError(f"cannot write {out / name}: {e}") from e
             rows.append(ManifestRow(path=name, label=label,
-                                    split="train" if i < train_per_class else "test"))
+                                    split="train" if i < cfg.train_per_class else "test"))
     try:
         write_manifest(out / "manifest.csv", rows)
     except OSError as e:
@@ -98,10 +106,7 @@ def cmd_ablate(args) -> int:
             case_cfg = dataclasses.replace(
                 cfg,
                 encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion),
-                # λ re-selection exists only for the ridge classifier
-                classifier=dataclasses.replace(
-                    cfg.classifier, kind=kind,
-                    relambda_each_session=cfg.classifier.relambda_each_session and kind == "rrc"),
+                classifier=dataclasses.replace(cfg.classifier, kind=kind),
             )
             report = sessions.run_repeated(case_cfg)
             rows.append((use_fusion, kind, report))
@@ -154,7 +159,11 @@ def cmd_report(args) -> int:
     path = Path(args.json_path)
     if not path.exists():
         raise IngestionError(f"{path}: no such report")
-    csv_text = sessions.json_report_to_csv(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+    csv_text = sessions.json_report_to_csv(text)
     if args.csv:
         try:
             Path(args.csv).write_text(csv_text, encoding="utf-8")

@@ -27,16 +27,6 @@ class PatchConfig:
 
 
 @dataclass(frozen=True)
-class EncoderSection:
-    blocks: int = 2
-    dim: int = 32
-    heads: int = 4
-    mlp_hidden: int = 64
-    fusion_hidden: int = 32
-    use_fusion: bool = True
-
-
-@dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float = 0.001
     weight_decay: float = 0.0005
@@ -50,7 +40,6 @@ class ClassifierConfig:
     lam: str = "cv"  # "cv" or a nonnegative float literal
     lam_grid: tuple = (1e-3, 1e-2, 1e-1, 1.0, 10.0, 100.0, 1000.0)
     cv_folds: int = 5
-    relambda_each_session: bool = False
 
     def fixed_lam(self) -> float | None:
         return None if self.lam == "cv" else float(self.lam)
@@ -62,16 +51,6 @@ class PlanConfig:
     inc_classes: int = 5
     sessions: int = 1  # incremental session count M
     shots: int = 5  # K, per class per session
-
-
-@dataclass(frozen=True)
-class SynthSection:
-    num_classes: int = 10
-    clips_per_class: int = 25
-    train_per_class: int = 15
-    base_freq_hz: float = 220.0
-    max_freq_hz: float = 4000.0
-    noise_amplitude: float = 0.02
 
 
 @dataclass(frozen=True)
@@ -91,11 +70,11 @@ class RunConfig:
 class ExperimentConfig:
     frontend: FrontendConfig = field(default_factory=FrontendConfig)
     patch: PatchConfig = field(default_factory=PatchConfig)
-    encoder: EncoderSection = field(default_factory=EncoderSection)
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     classifier: ClassifierConfig = field(default_factory=ClassifierConfig)
     plan: PlanConfig = field(default_factory=PlanConfig)
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthConfig = field(default_factory=SynthConfig)
     data: DataConfig = field(default_factory=DataConfig)
     run: RunConfig = field(default_factory=RunConfig)
 
@@ -109,72 +88,36 @@ class ExperimentConfig:
             self.frontend.mel_bins, self.lms_frames(),
             self.patch.s_f, self.patch.s_t, self.patch.stride,
         )
-        return EncoderConfig(
-            blocks=self.encoder.blocks,
-            dim=self.encoder.dim,
-            heads=self.encoder.heads,
-            mlp_hidden=self.encoder.mlp_hidden,
-            fusion_hidden=self.encoder.fusion_hidden,
-            z_max=grid.z,
-            patch_dim=self.patch.s_f * self.patch.s_t,
-            use_fusion=self.encoder.use_fusion,
-        )
-
-    def synth_signal_config(self) -> SynthConfig:
-        return SynthConfig(
-            num_classes=self.synth.num_classes,
-            sample_rate_hz=self.frontend.sample_rate_hz,
-            clip_seconds=self.frontend.clip_seconds,
-            base_freq_hz=self.synth.base_freq_hz,
-            max_freq_hz=self.synth.max_freq_hz,
-            noise_amplitude=self.synth.noise_amplitude,
-        )
+        return dataclasses.replace(self.encoder, z_max=grid.z, patch_dim=self.patch.s_f * self.patch.s_t)
 
     def to_flat_dict(self) -> dict[str, str]:
         out: dict[str, str] = {}
-        for section_name, _ in _SECTIONS:
-            section = getattr(self, section_name)
-            for f in dataclasses.fields(section):
-                key = _field_to_key(section_name, f.name)
-                value = getattr(section, f.name)
-                if isinstance(value, tuple):
-                    out[key] = ",".join(repr(v) for v in value)
-                elif isinstance(value, bool):
-                    out[key] = "true" if value else "false"
-                else:
-                    out[key] = str(value)
+        for key, (section_name, f) in _KEYS.items():
+            value = getattr(getattr(self, section_name), f.name)
+            if isinstance(value, tuple):
+                out[key] = ",".join(repr(v) for v in value)
+            elif isinstance(value, bool):
+                out[key] = "true" if value else "false"
+            else:
+                out[key] = str(value)
         return out
 
 
-_SECTIONS = (
-    ("frontend", FrontendConfig),
-    ("patch", PatchConfig),
-    ("encoder", EncoderSection),
-    ("train", TrainConfig),
-    ("classifier", ClassifierConfig),
-    ("plan", PlanConfig),
-    ("synth", SynthSection),
-    ("data", DataConfig),
-    ("run", RunConfig),
-)
-
 # dataclass field -> config-file spelling, where they differ
 _FIELD_ALIASES = {("classifier", "lam"): "classifier.lambda"}
+# fields that encoder_config() derives from the frontend and patch keys
+_DERIVED = {("encoder", "z_max"), ("encoder", "patch_dim")}
+
+# config key -> (section, field), in file and report order
+_KEYS: dict[str, tuple[str, dataclasses.Field]] = {
+    _FIELD_ALIASES.get((section.name, f.name), f"{section.name}.{f.name}"): (section.name, f)
+    for section in dataclasses.fields(ExperimentConfig)
+    for f in dataclasses.fields(section.default_factory)
+    if (section.name, f.name) not in _DERIVED
+}
 
 _TRUE = {"true", "on", "yes", "1"}
 _FALSE = {"false", "off", "no", "0"}
-
-
-def _field_to_key(section: str, field_name: str) -> str:
-    return _FIELD_ALIASES.get((section, field_name), f"{section}.{field_name}")
-
-
-def _known_fields() -> dict[str, tuple[str, dataclasses.Field]]:
-    known = {}
-    for section_name, cls in _SECTIONS:
-        for f in dataclasses.fields(cls):
-            known[_field_to_key(section_name, f.name)] = (section_name, f)
-    return known
 
 
 def _finite(raw: str) -> float:
@@ -215,7 +158,6 @@ def _parse_value(key: str, raw: str, f: dataclasses.Field):
 def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
     """Parse flat key=value lines over the defaults (or ``base``)."""
     base = base or ExperimentConfig()
-    known = _known_fields()
     overrides: dict[str, dict[str, object]] = {}
     problems: list[str] = []
     for ln, line in enumerate(text.splitlines(), start=1):
@@ -227,10 +169,10 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
             continue
         key, _, raw = stripped.partition("=")
         key, raw = key.strip(), raw.strip()
-        if key not in known:
+        if key not in _KEYS:
             problems.append(f"line {ln}: unknown key {key!r}")
             continue
-        section_name, f = known[key]
+        section_name, f = _KEYS[key]
         try:
             value = _parse_value(key, raw, f)
         except ValueError as e:
@@ -239,11 +181,9 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         overrides.setdefault(section_name, {})[f.name] = value
     if problems:
         raise ConfigError("invalid config:\n  " + "\n  ".join(problems))
-    sections = {
-        name: dataclasses.replace(getattr(base, name), **overrides.get(name, {}))
-        for name, _ in _SECTIONS
-    }
-    cfg = ExperimentConfig(**sections)
+    cfg = dataclasses.replace(base, **{
+        name: dataclasses.replace(getattr(base, name), **values) for name, values in overrides.items()
+    })
     validate_config(cfg)
     return cfg
 
@@ -293,12 +233,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(1 <= pa.s_f <= fe.mel_bins, "patch.s_f", f"must be in [1, {fe.mel_bins}]")
     check(1 <= pa.s_t <= max(frames, 1), "patch.s_t", f"must be in [1, {frames}]")
 
-    en = cfg.encoder
-    check(en.blocks >= 1, "encoder.blocks", "must be >= 1")
-    for name in ("dim", "heads", "mlp_hidden", "fusion_hidden"):
-        check(getattr(en, name) >= 1, f"encoder.{name}", "must be >= 1")
-    check(en.heads >= 1 and en.dim % max(en.heads, 1) == 0, "encoder.dim",
-          f"must be divisible by encoder.heads ({en.heads})")
+    bad += [f"encoder.{name}: {why}" for name, why in cfg.encoder.problems()]
 
     tr = cfg.train
     check(tr.learning_rate > 0, "train.learning_rate", "must be > 0")
@@ -311,9 +246,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(len(cl.lam_grid) > 0, "classifier.lam_grid", "must be nonempty")
     check(all(g >= 0 for g in cl.lam_grid), "classifier.lam_grid", "entries must be >= 0")
     check(cl.cv_folds >= 2, "classifier.cv_folds", "must be >= 2")
-    check(not cl.relambda_each_session or (cl.kind == "rrc" and cl.lam == "cv"),
-          "classifier.relambda_each_session",
-          "needs classifier.kind = rrc and classifier.lambda = cv")
 
     pl = cfg.plan
     check(pl.base_classes >= 1, "plan.base_classes", "must be >= 1")
@@ -321,14 +253,7 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(pl.sessions >= 0, "plan.sessions", "must be >= 0")
     check(pl.shots >= 1, "plan.shots", "must be >= 1")
 
-    sy = cfg.synth
-    check(sy.num_classes >= 1, "synth.num_classes", "must be >= 1")
-    check(sy.clips_per_class >= 2, "synth.clips_per_class", "must be >= 2 (train + test)")
-    check(1 <= sy.train_per_class < sy.clips_per_class, "synth.train_per_class",
-          "must leave at least one test clip")
-    check(0 < sy.base_freq_hz < sy.max_freq_hz <= fe.sample_rate_hz / 2,
-          "synth.base_freq_hz/max_freq_hz", "need 0 < base < max <= nyquist")
-    check(sy.noise_amplitude >= 0, "synth.noise_amplitude", "must be >= 0")
+    bad += [f"synth.{name}: {why}" for name, why in cfg.synth.problems(fe.sample_rate_hz)]
 
     da = cfg.data
     check(da.source in ("synth", "manifest"), "data.source", "must be synth or manifest")

@@ -24,10 +24,15 @@ from .autodiff import Tensor
 from .errors import ConfigError, DimensionError, WeightsShapeError
 
 PARAM_INIT_POS_STD = 0.02
+LN_EPS = 1e-5
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
+    """Extractor geometry. z_max and patch_dim follow from the frontend and
+    patch settings (``ExperimentConfig.encoder_config``); the rest are the
+    ``encoder.*`` config keys."""
+
     blocks: int = 2
     dim: int = 32
     heads: int = 4
@@ -36,16 +41,21 @@ class EncoderConfig:
     z_max: int = 32
     patch_dim: int = 256
     use_fusion: bool = True
-    ln_eps: float = 1e-5
+
+    def problems(self) -> list[tuple[str, str]]:
+        """Every range violation as a (field, why) pair."""
+        bad = [(name, "must be >= 1")
+               for name in ("blocks", "dim", "heads", "mlp_hidden", "fusion_hidden", "z_max", "patch_dim")
+               if getattr(self, name) < 1]
+        if self.heads < 1 or self.dim % self.heads:
+            bad.append(("dim", f"must be divisible by encoder.heads ({self.heads})"))
+        return bad
 
     def validate(self) -> None:
-        if self.blocks < 1:
-            raise ConfigError(f"need at least one block, got {self.blocks}")
-        if self.dim % self.heads != 0:
-            raise ConfigError(f"dim {self.dim} not divisible by heads {self.heads}")
-        for name in ("dim", "heads", "mlp_hidden", "fusion_hidden", "z_max", "patch_dim"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"encoder.{name} must be positive")
+        bad = self.problems()
+        if bad:
+            raise ConfigError("invalid encoder config:\n  "
+                              + "\n  ".join(f"encoder.{name}: {why}" for name, why in bad))
 
 
 # One name -> tensor map in param_shapes order: the container order, the
@@ -126,8 +136,8 @@ def init_mee_params(cfg: EncoderConfig, seed: int) -> MeeParams:
 # forward passes
 
 
-def _affine_norm(x: Tensor, params: MeeParams, prefix: str, eps: float) -> Tensor:
-    return ad.layer_norm(x, axis=-1, eps=eps) * params[f"{prefix}.gain"] + params[f"{prefix}.bias"]
+def _affine_norm(x: Tensor, params: MeeParams, prefix: str) -> Tensor:
+    return ad.layer_norm(x, axis=-1, eps=LN_EPS) * params[f"{prefix}.gain"] + params[f"{prefix}.bias"]
 
 
 def _attention(h: Tensor, params: MeeParams, block: str, cfg: EncoderConfig, batch: int) -> Tensor:
@@ -189,11 +199,10 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     feats = []
     for i in range(cfg.blocks):
         block = f"block{i}"
-        attended = tokens + _attention(_affine_norm(tokens, params, f"{block}.ln1", cfg.ln_eps),
+        attended = tokens + _attention(_affine_norm(tokens, params, f"{block}.ln1"),
                                        params, block, cfg, batch)
-        tokens = attended + _feed_forward(_affine_norm(attended, params, f"{block}.ln2", cfg.ln_eps),
-                                          params, block)
-        tapped = _affine_norm(tokens, params, f"{block}.feature_norm", cfg.ln_eps)
+        tokens = attended + _feed_forward(_affine_norm(attended, params, f"{block}.ln2"), params, block)
+        tapped = _affine_norm(tokens, params, f"{block}.feature_norm")
         pooled = ad.mean(ad.reshape(tapped, (batch, t, d)), axis=1)
         feats.append(ad.reshape(pooled, (d,)) if single else pooled)
     return feats

@@ -24,7 +24,6 @@ from . import autodiff as ad
 from . import classifiers as cls
 from . import encoder as enc
 from .audio import (
-    SynthConfig,
     fit_to_length,
     load_wav,
     log_mel_spectrogram,
@@ -36,6 +35,7 @@ from .config import ExperimentConfig
 from .errors import (
     DivergenceError,
     FfcacError,
+    IngestionError,
     PlanError,
     ProtocolViolationError,
     SamplingError,
@@ -106,7 +106,7 @@ def synthetic_dataset(num_classes: int, clips_per_class: int, train_per_class: i
 @dataclass
 class SessionPlan:
     session_labels: list[list[str]]  # disjoint label sets Y_0..Y_M
-    shots: list[int]  # K_m per session
+    shots: int  # K, per class in every session
     train_items: dict[str, list[ClipRef]]
     test_items: dict[str, list[ClipRef]]
 
@@ -162,7 +162,7 @@ def make_splits(items: list[DatasetItem], num_incremental: int, base_classes: in
         raise PlanError("plan infeasible — " + "; ".join(short))
     return SessionPlan(
         session_labels=session_labels,
-        shots=[shots] * len(session_labels),
+        shots=shots,
         train_items=train_items,
         test_items=test_items,
     )
@@ -171,7 +171,7 @@ def make_splits(items: list[DatasetItem], num_incremental: int, base_classes: in
 @dataclass
 class Episode:
     session: int
-    pairs: list[ClipRef]  # exactly N_m * K_m refs, grouped by class
+    pairs: list[ClipRef]  # exactly N_m * K refs, grouped by class
 
     @property
     def labels(self) -> list[str]:
@@ -183,10 +183,10 @@ class Episode:
 
 
 def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
-    """K_m training clips per class of session m, without replacement."""
+    """K training clips per class of session m, without replacement."""
     if not 0 <= m < len(plan.session_labels):
         raise UsageError(f"session {m} outside plan with {len(plan.session_labels)} sessions")
-    k = plan.shots[m]
+    k = plan.shots
     rng = _rng(seed, _TAG_EPISODE, m)
     pairs: list[ClipRef] = []
     for label in plan.session_labels[m]:
@@ -209,13 +209,12 @@ class ClipPipeline:
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.enc_cfg = cfg.encoder_config()
-        self.synth_cfg: SynthConfig = cfg.synth_signal_config()
         self._patches: dict[ClipRef, np.ndarray] = {}
 
     def waveform(self, ref: ClipRef):
         if ref.path is not None:
             return load_wav(ref.path, expected_rate_hz=self.cfg.frontend.sample_rate_hz)
-        return synth_class_waveform(ref.synth_class, ref.synth_seed, self.synth_cfg)
+        return synth_class_waveform(ref.synth_class, ref.synth_seed, self.cfg.synth, self.cfg.frontend)
 
     def patches(self, ref: ClipRef) -> np.ndarray:
         cached = self._patches.get(ref)
@@ -301,19 +300,14 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
 
 
 def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
-                            pipeline: ClipPipeline, cfg: ExperimentConfig, seed: int = 0):
+                            pipeline: ClipPipeline):
     """Frozen-extractor session: embed the episode, update the classifier
-    analytically. The extractor is checksummed before and after."""
+    analytically under the base session's λ. The extractor is checksummed
+    before and after."""
     before = enc.params_checksum(params)
     labels = episode.labels
     embeddings = pipeline.embed_batch(episode.pairs, params)
-    onehot = _episode_onehot(episode, labels)
-    updated = classifier.update(embeddings, onehot, labels)
-    if cfg.classifier.relambda_each_session:
-        # optional per-session re-selection on the new episode only; config
-        # validation admits it only for a ridge classifier with lam = cv
-        updated.lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
-                                           min(cfg.classifier.cv_folds, len(embeddings)), seed)
+    updated = classifier.update(embeddings, _episode_onehot(episode, labels), labels)
     after = enc.params_checksum(params)
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")
@@ -437,7 +431,7 @@ def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
     accuracies = [evaluate(classifier, plan, 0, embedded).accuracy]
     for m in range(1, plan.num_incremental + 1):
         episode = sample_episode(plan, m, run_seed)
-        classifier = run_incremental_session(base.params, classifier, episode, pipeline, cfg, run_seed)
+        classifier = run_incremental_session(base.params, classifier, episode, pipeline)
         accuracies.append(evaluate(classifier, plan, m, embedded).accuracy)
     report = RunReport(seed=run_seed, accuracies=accuracies,
                        aa=compute_aa(accuracies), pd=compute_pd(accuracies))
@@ -527,16 +521,21 @@ def report_to_csv(report: ExperimentReport) -> str:
 
 
 def json_report_to_csv(json_text: str) -> str:
-    doc = json.loads(json_text)
-    agg = doc["aggregate"]
-    report = ExperimentReport(
-        runs=[RunReport(seed=r["seed"], accuracies=r["accuracies"], aa=r["aa"], pd=r["pd"])
-              for r in doc["runs"]],
-        mean_accuracies=agg["mean_accuracies"],
-        std_accuracies=agg["std_accuracies"],
-        mean_aa=agg["mean_aa"],
-        std_aa=agg["std_aa"],
-        mean_pd=agg["mean_pd"],
-        std_pd=agg["std_pd"],
-    )
-    return report_to_csv(report)
+    """Re-render a ``report_to_json`` document; anything else raises
+    IngestionError."""
+    try:
+        doc = json.loads(json_text)
+        agg = doc["aggregate"]
+        report = ExperimentReport(
+            runs=[RunReport(seed=r["seed"], accuracies=r["accuracies"], aa=r["aa"], pd=r["pd"])
+                  for r in doc["runs"]],
+            mean_accuracies=agg["mean_accuracies"],
+            std_accuracies=agg["std_accuracies"],
+            mean_aa=agg["mean_aa"],
+            std_aa=agg["std_aa"],
+            mean_pd=agg["mean_pd"],
+            std_pd=agg["std_pd"],
+        )
+        return report_to_csv(report)
+    except (ValueError, KeyError, TypeError, RecursionError) as e:  # ValueError covers bad JSON
+        raise IngestionError(f"not an ffcac report: {type(e).__name__}: {e}") from e

@@ -17,12 +17,11 @@ from ffcac import classifiers as cls
 from ffcac import cli
 from ffcac import encoder as enc
 from ffcac import sessions
-from ffcac.audio import fit_to_length, log_mel_spectrogram, patch_counts
+from ffcac.audio import SynthConfig, fit_to_length, log_mel_spectrogram, patch_counts
 from ffcac.config import (
     ClassifierConfig,
     ExperimentConfig,
     RunConfig,
-    SynthSection,
     TrainConfig,
     ast_base_config,
 )
@@ -265,7 +264,7 @@ def desk_config() -> ExperimentConfig:
     return ExperimentConfig(
         train=TrainConfig(epochs=100),
         classifier=ClassifierConfig(lam="cv"),
-        synth=SynthSection(num_classes=10, clips_per_class=25, train_per_class=15),
+        synth=SynthConfig(num_classes=10, clips_per_class=25, train_per_class=15),
         run=RunConfig(seed=100, repeats=DESK_SEEDS),
     )
 
@@ -285,8 +284,7 @@ def desk_run():
         a0 = sessions.evaluate(base.classifier, plan, 0, embedded).accuracy
         before = enc.params_checksum(base.params)
         episode = sessions.sample_episode(plan, 1, run_seed)
-        state = sessions.run_incremental_session(base.params, base.classifier,
-                                                 episode, pipeline, cfg)
+        state = sessions.run_incremental_session(base.params, base.classifier, episode, pipeline)
         freezing_ok.append(enc.params_checksum(base.params) == before)
         a1 = sessions.evaluate(state, plan, 1, embedded).accuracy
         firsts.append(a0)

@@ -290,22 +290,22 @@ def test_nonoverlapping_reassembly_is_exact():
 
 def test_synth_deterministic():
     cfg = SynthConfig()
-    a = synth_class_waveform(3, 99, cfg)
-    b = synth_class_waveform(3, 99, cfg)
+    a = synth_class_waveform(3, 99, cfg, CFG)
+    b = synth_class_waveform(3, 99, cfg, CFG)
     assert np.array_equal(a.samples, b.samples)
 
 
 def test_synth_instances_differ():
     cfg = SynthConfig()
-    a = synth_class_waveform(3, 1, cfg)
-    b = synth_class_waveform(3, 2, cfg)
+    a = synth_class_waveform(3, 1, cfg, CFG)
+    b = synth_class_waveform(3, 2, cfg, CFG)
     assert not np.array_equal(a.samples, b.samples)
 
 
 def test_synth_amplitude_bounded():
     cfg = SynthConfig()
     for c in range(cfg.num_classes):
-        w = synth_class_waveform(c, 5, cfg)
+        w = synth_class_waveform(c, 5, cfg, CFG)
         assert np.max(np.abs(w.samples)) <= 1.0
 
 
@@ -313,14 +313,21 @@ def test_synth_disjoint_dominant_mel_bins_without_noise():
     cfg = SynthConfig(noise_amplitude=0.0)
     bins = []
     for c in range(cfg.num_classes):
-        lms = log_mel_spectrogram(synth_class_waveform(c, 0, cfg), CFG)
+        lms = log_mel_spectrogram(synth_class_waveform(c, 0, cfg, CFG), CFG)
         bins.append(int(np.argmax(lms.data.mean(axis=1))))
     assert len(set(bins)) == cfg.num_classes
 
 
+def test_synth_clip_takes_rate_and_length_from_the_frontend():
+    frontend = FrontendConfig(sample_rate_hz=8000, fmax_hz=4000.0, clip_seconds=0.5)
+    w = synth_class_waveform(2, 7, SynthConfig(max_freq_hz=3000.0), frontend)
+    assert w.sample_rate_hz == 8000
+    assert w.samples.size == frontend.clip_samples == 4000
+
+
 def test_synth_class_out_of_range():
     with pytest.raises(ConfigError):
-        synth_class_waveform(10, 0, SynthConfig(num_classes=10))
+        synth_class_waveform(10, 0, SynthConfig(num_classes=10), CFG)
 
 
 # ---------------------------------------------------------------------------

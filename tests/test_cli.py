@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcac import cli, sessions
+from ffcac import cli
 from ffcac import encoder as enc
 from ffcac.audio import read_manifest
 from ffcac.config import ast_base_config, default_config, load_config, parse_config_text
@@ -71,6 +71,18 @@ def test_synth_data_zero_classes_is_config_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [
+    ("--noise", "nan"), ("--noise", "inf"), ("--noise", "-0.1"),
+    ("--train-fraction", "nan"), ("--train-fraction", "inf"), ("--train-fraction", "1.5"),
+])
+def test_synth_data_rejects_bad_noise_and_train_fraction(flag, value, tmp_path, capsys):
+    out = tmp_path / "x"
+    rc = cli.main(["synth-data", "--classes", "2", "--per-class", "4", "--out", str(out), flag, value])
+    assert rc == 2
+    assert flag in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # run
 
@@ -120,16 +132,13 @@ def test_run_bad_config_lists_every_key(tmp_path, capsys):
     assert rc == 2 and "train.epochs" in err and "run.repeats" in err
 
 
-@pytest.mark.parametrize("contradiction", ["classifier.kind = pbc", "classifier.lambda = 0.5"])
-def test_relambda_needs_ridge_with_cv_lambda(contradiction, tmp_path, capsys):
-    text = f"classifier.relambda_each_session = true\n{contradiction}\n"
-    with pytest.raises(ConfigError, match="relambda_each_session"):
-        parse_config_text(text)
-    path = tmp_path / "contradiction.cfg"
-    path.write_text(text)
+def test_removed_relambda_key_is_rejected_as_unknown(tmp_path, capsys):
+    # per-session λ re-selection is gone: λ is chosen once, on the base session
+    path = tmp_path / "relambda.cfg"
+    path.write_text(TOY_CONFIG + "classifier.relambda_each_session = false\n")
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
-    assert "relambda_each_session" in capsys.readouterr().err
-    parse_config_text("classifier.relambda_each_session = true\n")  # rrc + cv is fine
+    assert "unknown key 'classifier.relambda_each_session'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("line", [
@@ -215,6 +224,15 @@ def test_run_on_corrupt_manifest_data_is_io_error(corrupt, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_on_manifest_with_overlong_field_is_io_error(tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label,split\n" + "x" * 200_000 + ",a,train\n")
+    cfg_path = tmp_path / "manifest.cfg"
+    cfg_path.write_text(f"data.source = manifest\ndata.manifest = {manifest}\n")
+    assert cli.main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    assert "field larger than field limit" in capsys.readouterr().err
+
+
 def test_run_on_manifest_data(tmp_path, capsys):
     data = tmp_path / "data"
     assert cli.main(["synth-data", "--classes", "10", "--per-class", "8",
@@ -277,21 +295,6 @@ def test_ablate_emits_four_rows(toy_config, tmp_path, capsys):
     assert cases == {("off", "pbc"), ("on", "pbc"), ("off", "rrc"), ("on", "rrc")}
 
 
-def test_ablate_keeps_relambda_for_the_ridge_rows_only(tmp_path, monkeypatch, capsys):
-    path = tmp_path / "relambda.cfg"
-    path.write_text("classifier.relambda_each_session = true\n")
-    seen = []
-
-    def fake_run_repeated(cfg):
-        seen.append((cfg.classifier.kind, cfg.classifier.relambda_each_session))
-        run = sessions.RunReport(seed=1, accuracies=[1.0, 0.5], aa=0.75, pd=0.5)
-        return sessions.aggregate_runs([run])
-
-    monkeypatch.setattr(sessions, "run_repeated", fake_run_repeated)
-    assert cli.main(["ablate", "--config", str(path), "--fusion", "on"]) == 0
-    assert seen == [("pbc", False), ("rrc", True)]
-
-
 # ---------------------------------------------------------------------------
 # report re-render
 
@@ -306,6 +309,57 @@ def test_report_rerender_matches_run_csv(toy_config, tmp_path, capsys):
 
 def test_report_missing_file(tmp_path):
     assert cli.main(["report", str(tmp_path / "none.json")]) == 3
+
+
+@pytest.mark.parametrize("blob", [b"\xff\xfe{}", b"not json", b'{"runs": []}', b"[1,2]"],
+                         ids=["not-utf8", "not-json", "no-aggregate", "not-an-object"])
+def test_report_on_malformed_file_is_io_error(blob, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    path.write_bytes(blob)
+    assert cli.main(["report", str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every subcommand on malformed input
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return str(path)
+
+
+# subcommand -> (argv builder over a tmp dir, documented exit code)
+MALFORMED = {
+    "run-unknown-key": (lambda d: ["run", "--config", _write(d / "c.cfg", b"no.such = 1\n"),
+                                   "--out", str(d / "o")], 2),
+    "run-not-utf8": (lambda d: ["run", "--config", _write(d / "c.cfg", b"\xff = 1\n"),
+                                "--out", str(d / "o")], 3),
+    "run-missing-manifest": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", f"data.source = manifest\ndata.manifest = {d / 'none.csv'}\n".encode()),
+        "--out", str(d / "o")], 3),
+    "ablate-bad-value": (lambda d: ["ablate", "--config", _write(d / "c.cfg", b"train.epochs = x\n")], 2),
+    "ablate-missing-config": (lambda d: ["ablate", "--config", str(d / "none.cfg")], 3),
+    "synth-data-no-classes": (lambda d: ["synth-data", "--classes", "0", "--per-class", "4",
+                                         "--out", str(d / "o")], 2),
+    "synth-data-one-clip": (lambda d: ["synth-data", "--classes", "2", "--per-class", "1",
+                                       "--out", str(d / "o")], 2),
+    "synth-data-nan-noise": (lambda d: ["synth-data", "--classes", "2", "--per-class", "4",
+                                        "--out", str(d / "o"), "--noise", "nan"], 2),
+    "count-complexity-bad-encoder": (lambda d: ["count-complexity", "--config", _write(
+        d / "c.cfg", b"encoder.heads = 3\n")], 2),
+    "count-complexity-missing-config": (lambda d: ["count-complexity", "--config", str(d / "none.cfg")], 3),
+    "report-not-json": (lambda d: ["report", _write(d / "r.json", b"{")], 3),
+    "report-wrong-types": (lambda d: ["report", _write(
+        d / "r.json", b'{"aggregate": {"mean_accuracies": 1}, "runs": [{"seed": 1}]}')], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_every_subcommand_exits_with_its_documented_code(case, tmp_path, capsys):
+    argv_for, code = MALFORMED[case]
+    assert cli.main(argv_for(tmp_path)) == code
+    assert "error:" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from ffcac import classifiers as cls
 from ffcac import encoder as enc
 from ffcac import sessions
-from ffcac.config import ClassifierConfig, ExperimentConfig, PlanConfig, RunConfig, SynthSection, TrainConfig
+from ffcac.audio import SynthConfig
+from ffcac.config import ClassifierConfig, ExperimentConfig, PlanConfig, RunConfig, TrainConfig
 from ffcac.errors import PlanError, ProtocolViolationError, SamplingError, UsageError
 
 
@@ -16,8 +17,8 @@ def desk_config(**kw) -> ExperimentConfig:
         train=TrainConfig(epochs=kw.pop("epochs", 3)),
         classifier=ClassifierConfig(lam=kw.pop("lam", "0.1")),
         run=RunConfig(seed=kw.pop("seed", 7), repeats=kw.pop("repeats", 1)),
-        synth=SynthSection(clips_per_class=kw.pop("clips_per_class", 12),
-                           train_per_class=kw.pop("train_per_class", 7)),
+        synth=SynthConfig(clips_per_class=kw.pop("clips_per_class", 12),
+                          train_per_class=kw.pop("train_per_class", 7)),
         plan=PlanConfig(**kw.pop("plan", {})),
         **kw,
     )
@@ -160,7 +161,7 @@ def test_incremental_preserves_extractor_checksum():
     plan, pipe, base = _trained(cfg)
     before = enc.params_checksum(base.params)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
-    sessions.run_incremental_session(base.params, base.classifier, ep, pipe, cfg)
+    sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
     assert enc.params_checksum(base.params) == before
 
 
@@ -168,7 +169,7 @@ def test_incremental_grows_registry_by_session_ways():
     cfg = desk_config(epochs=1)
     plan, pipe, base = _trained(cfg)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep, pipe, cfg)
+    updated = sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
     assert len(updated.registry) == len(base.classifier.registry) + 5
     # original indices unchanged
     for label in base.classifier.registry.labels:
@@ -180,14 +181,14 @@ def test_incremental_label_collision_rejected():
     plan, pipe, base = _trained(cfg)
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
     with pytest.raises(ProtocolViolationError):
-        sessions.run_incremental_session(base.params, base.classifier, ep0, pipe, cfg)
+        sessions.run_incremental_session(base.params, base.classifier, ep0, pipe)
 
 
 def test_incremental_equals_batch_refit_on_same_embeddings():
     cfg = desk_config(epochs=1, lam="0.5")
     plan, pipe, base = _trained(cfg)
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe, cfg)
+    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe)
 
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
     all_labels = list(base.classifier.registry.labels) + ep1.labels
@@ -221,7 +222,7 @@ def _hand_plan():
     a0 a1 b0 | c0 c1."""
     test = {label: [sessions.ClipRef(label=label, synth_seed=i) for i in range(n)]
             for label, n in (("a", 2), ("b", 1), ("c", 2))}
-    return sessions.SessionPlan(session_labels=[["a", "b"], ["c"]], shots=[1, 1],
+    return sessions.SessionPlan(session_labels=[["a", "b"], ["c"]], shots=1,
                                 train_items={}, test_items=test)
 
 
@@ -251,7 +252,7 @@ def test_evaluate_covers_union_of_test_sets():
     r0 = sessions.evaluate(base.classifier, plan, 0, embedded)
     assert r0.total == sum(len(plan.test_items[l]) for l in plan.session_labels[0])
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe, cfg)
+    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe)
     r1 = sessions.evaluate(updated, plan, 1, embedded)
     assert r1.total == sum(len(plan.test_items[l]) for l in plan.labels_through(1))
 
@@ -334,17 +335,6 @@ def test_aggregate_identical_runs_zero_std():
 
 def test_default_repeat_count_is_one_hundred():
     assert ExperimentConfig().run.repeats == 100
-
-
-def test_relambda_flag_reselects_per_session():
-    cfg = desk_config(epochs=0, lam="cv")
-    cfg = dataclasses.replace(
-        cfg, classifier=dataclasses.replace(cfg.classifier, relambda_each_session=True))
-    plan, pipe, base = _trained(cfg)
-    ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe, cfg)
-    assert updated.lam in cfg.classifier.lam_grid
-    cls.solve_weights(updated)  # still solvable under the re-selected lam
 
 
 def test_run_repeated_aggregates_and_reports():
