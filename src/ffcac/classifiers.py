@@ -21,6 +21,7 @@ the autodiff graph, discarded once the extractor is frozen.
 from __future__ import annotations
 
 import hashlib
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -213,57 +214,96 @@ def solve_weights(state: RidgeState) -> np.ndarray:
     If the factorization fails, retries once with a diagonal jitter of
     1e-10 * trace(gram)/D, then raises. The returned W always satisfies
     the residual bound ||(G+lam I)W - C||_inf <= 1e-8 * (1 + ||C||_inf).
+    W is read-only: it is the cached solution, and ``cosine_scores``
+    memoizes its column norms.
     """
     if state._weights is not None:
         return state._weights
-    d = state.dim
-    system = state.gram + state.lam * np.eye(d)
+    gram, lam = state.gram, state.lam
     try:
-        factor = scipy.linalg.cho_factor(system, lower=True, check_finite=False)
+        factor = scipy.linalg.cho_factor(
+            _shifted(gram, lam), lower=True, overwrite_a=True, check_finite=False
+        )
     except np.linalg.LinAlgError:
         # with lam > 0 the system is PD in exact arithmetic, so a failure
         # is numerical: retry once with a tiny diagonal jitter
-        if state.lam <= 0.0:
+        if lam <= 0.0:
             raise SolverError(
                 "gram matrix is singular at lam = 0; use lam > 0 "
                 "(required whenever E^T E is singular)"
             ) from None
-        jitter = 1e-10 * np.trace(state.gram) / d
+        jitter = 1e-10 * np.trace(gram) / state.dim
         try:
             factor = scipy.linalg.cho_factor(
-                system + jitter * np.eye(d), lower=True, check_finite=False
+                _shifted(gram, lam, jitter), lower=True, overwrite_a=True, check_finite=False
             )
         except np.linalg.LinAlgError:
             raise SolverError(
                 "gram + lam*I is not positive definite even after jitter; increase lam"
             ) from None
     w = scipy.linalg.cho_solve(factor, state.cross, check_finite=False)
-    residual = np.max(np.abs(system @ w - state.cross))
+    residual = np.max(np.abs(gram @ w + lam * w - state.cross))
     bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross), initial=0.0))
     if not residual <= bound:  # a NaN residual fails too
         raise SolverError(
             f"normal-equation residual {residual:.3e} exceeds bound {bound:.3e}; "
             "system too ill-conditioned, increase lam"
         )
+    w.flags.writeable = False
     state._weights = w
     return w
+
+
+def _shifted(gram: np.ndarray, *shifts: float) -> np.ndarray:
+    """gram + s*I for each shift s in turn, as a Fortran-ordered copy that
+    cho_factor factors in place (no eye(D) temporary, no second copy)."""
+    system = gram.copy(order="F")
+    for s in shifts:
+        system.flat[:: len(system) + 1] += s
+    return system
+
+
+# (weakref to the last read-only W scored, its column denominators, its
+# zero-norm column mask); replaced as one tuple, never mutated
+_norm_memo: tuple = (None, None, None)
+
+
+def _column_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(denominators, dead) for W's columns: the column norms with 1.0 in
+    place of a zero norm, and the mask of zero-norm columns.
+
+    Memoizes one W: a read-only array that owns its data (the cached
+    ``solve_weights`` result) cannot change, so scoring it again reuses
+    its norms. A writeable W is recomputed on every call.
+    """
+    global _norm_memo
+    ref, denom, dead = _norm_memo
+    if ref is not None and ref() is W:
+        return denom, dead
+    # einsum sums the squares without the (D, N) temporaries of np.linalg.norm
+    col_norms = np.sqrt(np.einsum("ij,ij->j", W, W))
+    live = col_norms > 0.0
+    denom, dead = np.where(live, col_norms, 1.0), ~live
+    if not W.flags.writeable and W.base is None:
+        _norm_memo = (weakref.ref(W), denom, dead)
+    return denom, dead
 
 
 def cosine_scores(W: np.ndarray, e: np.ndarray) -> np.ndarray:
     """Cosine between each query embedding and every weight column; zero-norm
     columns score 0. ``e`` is one (D,) row, giving (N,) scores, or an (n, D)
-    matrix, giving (n, N)."""
+    matrix, giving (n, N). A query row of zero, infinite or NaN norm raises
+    NumericError."""
     e = np.asarray(e, dtype=np.float64)
     if e.ndim not in (1, 2):
         raise UsageError(f"expected a (D,) row or an (n, D) matrix, got shape {e.shape}")
-    # einsum sums the squares without the (D, N) temporaries of np.linalg.norm
+    W = np.asarray(W)
     e_norms = np.sqrt(np.einsum("...j,...j->...", e, e))
-    if np.any(e_norms <= 0.0):
-        raise NumericError("zero embedding: cosine scores undefined")
-    col_norms = np.sqrt(np.einsum("ij,ij->j", W, W))
-    live = col_norms > 0.0
-    scores = (e @ W) / (e_norms[..., None] * np.where(live, col_norms, 1.0))
-    scores[..., ~live] = 0.0
+    if not ((e_norms > 0.0) & (e_norms < np.inf)).all():  # NaN fails both
+        raise NumericError("zero or non-finite embedding: cosine scores undefined")
+    denom, dead = _column_norms(W)
+    scores = (e @ W) / (e_norms[..., None] * denom)
+    scores[..., dead] = 0.0
     return scores
 
 

@@ -16,7 +16,7 @@ from . import classifiers as cls
 from . import encoder as enc
 from . import sessions
 from .audio import FrontendConfig, ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
-from .config import ast_base_config, default_config, load_config, validate_config
+from .config import ast_base_config, default_config, fits_int64, load_config, validate_config
 from .errors import ConfigError, FfcacError, IngestionError
 
 
@@ -30,6 +30,9 @@ def cmd_synth_data(args) -> int:
     fraction = args.train_fraction
     if not 0.0 <= fraction <= 1.0:  # also rejects nan
         raise ConfigError(f"--train-fraction must be in [0, 1], got {fraction}")
+    for flag, count in (("--classes", args.classes), ("--per-class", args.per_class)):
+        if not fits_int64(count):  # as the synth.* keys; round() below needs a float-sized count
+            raise ConfigError(f"{flag} must fit in 64 bits, got {count}")
     cfg = SynthConfig(num_classes=args.classes, clips_per_class=args.per_class,
                       train_per_class=min(max(1, round(fraction * args.per_class)), args.per_class - 1),
                       noise_amplitude=args.noise)

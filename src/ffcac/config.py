@@ -127,6 +127,10 @@ def _finite(raw: str) -> float:
     return v
 
 
+def fits_int64(v: int) -> bool:
+    return -2**63 <= v < 2**63
+
+
 def _parse_value(key: str, raw: str, f: dataclasses.Field):
     kind = f.type if isinstance(f.type, str) else f.type.__name__
     if key == "classifier.lambda":
@@ -138,7 +142,7 @@ def _parse_value(key: str, raw: str, f: dataclasses.Field):
         return repr(v)  # stored as str; fixed_lam() parses it back
     if kind == "int":
         v = int(raw)
-        if not -2**63 <= v < 2**63:
+        if not fits_int64(v):
             raise ValueError(f"must fit in 64 bits, got {raw!r}")
         return v
     if kind == "float":

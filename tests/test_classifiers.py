@@ -1,5 +1,9 @@
+import concurrent.futures
+import sys
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,6 +260,49 @@ def test_normal_equation_residual_bound(seed):
     assert residual <= 1e-8 * (1.0 + np.max(np.abs(state.cross)))
 
 
+def _flaky_cho_factor(monkeypatch, failures):
+    """Make the first ``failures`` calls of scipy's cho_factor raise
+    LinAlgError; returns a copy of the system each call was handed."""
+    real, seen = scipy.linalg.cho_factor, []
+
+    def flaky(a, *args, **kwargs):
+        seen.append(np.array(a))
+        if len(seen) <= failures:
+            raise np.linalg.LinAlgError("forced failure")
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "cho_factor", flaky)
+    return seen
+
+
+def _state(lam, dim=12, seed=61):
+    rng = np.random.default_rng(seed)
+    e, y = rng.normal(size=(40, dim)), np.eye(3)[np.arange(40) % 3]
+    return cls.RidgeState(gram=e.T @ e, cross=e.T @ y, lam=lam, registry=cls.LabelRegistry(range(3)))
+
+
+def test_solve_retries_once_with_jitter(monkeypatch):
+    state, lam = _state(0.1), 0.1
+    jitter = 1e-10 * np.trace(state.gram) / state.dim
+    seen = _flaky_cho_factor(monkeypatch, failures=1)
+    w = cls.solve_weights(state)
+    assert len(seen) == 2
+    assert np.array_equal(np.diag(seen[1]), np.diag(state.gram) + lam + jitter)
+    residual = np.max(np.abs((state.gram + lam * np.eye(state.dim)) @ w - state.cross))
+    assert residual <= cls.RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross)))
+    monkeypatch.undo()
+    assert np.allclose(w, cls.solve_weights(_state(lam + jitter)), rtol=0.0, atol=1e-14)
+
+
+def test_solve_fails_when_jitter_does_not_help(monkeypatch):
+    _flaky_cho_factor(monkeypatch, failures=2)
+    with pytest.raises(SolverError, match="even after jitter"):
+        cls.solve_weights(_state(0.1))
+    _flaky_cho_factor(monkeypatch, failures=1)
+    with pytest.raises(SolverError, match="singular at lam = 0"):
+        cls.solve_weights(_state(0.0))
+
+
 def test_solve_cache_stable():
     state = cls.fit_base(np.eye(3) * 2.0, np.eye(3), 0.5)
     w1 = cls.solve_weights(state)
@@ -349,6 +396,105 @@ def test_cosine_scores_match_norm_formula(order):
         assert np.max(np.abs(scores - oracle)) <= 1e-15
         assert np.array_equal(np.argmax(scores, axis=-1), np.argmax(oracle, axis=-1))
         assert np.all(scores[..., 7] == 0.0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_predict_rejects_a_non_finite_row(bad):
+    registry = cls.LabelRegistry(["a", "b", "c"])
+    with pytest.raises(NumericError):
+        cls.predict(np.eye(3), registry, np.array([bad, 1.0, 0.0]))
+    with pytest.raises(NumericError):
+        cls.predict(np.eye(3), registry, np.array([[1.0, 0.0, 0.0], [bad, 1.0, 0.0]]))
+
+
+# ---------------------------------------------------------------------------
+# read-only weights and the column-norm memo
+
+
+def _read_only(w):
+    w = np.array(w, order="F")  # owns its data, like a solve_weights result
+    w.flags.writeable = False
+    return w
+
+
+def _queries(rng, dim):
+    return rng.normal(size=dim), rng.normal(size=(7, dim))
+
+
+def test_solve_weights_returns_read_only_weights():
+    state = cls.fit_base(np.eye(3) * 2.0, np.eye(3), 0.5)
+    w = cls.solve_weights(state)
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0, 0] = 1.0
+    assert np.allclose(cls.solve_weights(state), np.eye(3) / 2.25, atol=1e-12)
+
+
+def test_read_only_weights_score_like_a_writeable_copy():
+    rng = np.random.default_rng(47)
+    e = rng.normal(size=(30, 12))
+    y = np.zeros((30, 5))
+    y[np.arange(30), np.arange(30) % 4] = 1.0  # class 4 has no samples: a zero column
+    solved = cls.solve_weights(cls.fit_base(e, y, 0.1))
+    assert np.all(solved[:, 4] == 0.0)
+    built = rng.normal(size=(12, 5))
+    built[:, 2] = 0.0
+    for w in (solved, _read_only(built)):
+        for q in _queries(rng, 12):
+            fresh = cls.cosine_scores(np.copy(w), q)
+            assert np.array_equal(cls.cosine_scores(w, q), fresh)  # fills the memo
+            assert np.array_equal(cls.cosine_scores(w, q), fresh)  # reads it
+
+
+def test_writeable_weights_are_scored_on_their_current_values():
+    rng = np.random.default_rng(53)
+    w = rng.normal(size=(8, 4))
+    view = w[:, :]
+    view.flags.writeable = False  # read-only, but its owner can still change
+    for q in _queries(rng, 8):
+        for scored in (w, view):
+            before = cls.cosine_scores(scored, q)
+            w[:, 0] *= 3.0
+            w[:, 1] = 0.0
+            after = cls.cosine_scores(scored, q)
+            assert not np.array_equal(before, after)
+            assert np.all(after[..., 1] == 0.0)
+            assert np.array_equal(after, cls.cosine_scores(np.copy(w), q))
+            w[:] = rng.normal(size=w.shape)
+
+
+def test_column_norm_memo_never_serves_stale_norms():
+    rng = np.random.default_rng(59)
+    a, b = _read_only(rng.normal(size=(10, 6))), _read_only(5.0 * rng.normal(size=(10, 6)))
+    row, rows = _queries(rng, 10)
+    for _ in range(3):  # alternate two read-only weight matrices
+        for w in (a, b):
+            assert np.array_equal(cls.cosine_scores(w, row), cls.cosine_scores(np.copy(w), row))
+            assert np.array_equal(cls.cosine_scores(w, rows), cls.cosine_scores(np.copy(w), rows))
+    for scale in (2.0, 0.5, 7.0):  # free the scored W; the next may reuse its memory
+        del a
+        a = _read_only(scale * rng.normal(size=(10, 6)))
+        assert np.array_equal(cls.cosine_scores(a, rows), cls.cosine_scores(np.copy(a), rows))
+
+
+def test_column_norm_memo_is_shared_safely_by_threads():
+    # run.threads scores independent runs' weights on one memo at once
+    rng = np.random.default_rng(67)
+    ws = [_read_only((k + 1.0) * rng.normal(size=(16, 5))) for k in range(4)]
+    rows = rng.normal(size=(3, 16))
+    expected = [cls.cosine_scores(np.copy(w), rows) for w in ws]
+
+    def score(k):
+        return all(np.array_equal(cls.cosine_scores(ws[k], rows), expected[k]) for _ in range(300))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(score, k % len(ws)) for k in range(8)]
+            assert all(f.result(timeout=60) for f in futures)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 # ---------------------------------------------------------------------------

@@ -346,6 +346,8 @@ MALFORMED = {
                                        "--out", str(d / "o")], 2),
     "synth-data-nan-noise": (lambda d: ["synth-data", "--classes", "2", "--per-class", "4",
                                         "--out", str(d / "o"), "--noise", "nan"], 2),
+    "synth-data-huge-count": (lambda d: ["synth-data", "--classes", "1", "--per-class",
+                                         "1" + "0" * 400, "--out", str(d / "o")], 2),
     "count-complexity-bad-encoder": (lambda d: ["count-complexity", "--config", _write(
         d / "c.cfg", b"encoder.heads = 3\n")], 2),
     "count-complexity-missing-config": (lambda d: ["count-complexity", "--config", str(d / "none.cfg")], 3),
