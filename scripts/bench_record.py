@@ -4,15 +4,17 @@
     python3 scripts/bench_record.py CHECKOUT/.perfbench_out [--rev REV] [--out DIR]
     python3 scripts/bench_record.py --diff BENCH_<old>.json BENCH_<new>.json
 
-The first form reads every ``<workload>-seed<n>-trace0.json`` that
-``perfbench/run.py`` wrote into the directory, one run per workload and
-seed, and writes ``BENCH_<rev>.json`` into ``--out`` (default: the
-current directory). The file holds the machine facts, the git revision
-(default: the short HEAD of the checkout that holds the directory) and,
-for each workload, the seeds and the median, quartiles and n of every
-end-to-end metric over those seeds. The runs must share their machine
-facts. The second form prints, per workload and metric, both medians,
-their ratio and the old file's interquartile range.
+The first form reads every ``<workload>-seed<n>-trace<t>.json`` that
+``perfbench/run.py`` wrote into the directory, one run per workload, seed
+and trace setting, and writes ``BENCH_<rev>.json`` into ``--out``
+(default: the current directory). The file holds the machine facts, the
+git revision (default: the short HEAD of the checkout that holds the
+directory) and, for each workload, the seeds and the median, quartiles and
+n over those seeds of every end-to-end metric (``--trace 0`` runs) and,
+where traced runs exist, of every per-layer metric (``--trace 1``). The
+runs must share their machine facts. The second form prints, per workload
+and metric, both medians, their ratio and the old file's interquartile
+range.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace0\.json")
+RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
+SECTIONS = {"0": "end_to_end", "1": "per_layer"}
 
 
 def summary(values: list[float]) -> dict:
@@ -43,47 +46,47 @@ def git_rev(checkout: Path) -> str:
     return proc.stdout.strip()
 
 
+def fold_seeds(by_seed: dict[int, dict]) -> dict:
+    seeds = sorted(by_seed)
+    first = by_seed[seeds[0]]
+    metrics = {name: {"unit": meta["unit"], "gated": meta["gated"],
+                      **summary([by_seed[s]["metrics"][name]["value"] for s in seeds])}
+               for name, meta in first["metrics"].items()}
+    return {"seeds": seeds, "seconds": first["seconds"], "metrics": metrics}
+
+
 def fold(out_dir: Path, rev: str) -> dict:
-    runs: dict[str, dict[int, dict]] = {}
-    for path in sorted(out_dir.glob("*-trace0.json")):
+    runs: dict[str, dict[str, dict[int, dict]]] = {}
+    for path in sorted(out_dir.glob("*-seed*-trace*.json")):
         m = RUN_FILE.fullmatch(path.name)
         if m:
-            runs.setdefault(m["workload"], {})[int(m["seed"])] = json.loads(path.read_text("utf-8"))
-    if not runs:
+            by_seed = runs.setdefault(m["workload"], {}).setdefault(SECTIONS[m["trace"]], {})
+            by_seed[int(m["seed"])] = json.loads(path.read_text("utf-8"))
+    if not any("end_to_end" in sections for sections in runs.values()):
         raise SystemExit(f"error: no <workload>-seed<n>-trace0.json files in {out_dir}")
     machines = {json.dumps({k: v for k, v in run["machine"].items() if k != "seed"}, sort_keys=True)
-                for by_seed in runs.values() for run in by_seed.values()}
+                for sections in runs.values() for by_seed in sections.values()
+                for run in by_seed.values()}
     if len(machines) != 1:
         raise SystemExit(f"error: the runs in {out_dir} disagree on the machine facts")
-    workloads = {}
-    for workload, by_seed in sorted(runs.items()):
-        seeds = sorted(by_seed)
-        first = by_seed[seeds[0]]
-        metrics = {}
-        for name, meta in first["metrics"].items():
-            entry = {"unit": meta["unit"], "gated": meta["gated"]}
-            entry.update(summary([by_seed[s]["metrics"][name]["value"] for s in seeds]))
-            metrics[name] = entry
-        workloads[workload] = {
-            "seeds": seeds,
-            "seconds": first["seconds"],
-            "failed_runs": sum(len(by_seed[s]["failures"]) for s in seeds),
-            "metrics": metrics,
-        }
+    workloads = {workload: {section: fold_seeds(by_seed) for section, by_seed in sorted(sections.items())}
+                 for workload, sections in sorted(runs.items())}
     return {"rev": rev, "machine": json.loads(machines.pop()), "workloads": workloads}
 
 
 def diff(old: dict, new: dict) -> None:
-    print(f"{'workload':16s} {'metric':22s} {old['rev']:>12s} {new['rev']:>12s} "
+    print(f"{'workload':16s} {'metric':40s} {old['rev']:>12s} {new['rev']:>12s} "
           f"{'new/old':>8s} {'old IQR':>10s}")
-    for workload, base in old["workloads"].items():
-        for name, a in base["metrics"].items():
-            b = new["workloads"].get(workload, {}).get("metrics", {}).get(name)
-            if b is None:
-                continue
-            ratio = f"{b['median'] / a['median']:.3f}" if a["median"] else "-"
-            print(f"{workload:16s} {name:22s} {a['median']:12.5g} {b['median']:12.5g} "
-                  f"{ratio:>8s} {a['q3'] - a['q1']:10.3g}")
+    for workload, sections in old["workloads"].items():
+        for section, base in sections.items():
+            other = new["workloads"].get(workload, {}).get(section, {}).get("metrics", {})
+            for name, a in base["metrics"].items():
+                b = other.get(name)
+                if b is None:
+                    continue
+                ratio = f"{b['median'] / a['median']:.3f}" if a["median"] else "-"
+                print(f"{workload:16s} {name:40s} {a['median']:12.5g} {b['median']:12.5g} "
+                      f"{ratio:>8s} {a['q3'] - a['q1']:10.3g}")
 
 
 def main(argv=None) -> int:
@@ -104,8 +107,7 @@ def main(argv=None) -> int:
     record = fold(out_dir, rev)
     target = Path(args.out) / f"BENCH_{rev}.json"
     target.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
-    seeds = ", ".join(f"{w} seeds {v['seeds']}" for w, v in record["workloads"].items())
-    print(f"wrote {target}: {seeds}")
+    print(f"wrote {target}")
     return 0
 
 
