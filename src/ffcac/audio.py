@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import math
+import os
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,30 +50,8 @@ class FrontendConfig:
         return int(round(self.clip_seconds * self.sample_rate_hz))
 
 
-@dataclass
-class Waveform:
-    samples: np.ndarray  # float64 in [-1, 1]
-    sample_rate_hz: int
-
-
-@dataclass
-class LogMelSpectrogram:
-    data: np.ndarray  # (S_f, S_t)
-
-    @property
-    def s_f(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def s_t(self) -> int:
-        return self.data.shape[1]
-
-
 @dataclass(frozen=True)
 class PatchGrid:
-    s_f: int
-    s_t: int
-    d: int
     rows: int
     cols: int
 
@@ -81,20 +60,13 @@ class PatchGrid:
         return self.rows * self.cols
 
 
-@dataclass
-class PatchSequence:
-    """Row-major (frequency-major, then time) list of flattened patches."""
-
-    patches: np.ndarray  # (Z, s_f * s_t)
-    grid: PatchGrid
-
-
 # ---------------------------------------------------------------------------
 # WAV files
 
 
-def load_wav(path, expected_rate_hz: int = 16000) -> Waveform:
-    """Read a mono 16-bit PCM RIFF file; samples scaled by 1/32768."""
+def load_wav(path, expected_rate_hz: int = 16000) -> np.ndarray:
+    """Read a mono 16-bit PCM RIFF file at ``expected_rate_hz``: its (n,)
+    float64 samples, scaled by 1/32768."""
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{path}: no such file")
@@ -117,15 +89,15 @@ def load_wav(path, expected_rate_hz: int = 16000) -> Waveform:
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
     if samples.size == 0:
         raise IngestionError(f"{path}: contains no samples")
-    return Waveform(samples=samples, sample_rate_hz=rate)
+    return samples
 
 
-def write_wav(path, w: Waveform) -> None:
-    ints = np.clip(np.rint(w.samples * PCM_FULL_SCALE), -32768, 32767).astype("<i2")
+def write_wav(path, samples: np.ndarray, rate_hz: int) -> None:
+    ints = np.clip(np.rint(samples * PCM_FULL_SCALE), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(w.sample_rate_hz)
+        wf.setframerate(rate_hz)
         wf.writeframes(ints.tobytes())
 
 
@@ -164,36 +136,36 @@ def _frontend_tables(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
     return window, filterbank
 
 
-def log_mel_spectrogram(w: Waveform, cfg: FrontendConfig) -> LogMelSpectrogram:
-    """ln(mel power + log_floor) over Hann-windowed frames.
+def log_mel_spectrogram(samples: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
+    """(S_f, S_t) array of ln(mel power + log_floor) over Hann-windowed
+    frames.
 
     Frames lie fully inside the signal: S_t = 1 + (len - frame_len) // shift.
     """
-    n = w.samples.size
+    n = samples.size
     frame_len, shift = cfg.frame_len, cfg.frame_shift
     if n < frame_len:
         raise IngestionError(f"clip of {n} samples shorter than one {frame_len}-sample frame")
-    frames = np.lib.stride_tricks.sliding_window_view(w.samples, frame_len)[::shift]
+    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::shift]
     window, filterbank = _frontend_tables(cfg)
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
     powers = spectrum.real**2 + spectrum.imag**2
     mel = powers @ filterbank.T
-    return LogMelSpectrogram(data=np.log(mel + cfg.log_floor).T.copy())
+    return np.log(mel + cfg.log_floor).T.copy()
 
 
-def fit_to_length(w: Waveform, num_samples: int) -> Waveform:
+def fit_to_length(samples: np.ndarray, num_samples: int) -> np.ndarray:
     """Center-crop or zero-pad so every clip yields the same frame count."""
-    n = w.samples.size
+    n = samples.size
     if n == num_samples:
-        return w
+        return samples
     if n > num_samples:
         start = (n - num_samples) // 2
-        return Waveform(w.samples[start : start + num_samples].copy(), w.sample_rate_hz)
-    pad = num_samples - n
-    left = pad // 2
+        return samples[start : start + num_samples].copy()
+    left = (num_samples - n) // 2
     out = np.zeros(num_samples)
-    out[left : left + n] = w.samples
-    return Waveform(out, w.sample_rate_hz)
+    out[left : left + n] = samples
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -210,16 +182,16 @@ def patch_counts(big_f: int, big_t: int, s_f: int, s_t: int, d: int) -> PatchGri
         raise DimensionError(f"patch extents must be positive, got {s_f}x{s_t}")
     rows = (big_f - s_f) // d + 1
     cols = (big_t - s_t) // d + 1
-    return PatchGrid(s_f=s_f, s_t=s_t, d=d, rows=rows, cols=cols)
+    return PatchGrid(rows=rows, cols=cols)
 
 
-def patch_split(lms: LogMelSpectrogram, s_f: int, s_t: int, d: int) -> PatchSequence:
-    grid = patch_counts(lms.s_f, lms.s_t, s_f, s_t, d)
-    # every s_f x s_t window, kept at stride d: (rows, cols, s_f, s_t),
-    # flattened frequency-major into a fresh (Z, s_f * s_t) array
-    windows = np.lib.stride_tricks.sliding_window_view(lms.data, (s_f, s_t))[::d, ::d]
-    patches = np.array(windows, dtype=np.float64).reshape(grid.z, s_f * s_t)
-    return PatchSequence(patches=patches, grid=grid)
+def patch_split(lms: np.ndarray, s_f: int, s_t: int, d: int) -> np.ndarray:
+    """Every s_f x s_t window of the (S_f, S_t) spectrogram at stride d, as
+    a fresh (Z, s_f * s_t) matrix: rows in frequency-major, then time order,
+    each window flattened row-major."""
+    grid = patch_counts(*lms.shape, s_f, s_t, d)
+    windows = np.lib.stride_tricks.sliding_window_view(lms, (s_f, s_t))[::d, ::d]
+    return np.array(windows, dtype=np.float64).reshape(grid.z, s_f * s_t)
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +237,7 @@ class SynthConfig:
 
 
 def synth_class_waveform(class_id: int, instance_seed: int, cfg: SynthConfig,
-                         frontend: FrontendConfig) -> Waveform:
+                         frontend: FrontendConfig) -> np.ndarray:
     """Deterministic per (class_id, instance_seed) harmonic-plus-noise clip
     of ``frontend.clip_samples`` samples at the frontend's rate."""
     if not 0 <= class_id < cfg.num_classes:
@@ -287,7 +259,7 @@ def synth_class_waveform(class_id: int, instance_seed: int, cfg: SynthConfig,
     top = np.max(np.abs(x))
     if top > 0:
         x *= SYNTH_PEAK / top
-    return Waveform(samples=x, sample_rate_hz=rate)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -322,6 +294,7 @@ def read_manifest(path) -> list[ManifestRow]:
     if header != MANIFEST_HEADER:
         raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
     rows = []
+    listed: dict[str, int] = {}  # normalized clip path -> line listing it
     for ln, row in enumerate(table[1:], start=2):
         if not row:
             continue
@@ -330,6 +303,9 @@ def read_manifest(path) -> list[ManifestRow]:
         p, label, split = row
         if split not in VALID_SPLITS:
             raise IngestionError(f"{path}:{ln}: split must be train or test, got {split!r}")
+        first = listed.setdefault(os.path.normpath(p), ln)
+        if first != ln:
+            raise IngestionError(f"{path}:{ln}: {p!r} is already listed on line {first}")
         rows.append(ManifestRow(path=p, label=label, split=split))
     return rows
 

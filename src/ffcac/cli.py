@@ -46,18 +46,16 @@ def cmd_synth_data(args) -> int:
     except OSError as e:
         raise IngestionError(f"cannot create output dir {out}: {e}") from e
     rows = []
-    for c in range(cfg.num_classes):
-        label = f"class{c:02d}"
-        for i in range(cfg.clips_per_class):
-            seed_rng = sessions._rng(args.seed, c, i)
-            wav = synth_class_waveform(c, int(seed_rng.integers(0, 2**31 - 1)), cfg, frontend)
-            name = f"{label}_{i:03d}.wav"
-            try:
-                write_wav(out / name, wav)
-            except OSError as e:
-                raise IngestionError(f"cannot write {out / name}: {e}") from e
-            rows.append(ManifestRow(path=name, label=label,
-                                    split="train" if i < cfg.train_per_class else "test"))
+    items = sessions.synthetic_dataset(cfg.num_classes, cfg.clips_per_class, cfg.train_per_class, args.seed)
+    for k, item in enumerate(items):
+        ref = item.ref
+        name = f"{ref.label}_{k % cfg.clips_per_class:03d}.wav"  # items run class by class
+        samples = synth_class_waveform(ref.synth_class, ref.synth_seed, cfg, frontend)
+        try:
+            write_wav(out / name, samples, frontend.sample_rate_hz)
+        except OSError as e:
+            raise IngestionError(f"cannot write {out / name}: {e}") from e
+        rows.append(ManifestRow(path=name, label=ref.label, split=item.split))
     try:
         write_manifest(out / "manifest.csv", rows)
     except OSError as e:
@@ -69,8 +67,9 @@ def cmd_synth_data(args) -> int:
 def _write_run_outputs(out: Path, report, cfg, last) -> None:
     try:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(sessions.report_to_json(report, cfg), encoding="utf-8")
-        (out / "report.csv").write_text(sessions.report_to_csv(report), encoding="utf-8")
+        json_text = sessions.report_to_json(report, cfg)
+        (out / "report.json").write_text(json_text, encoding="utf-8")
+        (out / "report.csv").write_text(sessions.json_report_to_csv(json_text), encoding="utf-8")
         enc.save_params(out / "mee.weights", last.params)
         if isinstance(last.classifier, cls.RidgeState):
             cls.save_state(out / "classifier.weights", last.classifier)

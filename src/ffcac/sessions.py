@@ -88,7 +88,8 @@ def dataset_from_manifest(manifest_path) -> list[DatasetItem]:
 
 def synthetic_dataset(num_classes: int, clips_per_class: int, train_per_class: int,
                       seed: int) -> list[DatasetItem]:
-    """Virtual dataset of synthesizable clips; no files are written."""
+    """Synthesizable clips, class by class, the first train_per_class of
+    each class in the train split; ``ffcac synth-data`` writes them as WAVs."""
     items = []
     for c in range(num_classes):
         label = f"class{c:02d}"
@@ -211,7 +212,7 @@ class ClipPipeline:
         self.enc_cfg = cfg.encoder_config()
         self._patches: dict[ClipRef, np.ndarray] = {}
 
-    def waveform(self, ref: ClipRef):
+    def waveform(self, ref: ClipRef) -> np.ndarray:
         if ref.path is not None:
             return load_wav(ref.path, expected_rate_hz=self.cfg.frontend.sample_rate_hz)
         return synth_class_waveform(ref.synth_class, ref.synth_seed, self.cfg.synth, self.cfg.frontend)
@@ -219,10 +220,9 @@ class ClipPipeline:
     def patches(self, ref: ClipRef) -> np.ndarray:
         cached = self._patches.get(ref)
         if cached is None:
-            w = fit_to_length(self.waveform(ref), self.cfg.frontend.clip_samples)
-            lms = log_mel_spectrogram(w, self.cfg.frontend)
-            seq = patch_split(lms, self.cfg.patch.s_f, self.cfg.patch.s_t, self.cfg.patch.stride)
-            cached = seq.patches
+            samples = fit_to_length(self.waveform(ref), self.cfg.frontend.clip_samples)
+            lms = log_mel_spectrogram(samples, self.cfg.frontend)
+            cached = patch_split(lms, self.cfg.patch.s_f, self.cfg.patch.s_t, self.cfg.patch.stride)
             self._patches[ref] = cached
         return cached
 
@@ -504,38 +504,28 @@ def report_to_json(report: ExperimentReport, cfg: ExperimentConfig) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def report_to_csv(report: ExperimentReport) -> str:
-    """Per-session table: one row per run plus mean and std rows."""
-    n_sessions = len(report.mean_accuracies)
+def report_to_csv(doc: dict) -> str:
+    """Per-session table of a parsed ``report_to_json`` document: one row
+    per run plus mean and std rows."""
+    agg = doc["aggregate"]
+    n_sessions = len(agg["mean_accuracies"])
     header = ["run"] + [f"A_{m}" for m in range(n_sessions)] + ["AA", "PD"]
     lines = [",".join(header)]
 
     def fmt(tag, accs, aa, pd):
         return ",".join([tag] + [f"{a:.6f}" for a in accs] + [f"{aa:.6f}", f"{pd:.6f}"])
 
-    for i, run in enumerate(report.runs):
-        lines.append(fmt(str(i), run.accuracies, run.aa, run.pd))
-    lines.append(fmt("mean", report.mean_accuracies, report.mean_aa, report.mean_pd))
-    lines.append(fmt("std", report.std_accuracies, report.std_aa, report.std_pd))
+    for i, run in enumerate(doc["runs"]):
+        lines.append(fmt(str(i), run["accuracies"], run["aa"], run["pd"]))
+    lines.append(fmt("mean", agg["mean_accuracies"], agg["mean_aa"], agg["mean_pd"]))
+    lines.append(fmt("std", agg["std_accuracies"], agg["std_aa"], agg["std_pd"]))
     return "\n".join(lines) + "\n"
 
 
 def json_report_to_csv(json_text: str) -> str:
-    """Re-render a ``report_to_json`` document; anything else raises
+    """Render a ``report_to_json`` document; anything else raises
     IngestionError."""
     try:
-        doc = json.loads(json_text)
-        agg = doc["aggregate"]
-        report = ExperimentReport(
-            runs=[RunReport(seed=r["seed"], accuracies=r["accuracies"], aa=r["aa"], pd=r["pd"])
-                  for r in doc["runs"]],
-            mean_accuracies=agg["mean_accuracies"],
-            std_accuracies=agg["std_accuracies"],
-            mean_aa=agg["mean_aa"],
-            std_aa=agg["std_aa"],
-            mean_pd=agg["mean_pd"],
-            std_pd=agg["std_pd"],
-        )
-        return report_to_csv(report)
+        return report_to_csv(json.loads(json_text))
     except (ValueError, KeyError, TypeError, RecursionError) as e:  # ValueError covers bad JSON
         raise IngestionError(f"not an ffcac report: {type(e).__name__}: {e}") from e

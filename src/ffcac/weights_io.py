@@ -14,7 +14,8 @@ Layout (all integers little-endian):
     per label:
         u16      byte length, then that many UTF-8 bytes
 
-Weights default to f32 on disk; in-memory math stays f64.
+A 0-d value is stored as one element of rank 1. Weights default to f32 on
+disk; in-memory math stays f64.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
         parts.append(struct.pack("<B", values.ndim))
         parts.append(struct.pack(f"<{values.ndim}Q", *values.shape))
         parts.append(struct.pack("<B", tag))
-        parts.append(values.tobytes(order="C"))
+        parts.append(values.reshape(-1).view(np.uint8))  # a view: the join below is the one copy
     parts.append(struct.pack("<I", len(labels)))
     for label in labels:
         raw = str(label).encode("utf-8")
@@ -61,11 +62,13 @@ def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
 
 
 class _Cursor:
+    """Reads through a memoryview, so ``take`` slices without copying."""
+
     def __init__(self, data: bytes):
-        self.data = data
+        self.data = memoryview(data)
         self.pos = 0
 
-    def take(self, n: int) -> bytes:
+    def take(self, n: int) -> memoryview:
         if self.pos + n > len(self.data):
             raise WeightsFormatError(
                 f"truncated container: wanted {n} bytes at offset {self.pos}, "
@@ -88,7 +91,7 @@ class _Cursor:
         """A u16 byte length, then that many UTF-8 bytes."""
         raw = self.take(self.u16())
         try:
-            return raw.decode("utf-8")
+            return str(raw, "utf-8")
         except UnicodeDecodeError as e:
             raise WeightsFormatError(
                 f"invalid UTF-8 at offset {self.pos - len(raw) + e.start}: {e.reason}"

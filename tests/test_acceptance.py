@@ -310,7 +310,7 @@ def _ncm_oracle_accuracy(run) -> float:
 
     def stat(ref):
         w = fit_to_length(pipeline.waveform(ref), cfg.frontend.clip_samples)
-        return log_mel_spectrogram(w, cfg.frontend).data.mean(axis=1)
+        return log_mel_spectrogram(w, cfg.frontend).mean(axis=1)
 
     shots = {}
     for m in (0, 1):

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from ffcac.audio import (
     FrontendConfig,
     _frontend_tables,
-    LogMelSpectrogram,
     ManifestRow,
     SynthConfig,
-    Waveform,
     fit_to_length,
     load_wav,
     log_mel_spectrogram,
@@ -36,19 +34,18 @@ CFG = FrontendConfig()
 
 def test_silence_round_trip(tmp_path):
     path = tmp_path / "silence.wav"
-    write_wav(path, Waveform(np.zeros(16000), 16000))
-    w = load_wav(path)
-    assert w.samples.shape == (16000,)
-    assert np.all(w.samples == 0.0)
+    write_wav(path, np.zeros(16000), 16000)
+    samples = load_wav(path)
+    assert samples.shape == (16000,) and samples.dtype == np.float64
+    assert np.all(samples == 0.0)
 
 
 def test_full_scale_square_wave_pcm_scaling(tmp_path):
     square = np.where(np.arange(1600) % 2 == 0, 1.0, -1.0)
     path = tmp_path / "square.wav"
-    write_wav(path, Waveform(square, 16000))
-    w = load_wav(path)
+    write_wav(path, square, 16000)
     # +1.0 clips to the largest positive 16-bit code, -1.0 is exact
-    assert np.allclose(np.unique(w.samples), [-1.0, 32767 / 32768])
+    assert np.allclose(np.unique(load_wav(path)), [-1.0, 32767 / 32768])
 
 
 def test_stereo_rejected(tmp_path):
@@ -64,7 +61,7 @@ def test_stereo_rejected(tmp_path):
 
 def test_wrong_sample_rate_rejected(tmp_path):
     path = tmp_path / "slow.wav"
-    write_wav(path, Waveform(np.zeros(8000), 8000))
+    write_wav(path, np.zeros(8000), 8000)
     with pytest.raises(IngestionError, match="sample rate"):
         load_wav(path, expected_rate_hz=16000)
 
@@ -94,7 +91,7 @@ def test_garbage_file_rejected(tmp_path):
 
 def _short_wav_bytes(tmp_path) -> bytes:
     path = tmp_path / "short.wav"
-    write_wav(path, Waveform(np.sin(np.arange(100) / 5.0) * 0.5, 16000))
+    write_wav(path, np.sin(np.arange(100) / 5.0) * 0.5, 16000)
     return path.read_bytes()
 
 
@@ -115,7 +112,7 @@ def test_corrupt_header_rejected(tmp_path, offset, value):
 @given(st.data())
 def test_mutated_header_loads_or_raises_ingestion_error(tmp_path_factory, data):
     """Random bytes written over the first 60 bytes of a valid WAV, with an
-    optional truncation: load_wav returns a waveform or raises only
+    optional truncation: load_wav returns samples or raises only
     IngestionError."""
     base = tmp_path_factory.getbasetemp()
     blob = bytearray(_short_wav_bytes(base))
@@ -126,10 +123,10 @@ def test_mutated_header_loads_or_raises_ingestion_error(tmp_path_factory, data):
     path = base / "mutated.wav"
     path.write_bytes(bytes(blob))
     try:
-        w = load_wav(path)
+        samples = load_wav(path)
     except IngestionError:
         return
-    assert w.samples.ndim == 1 and w.samples.size > 0
+    assert samples.ndim == 1 and samples.size > 0
 
 
 # ---------------------------------------------------------------------------
@@ -138,27 +135,24 @@ def test_mutated_header_loads_or_raises_ingestion_error(tmp_path_factory, data):
 
 def test_frame_count_one_second_clip():
     # 16000 samples, 400-sample frames, 240-sample shift
-    w = Waveform(np.zeros(16000), 16000)
-    lms = log_mel_spectrogram(w, CFG)
-    assert lms.s_t == 1 + (16000 - 400) // 240 == 66
-    assert lms.s_f == 128
+    lms = log_mel_spectrogram(np.zeros(16000), CFG)
+    assert lms.shape == (128, 1 + (16000 - 400) // 240) == (128, 66)
 
 
 def test_silence_hits_log_floor():
-    lms = log_mel_spectrogram(Waveform(np.zeros(16000), 16000), CFG)
-    assert np.allclose(lms.data, np.log(CFG.log_floor))
+    lms = log_mel_spectrogram(np.zeros(16000), CFG)
+    assert np.allclose(lms, np.log(CFG.log_floor))
 
 
 def test_too_short_clip_rejected():
     with pytest.raises(IngestionError, match="shorter"):
-        log_mel_spectrogram(Waveform(np.zeros(399), 16000), CFG)
+        log_mel_spectrogram(np.zeros(399), CFG)
 
 
 def test_pure_tone_argmax_bin_constant_and_contains_tone():
     t = np.arange(16000) / 16000
-    tone = Waveform(0.8 * np.sin(2 * np.pi * 1000.0 * t), 16000)
-    lms = log_mel_spectrogram(tone, CFG)
-    argmax = lms.data.argmax(axis=0)
+    lms = log_mel_spectrogram(0.8 * np.sin(2 * np.pi * 1000.0 * t), CFG)
+    argmax = lms.argmax(axis=0)
     assert np.all(argmax == argmax[0])
     # independent filterbank oracle: the winning filter must respond at 1 kHz
     fb = mel_filterbank(CFG)
@@ -181,23 +175,24 @@ def test_frontend_tables_built_once_per_config_and_read_only():
 def test_translation_by_one_frame_shift_moves_columns():
     rng = np.random.default_rng(0)
     x = rng.normal(size=16000) * 0.1
-    base = log_mel_spectrogram(Waveform(x, 16000), CFG)
-    delayed = log_mel_spectrogram(Waveform(np.concatenate([np.zeros(240), x]), 16000), CFG)
-    assert np.max(np.abs(delayed.data[:, 1 : base.s_t] - base.data[:, : base.s_t - 1])) <= 1e-9
+    base = log_mel_spectrogram(x, CFG)
+    delayed = log_mel_spectrogram(np.concatenate([np.zeros(240), x]), CFG)
+    s_t = base.shape[1]
+    assert np.max(np.abs(delayed[:, 1:s_t] - base[:, : s_t - 1])) <= 1e-9
 
 
 def test_all_entries_finite_on_random_input():
     rng = np.random.default_rng(1)
-    lms = log_mel_spectrogram(Waveform(rng.uniform(-1, 1, 8000), 16000), CFG)
-    assert np.all(np.isfinite(lms.data))
+    lms = log_mel_spectrogram(rng.uniform(-1, 1, 8000), CFG)
+    assert np.all(np.isfinite(lms))
 
 
 def test_fit_to_length_pads_and_crops():
-    w = Waveform(np.ones(100), 16000)
-    padded = fit_to_length(w, 200)
-    assert padded.samples.shape == (200,) and padded.samples.sum() == 100
-    cropped = fit_to_length(w, 50)
-    assert cropped.samples.shape == (50,) and np.all(cropped.samples == 1.0)
+    samples = np.ones(100)
+    padded = fit_to_length(samples, 200)
+    assert padded.shape == (200,) and padded.sum() == 100
+    cropped = fit_to_length(samples, 50)
+    assert cropped.shape == (50,) and np.all(cropped == 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +200,10 @@ def test_fit_to_length_pads_and_crops():
 
 
 def test_single_patch_when_sizes_match():
-    lms = LogMelSpectrogram(np.arange(12.0).reshape(3, 4))
-    seq = patch_split(lms, 3, 4, 2)
-    assert seq.grid.z == 1
-    assert np.array_equal(seq.patches[0], lms.data.ravel())
+    lms = np.arange(12.0).reshape(3, 4)
+    patches = patch_split(lms, 3, 4, 2)
+    assert patches.shape == (1, 12)
+    assert np.array_equal(patches[0], lms.ravel())
 
 
 def test_overlapping_patch_count_case():
@@ -222,7 +217,7 @@ def test_non_overlapping_patch_count_case():
 
 
 def test_patch_larger_than_spectrum_rejected():
-    lms = LogMelSpectrogram(np.zeros((8, 8)))
+    lms = np.zeros((8, 8))
     with pytest.raises(DimensionError):
         patch_split(lms, 9, 8, 1)
     with pytest.raises(DimensionError):
@@ -244,12 +239,11 @@ def test_patch_count_matches_enumeration(big_f, big_t, s_f, s_t, d):
 
 
 def test_patch_order_is_frequency_major():
-    lms = LogMelSpectrogram(np.arange(16.0).reshape(4, 4))
-    seq = patch_split(lms, 2, 2, 2)
+    patches = patch_split(np.arange(16.0).reshape(4, 4), 2, 2, 2)
     # patch 0 is top-left, patch 1 moves along time, patch 2 drops in frequency
-    assert np.array_equal(seq.patches[0], [0, 1, 4, 5])
-    assert np.array_equal(seq.patches[1], [2, 3, 6, 7])
-    assert np.array_equal(seq.patches[2], [8, 9, 12, 13])
+    assert np.array_equal(patches[0], [0, 1, 4, 5])
+    assert np.array_equal(patches[1], [2, 3, 6, 7])
+    assert np.array_equal(patches[2], [8, 9, 12, 13])
 
 
 def _patch_split_reference(data, s_f, s_t, d):
@@ -267,21 +261,21 @@ def test_patch_split_matches_double_loop(big_f, big_t, s_f, s_t, d, seed):
     # strides below the patch size make the patches overlap
     s_f, s_t = min(s_f, big_f), min(s_t, big_t)
     data = np.random.default_rng(seed).normal(size=(big_f, big_t))
-    seq = patch_split(LogMelSpectrogram(data), s_f, s_t, d)
+    patches = patch_split(data, s_f, s_t, d)
     expected = _patch_split_reference(data, s_f, s_t, d)
-    assert seq.patches.shape == (seq.grid.z, s_f * s_t) == expected.shape
-    assert seq.patches.dtype == np.float64 and seq.patches.flags.writeable
-    assert np.array_equal(seq.patches, expected)
+    assert patches.shape == (patch_counts(big_f, big_t, s_f, s_t, d).z, s_f * s_t) == expected.shape
+    assert patches.dtype == np.float64 and patches.flags.writeable
+    assert np.array_equal(patches, expected)
 
 
 def test_nonoverlapping_reassembly_is_exact():
     # d = s_f = s_t: tiles cover the cropped spectrogram exactly once
     rng = np.random.default_rng(2)
-    lms = LogMelSpectrogram(rng.normal(size=(20, 14)))
-    seq = patch_split(lms, 5, 5, 5)
-    assert (seq.grid.rows, seq.grid.cols) == (4, 2)
-    rebuilt = reassemble_patches(seq.patches, seq.grid.rows, seq.grid.cols, 5, 5)
-    assert np.array_equal(rebuilt, lms.data[:20, :10])
+    lms = rng.normal(size=(20, 14))
+    grid = patch_counts(20, 14, 5, 5, 5)
+    assert (grid.rows, grid.cols) == (4, 2)
+    rebuilt = reassemble_patches(patch_split(lms, 5, 5, 5), grid.rows, grid.cols, 5, 5)
+    assert np.array_equal(rebuilt, lms[:20, :10])
 
 
 # ---------------------------------------------------------------------------
@@ -292,21 +286,20 @@ def test_synth_deterministic():
     cfg = SynthConfig()
     a = synth_class_waveform(3, 99, cfg, CFG)
     b = synth_class_waveform(3, 99, cfg, CFG)
-    assert np.array_equal(a.samples, b.samples)
+    assert np.array_equal(a, b)
 
 
 def test_synth_instances_differ():
     cfg = SynthConfig()
     a = synth_class_waveform(3, 1, cfg, CFG)
     b = synth_class_waveform(3, 2, cfg, CFG)
-    assert not np.array_equal(a.samples, b.samples)
+    assert not np.array_equal(a, b)
 
 
 def test_synth_amplitude_bounded():
     cfg = SynthConfig()
     for c in range(cfg.num_classes):
-        w = synth_class_waveform(c, 5, cfg, CFG)
-        assert np.max(np.abs(w.samples)) <= 1.0
+        assert np.max(np.abs(synth_class_waveform(c, 5, cfg, CFG))) <= 1.0
 
 
 def test_synth_disjoint_dominant_mel_bins_without_noise():
@@ -314,15 +307,19 @@ def test_synth_disjoint_dominant_mel_bins_without_noise():
     bins = []
     for c in range(cfg.num_classes):
         lms = log_mel_spectrogram(synth_class_waveform(c, 0, cfg, CFG), CFG)
-        bins.append(int(np.argmax(lms.data.mean(axis=1))))
+        bins.append(int(np.argmax(lms.mean(axis=1))))
     assert len(set(bins)) == cfg.num_classes
 
 
 def test_synth_clip_takes_rate_and_length_from_the_frontend():
     frontend = FrontendConfig(sample_rate_hz=8000, fmax_hz=4000.0, clip_seconds=0.5)
-    w = synth_class_waveform(2, 7, SynthConfig(max_freq_hz=3000.0), frontend)
-    assert w.sample_rate_hz == 8000
-    assert w.samples.size == frontend.clip_samples == 4000
+    cfg = SynthConfig(max_freq_hz=3000.0)
+    samples = synth_class_waveform(2, 7, cfg, frontend)
+    assert samples.size == frontend.clip_samples == 4000
+    # the strongest spectral peak is the fundamental (within its 1% jitter)
+    # only if the clip is laid out at the frontend's 8 kHz
+    peak_hz = np.argmax(np.abs(np.fft.rfft(samples))) * 8000 / samples.size
+    assert abs(peak_hz - cfg.fundamental(2)) <= 0.011 * cfg.fundamental(2) + 2.0
 
 
 def test_synth_class_out_of_range():
@@ -365,4 +362,13 @@ def test_manifest_undecodable_utf8(tmp_path):
     path = tmp_path / "m.csv"
     path.write_bytes(b"path,label,split\na.wav,\xff\xfe,train\n")
     with pytest.raises(IngestionError, match="UTF-8"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("again", ["a.wav,cat,test", "./a.wav,dog,train", "sub/../a.wav,cat,train"])
+def test_manifest_path_listed_twice_rejected(tmp_path, again):
+    # one clip under two labels or in both splits would leak train into test
+    path = tmp_path / "m.csv"
+    path.write_text(f"path,label,split\na.wav,cat,train\nb.wav,cat,test\n{again}\n")
+    with pytest.raises(IngestionError, match=r"m\.csv:4: .* already listed on line 2"):
         read_manifest(path)

@@ -1,13 +1,14 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcac import cli
+from ffcac import cli, sessions
 from ffcac import encoder as enc
-from ffcac.audio import read_manifest
+from ffcac.audio import FrontendConfig, SynthConfig, load_wav, read_manifest, synth_class_waveform
 from ffcac.config import ast_base_config, default_config, load_config, parse_config_text
 from ffcac.errors import ConfigError
 
@@ -62,6 +63,23 @@ def test_synth_data_rerun_identical(tmp_path):
         assert cli.main(["synth-data", "--classes", "3", "--per-class", "4",
                          "--out", str(out), "--seed", "9"]) == 0
     assert _dir_digest(a) == _dir_digest(b)
+
+
+def test_synth_data_writes_the_synthetic_dataset(tmp_path):
+    """One manifest row per item of sessions.synthetic_dataset, in order,
+    with its label and split; each WAV holds that item's clip rounded to
+    16 bits."""
+    out = tmp_path / "data"
+    assert cli.main(["synth-data", "--classes", "3", "--per-class", "5", "--out", str(out),
+                     "--seed", "11", "--train-fraction", "0.4"]) == 0
+    synth, frontend = SynthConfig(num_classes=3, clips_per_class=5, train_per_class=2), FrontendConfig()
+    items = sessions.synthetic_dataset(3, 5, 2, 11)
+    rows = read_manifest(out / "manifest.csv")
+    assert [(r.label, r.split) for r in rows] == [(i.ref.label, i.split) for i in items]
+    for row, item in zip(rows, items, strict=True):
+        clip = synth_class_waveform(item.ref.synth_class, item.ref.synth_seed, synth, frontend)
+        expected = np.clip(np.rint(clip * 32768), -32768, 32767) / 32768
+        assert np.array_equal(load_wav(out / row.path), expected)
 
 
 def test_synth_data_zero_classes_is_config_error(tmp_path, capsys):
@@ -329,12 +347,19 @@ def _write(path, data: bytes):
     return str(path)
 
 
+# one training clip listed again under the test split and under another label
+_LISTED_TWICE = (b"path,label,split\nclass00_000.wav,class00,train\n"
+                 b"class00_000.wav,class00,test\nclass00_000.wav,class01,train\n")
+
 # subcommand -> (argv builder over a tmp dir, documented exit code)
 MALFORMED = {
     "run-unknown-key": (lambda d: ["run", "--config", _write(d / "c.cfg", b"no.such = 1\n"),
                                    "--out", str(d / "o")], 2),
     "run-not-utf8": (lambda d: ["run", "--config", _write(d / "c.cfg", b"\xff = 1\n"),
                                 "--out", str(d / "o")], 3),
+    "run-manifest-lists-a-clip-twice": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", f"data.source = manifest\ndata.manifest = {_write(d / 'm.csv', _LISTED_TWICE)}\n".encode()),
+        "--out", str(d / "o")], 3),
     "run-missing-manifest": (lambda d: ["run", "--config", _write(
         d / "c.cfg", f"data.source = manifest\ndata.manifest = {d / 'none.csv'}\n".encode()),
         "--out", str(d / "o")], 3),

@@ -261,6 +261,24 @@ def test_overflowing_extents_rejected():
         wio.parse_container(data)
 
 
+@pytest.mark.parametrize("dtype, tag, code", [("f32", 0, "<f4"), ("f64", 1, "<f8")])
+def test_zero_size_and_0d_tensors_match_the_hand_built_layout(dtype, tag, code):
+    empty, scalar = np.zeros((0, 3)), np.array(2.5)
+    data = wio.serialize_container([("e", empty), ("s", scalar)], labels=["k"], dtype=dtype)
+    expected = (wio.MAGIC + struct.pack("<I", 2)
+                + struct.pack("<H", 1) + b"e" + struct.pack("<B", 2) + struct.pack("<2Q", 0, 3)
+                + struct.pack("<B", tag) + empty.astype(code).tobytes()
+                # a 0-d value is stored as one element of rank 1
+                + struct.pack("<H", 1) + b"s" + struct.pack("<B", 1) + struct.pack("<Q", 1)
+                + struct.pack("<B", tag) + scalar.astype(code).tobytes()
+                + struct.pack("<I", 1) + struct.pack("<H", 1) + b"k")
+    assert data == expected
+    tensors, labels = wio.parse_container(data)
+    assert tensors["e"].shape == (0, 3) and tensors["e"].dtype == np.float64
+    assert tensors["s"].shape == (1,) and tensors["s"][0] == 2.5
+    assert tensors["s"].flags.writeable and labels == ["k"]
+
+
 def test_block_count_mismatch_lists_missing_names(tmp_path):
     params = enc.init_mee_params(TINY, seed=10)  # 2 blocks
     path = tmp_path / "two.weights"

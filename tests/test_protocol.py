@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -364,7 +365,15 @@ def test_report_json_deterministic_and_csv_consistent():
     j1 = sessions.report_to_json(report, cfg)
     j2 = sessions.report_to_json(sessions.run_repeated(cfg), cfg)
     assert j1 == j2
-    csv_direct = sessions.report_to_csv(report)
-    csv_rerendered = sessions.json_report_to_csv(j1)
-    assert csv_direct.splitlines()[0] == csv_rerendered.splitlines()[0]
-    assert len(csv_direct.splitlines()) == len(csv_rerendered.splitlines()) == 2 + 2 + 1
+    csv_text = sessions.json_report_to_csv(j1)
+    assert csv_text == sessions.report_to_csv(json.loads(j1))
+    # header, one row per run, then the mean and std rows, at 6 decimals
+    lines = csv_text.splitlines()
+    assert lines[0] == "run,A_0,A_1,AA,PD"
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "1", "mean", "std"]
+    expected = [run.accuracies + [run.aa, run.pd] for run in report.runs] + [
+        report.mean_accuracies + [report.mean_aa, report.mean_pd],
+        report.std_accuracies + [report.std_aa, report.std_pd],
+    ]
+    for line, values in zip(lines[1:], expected, strict=True):
+        assert line.split(",")[1:] == [f"{v:.6f}" for v in values]
