@@ -12,6 +12,8 @@ Two objects answer "which class":
 Both expose ``registry``, ``weights()`` — the (D, N) columns that
 ``predict`` scores by cosine — and ``update(E, Y, labels)``, the session
 update that returns a new classifier with the new classes registered.
+``update`` is the only way classes enter: the base session is the update
+of ``empty(...)``, a classifier with no classes.
 
 A third object, CosineHead, exists only to finetune the extractor in the
 base session: scaled cosine-softmax cross entropy, differentiable through
@@ -41,6 +43,9 @@ from .errors import (
 )
 
 RESIDUAL_RTOL = 1e-8  # solve residual bound: ||(G+lam I)W - C||_inf <= rtol*(1+||C||_inf)
+_SINGULAR_AT_ZERO = (
+    "gram matrix is singular at lam = 0; use lam > 0 (required whenever E^T E is singular)"
+)
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +152,14 @@ class RidgeState:
     registry: LabelRegistry
     _weights: np.ndarray | None = field(default=None, repr=False)
 
+    @classmethod
+    def empty(cls, dim: int, lam: float) -> "RidgeState":
+        """The memory before the base session: no classes, a zero gram."""
+        if not 0.0 <= lam < np.inf:
+            raise UsageError(f"ridge lam must be finite and >= 0, got {lam}")
+        return cls(gram=np.zeros((dim, dim)), cross=np.zeros((dim, 0)), lam=float(lam),
+                   registry=LabelRegistry())
+
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
@@ -159,108 +172,115 @@ class RidgeState:
         return update_incremental(self, E_m, Y_m, new_labels)
 
 
-def fit_base(E: np.ndarray, Y: np.ndarray, lam: float, labels=None) -> RidgeState:
-    """Closed-form fit on the base session: gram = E^T E, cross = E^T Y.
-
-    Y is one-hot, one column per base class; ``labels`` names the columns
-    (defaults to 0..N-1).
-    """
+def _session(E, Y, labels, dim):
+    """Check one session: E (n, D) embeddings, Y (n, N) one-hot targets and
+    N labels, returned as float64 arrays and a list. ``labels`` None names
+    the columns 0..N-1; ``dim`` None accepts any width."""
     E = np.asarray(E, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if E.ndim != 2 or Y.ndim != 2 or E.shape[0] != Y.shape[0]:
         raise UsageError(f"embeddings {E.shape} and targets {Y.shape} disagree")
-    if E.shape[0] < 1:
-        raise UsageError("need at least one training sample")
-    if not 0.0 <= lam < np.inf:
-        raise UsageError(f"ridge lam must be finite and >= 0, got {lam}")
-    if labels is None:
-        labels = list(range(Y.shape[1]))
+    if dim is not None and E.shape[1] != dim:
+        raise UsageError(f"embeddings of width {E.shape[1]} for a classifier of width {dim}")
+    labels = list(range(Y.shape[1]) if labels is None else labels)
     if len(labels) != Y.shape[1]:
         raise UsageError(f"{len(labels)} labels for {Y.shape[1]} target columns")
-    state = RidgeState(
-        gram=E.T @ E,
-        cross=E.T @ Y,
-        lam=float(lam),
-        registry=LabelRegistry(labels),
-    )
-    solve_weights(state)  # fail fast on singular systems
+    return E, Y, labels
+
+
+def fit_base(E: np.ndarray, Y: np.ndarray, lam: float, labels=None) -> RidgeState:
+    """The base session: the update of an empty memory, solved once to fail
+    fast on a singular system. ``labels`` defaults to 0..N-1."""
+    E = np.asarray(E, dtype=np.float64)
+    if E.ndim != 2 or E.shape[0] < 1:
+        raise UsageError(f"need at least one training sample, got embeddings {E.shape}")
+    state = update_incremental(RidgeState.empty(E.shape[1], lam), E, Y, labels)
+    solve_weights(state)
     return state
 
 
 def update_incremental(state: RidgeState, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> RidgeState:
-    """Analytic session update: register the new classes, zero-pad cross,
-    then accumulate E_m^T E_m and E_m^T Y_m. Returns a new state; the
-    cached weights are invalidated."""
-    E_m = np.asarray(E_m, dtype=np.float64).reshape(-1, state.dim)
-    new_labels = list(new_labels)
+    """Analytic session update: register the new classes, accumulate
+    E_m^T E_m into the gram and append E_m^T Y_m as their cross columns.
+    Returns a new state; the cached weights are invalidated."""
+    E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, state.dim)
     registry = state.registry.copy()
     registry.add(new_labels)
-    Y_m = np.asarray(Y_m, dtype=np.float64).reshape(E_m.shape[0], len(new_labels))
-    cross = np.zeros((state.dim, len(registry)))
-    cross[:, : state.cross.shape[1]] = state.cross
-    offset = state.cross.shape[1]
-    cross[:, offset : offset + len(new_labels)] += E_m.T @ Y_m
+    gram = E_m.T @ E_m
+    gram += state.gram
     return RidgeState(
-        gram=state.gram + E_m.T @ E_m,
-        cross=cross,
+        gram=gram,
+        cross=np.hstack([state.cross, E_m.T @ Y_m]),
         lam=state.lam,
         registry=registry,
     )
 
 
 def solve_weights(state: RidgeState) -> np.ndarray:
-    """Solve (gram + lam*I) W = cross by Cholesky; cache W on the state.
+    """Solve (gram + lam*I) W = cross (see ``_solve_shifted``); cache W on
+    the state.
 
-    If the factorization fails, retries once with a diagonal jitter of
-    1e-10 * trace(gram)/D, then raises. The returned W always satisfies
-    the residual bound ||(G+lam I)W - C||_inf <= 1e-8 * (1 + ||C||_inf).
-    W is read-only: it is the cached solution, and ``cosine_scores``
-    memoizes its column norms.
+    The returned W always satisfies the residual bound
+    ||(G+lam I)W - C||_inf <= 1e-8 * (1 + ||C||_inf). W is read-only: it is
+    the cached solution, and ``cosine_scores`` memoizes its column norms.
     """
     if state._weights is not None:
         return state._weights
     gram, lam = state.gram, state.lam
-    try:
-        factor = scipy.linalg.cho_factor(
-            _shifted(gram, lam), lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError:
-        # with lam > 0 the system is PD in exact arithmetic, so a failure
-        # is numerical: retry once with a tiny diagonal jitter
-        if lam <= 0.0:
-            raise SolverError(
-                "gram matrix is singular at lam = 0; use lam > 0 "
-                "(required whenever E^T E is singular)"
-            ) from None
-        jitter = 1e-10 * np.trace(gram) / state.dim
-        try:
-            factor = scipy.linalg.cho_factor(
-                _shifted(gram, lam, jitter), lower=True, overwrite_a=True, check_finite=False
-            )
-        except np.linalg.LinAlgError:
-            raise SolverError(
-                "gram + lam*I is not positive definite even after jitter; increase lam"
-            ) from None
-    w = scipy.linalg.cho_solve(factor, state.cross, check_finite=False)
-    residual = np.max(np.abs(gram @ w + lam * w - state.cross))
-    bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross), initial=0.0))
-    if not residual <= bound:  # a NaN residual fails too
-        raise SolverError(
-            f"normal-equation residual {residual:.3e} exceeds bound {bound:.3e}; "
-            "system too ill-conditioned, increase lam"
-        )
+    w = _solve_shifted(gram, state.cross, lam)
+    _check_residual(gram @ w + lam * w - state.cross, state.cross, lam)
     w.flags.writeable = False
     state._weights = w
     return w
 
 
-def _shifted(gram: np.ndarray, *shifts: float) -> np.ndarray:
-    """gram + s*I for each shift s in turn, as a Fortran-ordered copy that
-    cho_factor factors in place (no eye(D) temporary, no second copy)."""
-    system = gram.copy(order="F")
+def _solve_shifted(system: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (system + lam*I) X = rhs by Cholesky for a symmetric system.
+
+    If the factorization fails, retries once with a diagonal jitter of
+    1e-10 * trace(system)/n, then raises SolverError.
+    """
+    try:
+        factor = scipy.linalg.cho_factor(
+            _shifted(system, lam), lower=True, overwrite_a=True, check_finite=False
+        )
+    except np.linalg.LinAlgError:
+        # with lam > 0 the system is PD in exact arithmetic, so a failure
+        # is numerical: retry once with a tiny diagonal jitter
+        if lam <= 0.0:
+            raise SolverError(_SINGULAR_AT_ZERO) from None
+        jitter = 1e-10 * np.trace(system) / len(system)
+        try:
+            factor = scipy.linalg.cho_factor(
+                _shifted(system, lam, jitter), lower=True, overwrite_a=True, check_finite=False
+            )
+        except np.linalg.LinAlgError:
+            raise SolverError(
+                f"gram + lam*I is not positive definite at lam = {lam} even after jitter; "
+                "increase lam"
+            ) from None
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+
+
+def _check_residual(residual: np.ndarray, cross: np.ndarray, lam: float) -> None:
+    """Raise SolverError unless ||residual||_inf <= RESIDUAL_RTOL*(1 + ||cross||_inf).
+    A NaN residual fails; an empty one (no classes) passes."""
+    worst = np.max(np.abs(residual), initial=0.0)
+    bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(cross), initial=0.0))
+    if not worst <= bound:
+        raise SolverError(
+            f"normal-equation residual {worst:.3e} exceeds bound {bound:.3e} at lam = {lam}; "
+            "system too ill-conditioned, increase lam"
+        )
+
+
+def _shifted(system: np.ndarray, *shifts: float) -> np.ndarray:
+    """system + s*I for each shift s in turn, as a Fortran-ordered copy that
+    cho_factor factors in place (no eye(n) temporary, no second copy)."""
+    shifted = system.copy(order="F")
     for s in shifts:
-        system.flat[:: len(system) + 1] += s
-    return system
+        shifted.flat[:: len(shifted) + 1] += s
+    return shifted
 
 
 # (weakref to the last read-only W scored, its column denominators, its
@@ -314,6 +334,8 @@ def predict(W: np.ndarray, registry: LabelRegistry, e: np.ndarray):
     object array of labels and (n, N) scores.
     """
     scores = cosine_scores(W, e)
+    if scores.shape[-1] == 0:
+        raise ProtocolViolationError("no classes registered")
     best = np.argmax(scores, axis=-1)
     if scores.ndim == 1:
         return registry.labels[int(best)], scores
@@ -348,16 +370,13 @@ def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int
     bad = [g for g in grid if not 0.0 <= g < np.inf]
     if bad:
         raise UsageError(f"ridge lam must be finite and >= 0, got {bad[0]}")
-    E = np.asarray(E, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if E.ndim != 2 or Y.ndim != 2 or E.shape[0] != Y.shape[0]:
-        raise UsageError(f"embeddings {E.shape} and targets {Y.shape} disagree")
+    E, Y, columns = _session(E, Y, None, None)
     labels = np.argmax(Y, axis=1)
     if not 2 <= k_folds <= len(labels):
         raise UsageError(f"need 2 <= k_folds <= n, got k_folds={k_folds}, n={len(labels)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF))))
     fold_of = _stratified_folds(labels, k_folds, rng)
-    registry = LabelRegistry(range(Y.shape[1]))
+    registry = LabelRegistry(columns)
 
     correct = np.zeros(len(grid), dtype=np.int64)
     for fold in range(k_folds):
@@ -372,44 +391,25 @@ def _fold_weights(E: np.ndarray, Y: np.ndarray, grid):
     """Yield the ridge weights W = (E^T E + lam I)^(-1) E^T Y for each lam.
 
     The smaller of E E^T (n x n) and E^T E (D x D) is built once and
-    factored once per lam. With n < D the push-through identity
+    factored once per lam by ``_solve_shifted``, with the session solve's
+    jitter retry. With n < D the push-through identity
     (E^T E + lam I)^(-1) E^T Y = E^T (E E^T + lam I)^(-1) Y gives W. Each W
     must meet solve_weights' residual bound, evaluated as
     ||E^T (E W - Y) + lam W||_inf without the gram. At lam = 0 with n < D
     the gram is singular in exact arithmetic, so that lam is rejected as
     solve_weights rejects it.
     """
-    n, d = E.shape
     cross = E.T @ Y
-    bound = RESIDUAL_RTOL * (1.0 + np.max(np.abs(cross), initial=0.0))
-    kernel = n < d
+    kernel = E.shape[0] < E.shape[1]
     system = E @ E.T if kernel else E.T @ E
     rhs = Y if kernel else cross
     for lam in grid:
-        factor = None
-        if lam > 0.0 or not kernel:  # E E^T may be regular where the gram is not
-            try:
-                factor = scipy.linalg.cho_factor(
-                    system + lam * np.eye(len(system)), lower=True, check_finite=False
-                )
-            except np.linalg.LinAlgError:
-                pass
-        if factor is None:
-            if lam == 0.0:
-                raise SolverError(
-                    "gram matrix is singular at lam = 0; use lam > 0 "
-                    "(required whenever E^T E is singular)"
-                )
-            raise SolverError(f"gram + lam*I is not positive definite at lam = {lam}; increase lam")
-        w = scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+        if kernel and lam == 0.0:  # singular even where E E^T is regular
+            raise SolverError(_SINGULAR_AT_ZERO)
+        w = _solve_shifted(system, rhs, lam)
         if kernel:
             w = E.T @ w
-        residual = np.max(np.abs(E.T @ (E @ w - Y) + lam * w))
-        if not residual <= bound:  # a NaN residual fails too
-            raise SolverError(
-                f"normal-equation residual {residual:.3e} exceeds bound {bound:.3e} "
-                f"at lam = {lam}; system too ill-conditioned"
-            )
+        _check_residual(E.T @ (E @ w - Y) + lam * w, cross, lam)
         yield w
 
 
@@ -422,30 +422,26 @@ class Prototypes:
     means: np.ndarray  # (N_total, D)
     registry: LabelRegistry
 
+    @classmethod
+    def empty(cls, dim: int) -> "Prototypes":
+        """The baseline before the base session: no classes."""
+        return cls(means=np.zeros((0, dim)), registry=LabelRegistry())
+
     def weights(self) -> np.ndarray:
         """(D, N) columns scored by cosine: the class means."""
         return self.means.T
 
     def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "Prototypes":
-        """Append mean prototypes for the new classes; old rows untouched."""
-        added = prototype_fit(E_m, Y_m, list(new_labels))
+        """Append the mean embedding of each new class; old rows untouched."""
+        E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, self.means.shape[1])
+        counts = Y_m.sum(axis=0)
+        unseen = [new_labels[i] for i in np.flatnonzero(counts == 0)]
+        if unseen:
+            raise UsageError(f"classes with no samples: {unseen}")
         registry = self.registry.copy()
-        registry.add(added.registry.labels)
-        return Prototypes(means=np.vstack([self.means, added.means]), registry=registry)
-
-
-def prototype_fit(E: np.ndarray, Y: np.ndarray, labels=None) -> Prototypes:
-    """Per-class mean embeddings."""
-    E = np.asarray(E, dtype=np.float64)
-    Y = np.asarray(Y, dtype=np.float64)
-    if labels is None:
-        labels = list(range(Y.shape[1]))
-    counts = Y.sum(axis=0)
-    empty = [labels[i] for i in np.flatnonzero(counts == 0)]
-    if empty:
-        raise UsageError(f"classes with no samples: {empty}")
-    means = (Y.T @ E) / counts[:, None]
-    return Prototypes(means=means, registry=LabelRegistry(labels))
+        registry.add(new_labels)
+        means = (Y_m.T @ E_m) / counts[:, None]
+        return Prototypes(means=np.vstack([self.means, means]), registry=registry)
 
 
 # ---------------------------------------------------------------------------

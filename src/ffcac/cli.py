@@ -82,7 +82,7 @@ def cmd_run(args) -> int:
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=args.threads))
         validate_config(cfg)
-    report, last = sessions.run_repeated(cfg, keep_last=True)
+    report, last = sessions.run_repeated(cfg)
     _write_run_outputs(Path(args.out), report, cfg, last)
     accs = " ".join(f"{a:.4f}" for a in report.mean_accuracies)
     print(f"sessions: {len(report.mean_accuracies)}  mean A_m: {accs}")
@@ -110,7 +110,7 @@ def cmd_ablate(args) -> int:
                 encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion),
                 classifier=dataclasses.replace(cfg.classifier, kind=kind),
             )
-            report = sessions.run_repeated(case_cfg)
+            report, _ = sessions.run_repeated(case_cfg)
             rows.append((use_fusion, kind, report))
     header = ["fusion", "classifier"]
     n_sessions = len(rows[0][2].mean_accuracies)

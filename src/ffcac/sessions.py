@@ -259,7 +259,8 @@ def _episode_onehot(episode: Episode, labels: list[str]) -> np.ndarray:
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
                      seed: int) -> BaseSessionResult:
     """Finetune the extractor on the base episode under the scaled
-    cosine-softmax loss, then fit the classifier from the final embeddings."""
+    cosine-softmax loss, then update an empty classifier with the final
+    embeddings, as every later session updates the current one."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
     label_index = {label: i for i, label in enumerate(labels)}
@@ -289,13 +290,14 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     embeddings = pipeline.embed_batch(episode.pairs, params)
     onehot = _episode_onehot(episode, labels)
     if cfg.classifier.kind == "pbc":
-        classifier = cls.prototype_fit(embeddings, onehot, labels)
+        empty = cls.Prototypes.empty(embeddings.shape[1])
     else:
         lam = cfg.classifier.fixed_lam()
         if lam is None:
             lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
                                        cfg.classifier.cv_folds, seed)
-        classifier = cls.fit_base(embeddings, onehot, lam, labels)
+        empty = cls.RidgeState.empty(embeddings.shape[1], lam)
+    classifier = empty.update(embeddings, onehot, labels)
     return BaseSessionResult(params=params, classifier=classifier, epoch_losses=losses)
 
 
@@ -439,16 +441,10 @@ def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
     return report, base
 
 
-def run_repeated(cfg: ExperimentConfig, n_runs: int | None = None,
-                 keep_last: bool = False):
-    """``n_runs`` independent runs (seed = base_seed + r), aggregated.
-
-    Returns the ExperimentReport, or (report, last BaseSessionResult) when
-    ``keep_last`` so callers can persist the trained artifacts.
-    """
-    n_runs = cfg.run.repeats if n_runs is None else n_runs
-    if n_runs < 1:
-        raise UsageError(f"n_runs must be >= 1, got {n_runs}")
+def run_repeated(cfg: ExperimentConfig) -> tuple[ExperimentReport, BaseSessionResult]:
+    """``cfg.run.repeats`` independent runs (seed = base_seed + r),
+    aggregated, plus the last run's BaseSessionResult so callers can
+    persist the trained artifacts."""
     plan = build_plan(cfg)
     pipeline = ClipPipeline(cfg)
 
@@ -460,13 +456,10 @@ def run_repeated(cfg: ExperimentConfig, n_runs: int | None = None,
 
     if cfg.run.threads > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.run.threads) as pool:
-            results = list(pool.map(one, range(n_runs)))
+            results = list(pool.map(one, range(cfg.run.repeats)))
     else:
-        results = [one(r) for r in range(n_runs)]
-    report = aggregate_runs([r for r, _ in results])
-    if keep_last:
-        return report, results[-1][1]
-    return report
+        results = [one(r) for r in range(cfg.run.repeats)]
+    return aggregate_runs([r for r, _ in results]), results[-1][1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,30 +1,43 @@
-"""The benchmark's trace (perfbench/) times the frontend by replacing
-module attributes that ``sessions`` looks up by name. A refactor that
-calls the frontend some other way would leave those spans empty without
-any error, so this checks that each wrap point still records its span."""
+"""The benchmark's trace (perfbench/) times the frontend and the
+classifier by replacing module attributes that ``sessions`` and
+``classifiers`` look up by name. A refactor that calls them some other way
+would leave those spans empty without any error, so this checks that each
+wrap point still records its span."""
 
 import importlib
 from pathlib import Path
 
+import numpy as np
+
 from ffcac import audio, sessions
-from ffcac.config import ExperimentConfig
+from ffcac import classifiers as cls
+from ffcac.audio import SynthConfig
+from ffcac.config import ClassifierConfig, ExperimentConfig, PlanConfig, TrainConfig
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def test_frontend_wrap_points_record_one_span_per_stage(tmp_path, monkeypatch):
+def _installed(monkeypatch):
+    """perfbench's tracer with every wrap point installed (not recording)."""
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
-    workloads = importlib.import_module("workloads")
+    tracer = importlib.import_module("tracing").Tracer()
+    try:
+        importlib.import_module("workloads").install(tracer, full=True)  # raises if one is gone
+    except BaseException:
+        tracer.restore()
+        raise
+    return tracer
+
+
+def test_frontend_wrap_points_record_one_span_per_stage(tmp_path, monkeypatch):
     cfg = ExperimentConfig()
     wav = tmp_path / "clip.wav"
     audio.write_wav(wav, audio.synth_class_waveform(1, 5, cfg.synth, cfg.frontend),
                     cfg.frontend.sample_rate_hz)
     pipeline = sessions.ClipPipeline(cfg)
 
-    tracer = tracing.Tracer()
+    tracer = _installed(monkeypatch)
     try:
-        workloads.install(tracer, full=True)  # raises if a wrap point is gone
         tracer.recording = True
         pipeline.patches(sessions.ClipRef(label="a", synth_class=0, synth_seed=3))
         pipeline.patches(sessions.ClipRef(label="b", path=str(wav)))
@@ -39,3 +52,35 @@ def test_frontend_wrap_points_record_one_span_per_stage(tmp_path, monkeypatch):
     assert names.count("audio.log_mel_spectrogram") == 2
     assert names.count("audio.patch_split") == 2
     assert sessions.load_wav is audio.load_wav  # restore() put the originals back
+
+
+def test_classifier_wrap_points_record_every_update(monkeypatch):
+    cfg = ExperimentConfig(
+        train=TrainConfig(epochs=1),
+        classifier=ClassifierConfig(kind="rrc", lam="cv", cv_folds=2),
+        plan=PlanConfig(base_classes=2, inc_classes=2, sessions=2, shots=2),
+        synth=SynthConfig(num_classes=6, clips_per_class=3, train_per_class=2),
+    )
+    plan, pipeline = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
+    original = cls.update_incremental
+
+    tracer = _installed(monkeypatch)
+    try:
+        tracer.recording = True
+        sessions.run_single(cfg, cfg.run.seed, plan, pipeline)
+        names = [span[1] for span in tracer.spans]
+        del tracer.spans[:]
+        cls.fit_base(np.eye(3), np.eye(3), 0.1)
+        tracer.recording = False
+    finally:
+        tracer.restore()
+
+    # the base fit is the update of an empty memory, then one per session
+    assert names.count("classifiers.update_incremental") == 1 + cfg.plan.sessions
+    assert names.count("classifiers.select_lambda_cv") == 1
+    assert names.count("classifiers.fit_base") == 0
+    assert names.count("sessions.run_incremental_session") == cfg.plan.sessions
+    fit_names = [span[1] for span in tracer.spans]
+    assert fit_names.count("classifiers.fit_base") == 1
+    assert fit_names.count("classifiers.update_incremental") == 1
+    assert cls.update_incremental is original  # restore() put the original back

@@ -164,6 +164,37 @@ def test_update_with_empty_session_grows_registry_only():
     assert np.all(grown.cross[:, 2] == 0.0)
 
 
+# sessions no classifier can take: (embeddings, targets, labels) for a
+# memory of width 4
+_MALFORMED_SESSIONS = [
+    ("width-2-rows-read-as-width-4", np.ones((6, 2)), np.ones((3, 1)), ["x"]),
+    ("fewer-targets-than-rows", np.ones((3, 4)), np.ones((2, 1)), ["x"]),
+    ("one-dimensional-embeddings", np.ones(4), np.ones((1, 1)), ["x"]),
+    ("one-dimensional-targets", np.ones((3, 4)), np.ones(3), ["x"]),
+    ("more-labels-than-columns", np.ones((4, 4)), np.eye(2)[[0, 1, 0, 1]], ["x", "y", "z"]),
+    ("fewer-labels-than-columns", np.ones((3, 4)), np.eye(3), ["x", "y"]),
+    ("width-5-rows", np.ones((3, 5)), np.ones((3, 1)), ["x"]),
+]
+
+_SESSION_TARGETS = {
+    "RidgeState.update": lambda e, y, labels: cls.fit_base(
+        np.eye(4), np.eye(4), 0.1, list("abcd")).update(e, y, labels),
+    "Prototypes.update": lambda e, y, labels: cls.Prototypes.empty(4).update(
+        np.eye(4), np.eye(4), list("abcd")).update(e, y, labels),
+    "fit_base": lambda e, y, labels: cls.fit_base(e, y, 0.1, labels),
+}
+
+
+@pytest.mark.parametrize("target, e, y, labels", [
+    pytest.param(target, e, y, labels, id=f"{target}-{name}")
+    for target in _SESSION_TARGETS for name, e, y, labels in _MALFORMED_SESSIONS
+    if not (target == "fit_base" and name == "width-5-rows")  # a valid base session
+])
+def test_malformed_session_rejected(target, e, y, labels):
+    with pytest.raises(UsageError):
+        _SESSION_TARGETS[target](e, y, labels)
+
+
 def test_one_dimensional_hand_case():
     state = cls.fit_base(np.array([[2.0]]), np.array([[1.0]]), 0.0, labels=["a"])
     state = cls.update_incremental(state, np.array([[1.0]]), np.array([[1.0]]), ["b"])
@@ -281,26 +312,66 @@ def _state(lam, dim=12, seed=61):
     return cls.RidgeState(gram=e.T @ e, cross=e.T @ y, lam=lam, registry=cls.LabelRegistry(range(3)))
 
 
+def _cv_data(dim, seed=61):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(36, dim)), np.eye(3)[np.arange(36) % 3]
+
+
+# each Cholesky path at lam: the session solve and lam-CV, whose 2 folds
+# train on 18 rows, so D = 30 factors the 18 x 18 kernel, D = 12 the gram
+_SOLVES = {
+    "solve_weights": lambda lam: cls.solve_weights(_state(lam)),
+    "cv-n<D": lambda lam: cls.select_lambda_cv(*_cv_data(30), [lam, 10.0], k_folds=2, seed=0),
+    "cv-n>=D": lambda lam: cls.select_lambda_cv(*_cv_data(12), [lam, 10.0], k_folds=2, seed=0),
+}
+
+
 def test_solve_retries_once_with_jitter(monkeypatch):
-    state, lam = _state(0.1), 0.1
-    jitter = 1e-10 * np.trace(state.gram) / state.dim
-    seen = _flaky_cho_factor(monkeypatch, failures=1)
-    w = cls.solve_weights(state)
-    assert len(seen) == 2
-    assert np.array_equal(np.diag(seen[1]), np.diag(state.gram) + lam + jitter)
-    residual = np.max(np.abs((state.gram + lam * np.eye(state.dim)) @ w - state.cross))
-    assert residual <= cls.RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross)))
-    monkeypatch.undo()
-    assert np.allclose(w, cls.solve_weights(_state(lam + jitter)), rtol=0.0, atol=1e-14)
+    lam = 0.1
+    for solve, size in (("solve_weights", 12), ("cv-n<D", 18), ("cv-n>=D", 12)):
+        clean = _flaky_cho_factor(monkeypatch, failures=0)
+        expected = _SOLVES[solve](lam)
+        monkeypatch.undo()
+        seen = _flaky_cho_factor(monkeypatch, failures=1)
+        result = _SOLVES[solve](lam)
+        monkeypatch.undo()
+        assert len(seen) == len(clean) + 1
+        first, retry = seen[0], seen[1]
+        assert first.shape == (size, size)
+        off_diagonal = ~np.eye(size, dtype=bool)
+        assert np.array_equal(retry[off_diagonal], first[off_diagonal])
+        jitter = 1e-10 * (np.trace(first) - size * lam) / size
+        assert np.allclose(np.diag(retry) - np.diag(first), jitter, rtol=1e-4, atol=0.0)
+        if solve != "solve_weights":
+            assert result == expected  # the retried fold picks the same lam
+            continue
+        state = _state(lam)
+        jitter = 1e-10 * np.trace(state.gram) / state.dim
+        assert np.array_equal(np.diag(retry), np.diag(state.gram) + lam + jitter)
+        residual = np.max(np.abs((state.gram + lam * np.eye(state.dim)) @ result - state.cross))
+        assert residual <= cls.RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross)))
+        assert np.allclose(result, cls.solve_weights(_state(lam + jitter)), rtol=0.0, atol=1e-14)
 
 
 def test_solve_fails_when_jitter_does_not_help(monkeypatch):
-    _flaky_cho_factor(monkeypatch, failures=2)
-    with pytest.raises(SolverError, match="even after jitter"):
-        cls.solve_weights(_state(0.1))
-    _flaky_cho_factor(monkeypatch, failures=1)
-    with pytest.raises(SolverError, match="singular at lam = 0"):
-        cls.solve_weights(_state(0.0))
+    for solve in _SOLVES.values():
+        _flaky_cho_factor(monkeypatch, failures=2)
+        with pytest.raises(SolverError, match="even after jitter"):
+            solve(0.1)
+        _flaky_cho_factor(monkeypatch, failures=1)
+        with pytest.raises(SolverError, match="singular at lam = 0"):
+            solve(0.0)
+        monkeypatch.undo()
+
+
+def test_empty_memory_solves_to_no_columns_that_predict_refuses(tmp_path):
+    empty = cls.RidgeState.empty(2, 0.1)
+    saved = cls.load_state(_saved_state(tmp_path, GOOD_GRAM, np.zeros((2, 0)), [0.1], []))
+    for weights in (empty.weights(), saved.weights(), cls.Prototypes.empty(2).weights()):
+        assert weights.shape == (2, 0)
+        for query in (np.ones(2), np.ones((3, 2))):
+            with pytest.raises(ProtocolViolationError, match="no classes registered"):
+                cls.predict(weights, cls.LabelRegistry(), query)
 
 
 def test_solve_cache_stable():
@@ -631,24 +702,25 @@ def test_cv_checks_the_residual_bound(monkeypatch, dim):
 
 def test_prototype_single_sample_is_itself():
     e = np.array([[1.0, 2.0], [3.0, 4.0]])
-    protos = cls.prototype_fit(e, np.eye(2), labels=["a", "b"])
+    protos = cls.Prototypes.empty(2).update(e, np.eye(2), ["a", "b"])
     assert np.array_equal(protos.means, e)
 
 
 def test_prototype_mean():
     e = np.array([[1.0, 0.0], [0.0, 1.0]])
-    protos = cls.prototype_fit(e, np.ones((2, 1)), labels=["only"])
+    protos = cls.Prototypes.empty(2).update(e, np.ones((2, 1)), ["only"])
     assert np.allclose(protos.means, [[0.5, 0.5]])
 
 
 def test_prototype_empty_class_rejected():
     with pytest.raises(UsageError, match="no samples"):
-        cls.prototype_fit(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), labels=["a", "b"])
+        cls.Prototypes.empty(2).update(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), ["a", "b"])
 
 
 def test_prototype_predict_scale_invariant():
     rng = np.random.default_rng(37)
-    protos = cls.prototype_fit(rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, 6)])
+    protos = cls.Prototypes.empty(4).update(rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, 6)],
+                                         range(3))
     e = rng.normal(size=4)
     w = protos.weights()
     assert w.shape == (4, 3)
@@ -656,7 +728,7 @@ def test_prototype_predict_scale_invariant():
 
 
 def test_prototype_update_appends():
-    protos = cls.prototype_fit(np.eye(2), np.eye(2), labels=["a", "b"])
+    protos = cls.Prototypes.empty(2).update(np.eye(2), np.eye(2), ["a", "b"])
     grown = protos.update(np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
     assert grown.registry.labels == ("a", "b", "c")
     assert np.array_equal(grown.means[:2], protos.means)

@@ -230,7 +230,7 @@ def _hand_plan():
 def test_evaluate_scores_hand_made_embeddings():
     plan = _hand_plan()
     assert [r.label for r in sessions.union_test_refs(plan, 1)] == ["a", "a", "b", "c", "c"]
-    protos = cls.prototype_fit(np.eye(3)[:2], np.eye(2), ["a", "b"])  # a = e0, b = e1
+    protos = cls.Prototypes.empty(3).update(np.eye(3)[:2], np.eye(2), ["a", "b"])  # a = e0, b = e1
     # rows: a0 right, a1 wrong (-> b), b0 right, c0 (-> c once registered), c1 wrong (-> a)
     embedded = np.array([[1.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.0, 1.0, 0.3],
                          [0.0, 0.2, 1.0], [1.0, 0.0, 0.5]])
@@ -340,7 +340,7 @@ def test_default_repeat_count_is_one_hundred():
 
 def test_run_repeated_aggregates_and_reports():
     cfg = desk_config(epochs=1, repeats=2)
-    report = sessions.run_repeated(cfg)
+    report, _ = sessions.run_repeated(cfg)
     assert len(report.runs) == 2
     assert [r.seed for r in report.runs] == [7, 8]
     for run in report.runs:
@@ -352,8 +352,8 @@ def test_run_repeated_aggregates_and_reports():
 
 def test_run_repeated_threads_match_serial():
     cfg = desk_config(epochs=1, repeats=2)
-    serial = sessions.run_repeated(cfg)
-    threaded = sessions.run_repeated(
+    serial, _ = sessions.run_repeated(cfg)
+    threaded, _ = sessions.run_repeated(
         dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=2)))
     assert serial.mean_accuracies == threaded.mean_accuracies
     assert [r.accuracies for r in serial.runs] == [r.accuracies for r in threaded.runs]
@@ -361,9 +361,9 @@ def test_run_repeated_threads_match_serial():
 
 def test_report_json_deterministic_and_csv_consistent():
     cfg = desk_config(epochs=1, repeats=2)
-    report = sessions.run_repeated(cfg)
+    report, _ = sessions.run_repeated(cfg)
     j1 = sessions.report_to_json(report, cfg)
-    j2 = sessions.report_to_json(sessions.run_repeated(cfg), cfg)
+    j2 = sessions.report_to_json(sessions.run_repeated(cfg)[0], cfg)
     assert j1 == j2
     csv_text = sessions.json_report_to_csv(j1)
     assert csv_text == sessions.report_to_csv(json.loads(j1))
