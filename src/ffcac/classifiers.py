@@ -154,11 +154,12 @@ class RidgeState:
 
     @classmethod
     def empty(cls, dim: int, lam: float) -> "RidgeState":
-        """The memory before the base session: no classes, a zero gram."""
+        """The memory before the base session: no classes, a zero gram (a
+        read-only broadcast, which the first update only reads)."""
         if not 0.0 <= lam < np.inf:
             raise UsageError(f"ridge lam must be finite and >= 0, got {lam}")
-        return cls(gram=np.zeros((dim, dim)), cross=np.zeros((dim, 0)), lam=float(lam),
-                   registry=LabelRegistry())
+        return cls(gram=np.broadcast_to(0.0, (dim, dim)), cross=np.zeros((dim, 0)),
+                   lam=float(lam), registry=LabelRegistry())
 
     @property
     def dim(self) -> int:
@@ -240,26 +241,21 @@ def _solve_shifted(system: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarra
     If the factorization fails, retries once with a diagonal jitter of
     1e-10 * trace(system)/n, then raises SolverError.
     """
-    try:
-        factor = scipy.linalg.cho_factor(
-            _shifted(system, lam), lower=True, overwrite_a=True, check_finite=False
-        )
-    except np.linalg.LinAlgError:
-        # with lam > 0 the system is PD in exact arithmetic, so a failure
-        # is numerical: retry once with a tiny diagonal jitter
-        if lam <= 0.0:
-            raise SolverError(_SINGULAR_AT_ZERO) from None
-        jitter = 1e-10 * np.trace(system) / len(system)
+    for retry in (False, True):
+        shifts = (lam, 1e-10 * np.trace(system) / len(system)) if retry else (lam,)
         try:
             factor = scipy.linalg.cho_factor(
-                _shifted(system, lam, jitter), lower=True, overwrite_a=True, check_finite=False
+                _shifted(system, *shifts), lower=True, overwrite_a=True, check_finite=False
             )
+            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
         except np.linalg.LinAlgError:
-            raise SolverError(
-                f"gram + lam*I is not positive definite at lam = {lam} even after jitter; "
-                "increase lam"
-            ) from None
-    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            # with lam > 0 the system is PD in exact arithmetic, so a failure
+            # is numerical: retry once with a tiny diagonal jitter
+            if lam <= 0.0:
+                raise SolverError(_SINGULAR_AT_ZERO) from None
+    raise SolverError(
+        f"gram + lam*I is not positive definite at lam = {lam} even after jitter; increase lam"
+    )
 
 
 def _check_residual(residual: np.ndarray, cross: np.ndarray, lam: float) -> None:
@@ -448,21 +444,22 @@ class Prototypes:
 # serialization
 
 
-def serialize_state(state: RidgeState) -> bytes:
+def state_parts(state: RidgeState) -> list:
     """Ridge state in the weight-container format (f64: the accumulated
     matrices are the learning memory and must survive round trips at the
-    tolerances of the incremental/batch equivalence)."""
+    tolerances of the incremental/batch equivalence), as buffers that view
+    the gram and cross; ``b"".join`` gives the container bytes."""
     tensors = [
         ("gram", state.gram),
         ("cross", state.cross),
         ("lambda", np.array([state.lam])),
     ]
-    return weights_io.serialize_container(tensors, labels=state.registry.labels, dtype="f64")
+    return weights_io.container_parts(tensors, labels=state.registry.labels, dtype="f64")
 
 
 def save_state(path, state: RidgeState) -> None:
     with open(path, "wb") as fh:
-        fh.write(serialize_state(state))
+        fh.writelines(state_parts(state))
 
 
 def load_state(path) -> RidgeState:
@@ -502,4 +499,7 @@ def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -
 
 
 def state_checksum(state: RidgeState) -> str:
-    return hashlib.sha256(serialize_state(state)).hexdigest()
+    digest = hashlib.sha256()
+    for part in state_parts(state):
+        digest.update(part)
+    return digest.hexdigest()

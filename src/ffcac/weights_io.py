@@ -20,7 +20,9 @@ disk; in-memory math stays f64.
 
 from __future__ import annotations
 
+import io
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -35,6 +37,12 @@ _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
 
 def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
     """Encode named float arrays (+ optional label table) to bytes."""
+    return b"".join(container_parts(tensors, labels, dtype))
+
+
+def container_parts(tensors, labels=(), dtype: str = "f32") -> list:
+    """The container as buffers, tensor values as views: writing or hashing
+    them in turn skips the joined copy."""
     if dtype not in _DTYPE_TAGS:
         raise WeightsFormatError(f"unsupported container dtype {dtype!r}")
     tag = _DTYPE_TAGS[dtype]
@@ -47,49 +55,43 @@ def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
         seen.add(name)
         raw_name = name.encode("utf-8")
         values = np.ascontiguousarray(values, dtype=np_dtype)
-        parts.append(struct.pack("<H", len(raw_name)))
-        parts.append(raw_name)
-        parts.append(struct.pack("<B", values.ndim))
-        parts.append(struct.pack(f"<{values.ndim}Q", *values.shape))
-        parts.append(struct.pack("<B", tag))
-        parts.append(values.reshape(-1).view(np.uint8))  # a view: the join below is the one copy
+        parts += [struct.pack("<H", len(raw_name)), raw_name,
+                  struct.pack(f"<B{values.ndim}QB", values.ndim, *values.shape, tag),
+                  values.reshape(-1).view(np.uint8)]
     parts.append(struct.pack("<I", len(labels)))
     for label in labels:
         raw = str(label).encode("utf-8")
-        parts.append(struct.pack("<H", len(raw)))
-        parts.append(raw)
-    return b"".join(parts)
+        parts += [struct.pack("<H", len(raw)), raw]
+    return parts
 
 
 class _Cursor:
-    """Reads through a memoryview, so ``take`` slices without copying."""
+    """Reads a container from a binary file of ``size`` bytes; tensor values
+    go from the file straight into their arrays."""
 
-    def __init__(self, data: bytes):
-        self.data = memoryview(data)
-        self.pos = 0
+    def __init__(self, fh, size: int):
+        self.fh, self.size, self.pos = fh, size, 0
 
-    def take(self, n: int) -> memoryview:
-        if self.pos + n > len(self.data):
+    def take(self, n: int, dtype: np.dtype | None = None):
+        """The next n bytes, as a bytearray or, given ``dtype``, a new array."""
+        if self.pos + n > self.size:
             raise WeightsFormatError(
                 f"truncated container: wanted {n} bytes at offset {self.pos}, "
-                f"have {len(self.data) - self.pos}"
+                f"have {self.size - self.pos}"
             )
-        out = self.data[self.pos : self.pos + n]
+        out = bytearray(n) if dtype is None else np.empty(n // dtype.itemsize, dtype=dtype)
+        if self.fh.readinto(out) != n:  # the file shrank after its size was taken
+            raise WeightsFormatError(f"truncated container: file shrank at offset {self.pos}")
         self.pos += n
         return out
 
-    def u8(self) -> int:
-        return self.take(1)[0]
-
-    def u16(self) -> int:
-        return struct.unpack("<H", self.take(2))[0]
-
-    def u32(self) -> int:
-        return struct.unpack("<I", self.take(4))[0]
+    def uint(self, fmt: str) -> int:
+        """One little-endian unsigned integer of struct format ``fmt``."""
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))[0]
 
     def text(self) -> str:
         """A u16 byte length, then that many UTF-8 bytes."""
-        raw = self.take(self.u16())
+        raw = self.take(self.uint("<H"))
         try:
             return str(raw, "utf-8")
         except UnicodeDecodeError as e:
@@ -100,31 +102,35 @@ class _Cursor:
 
 def parse_container(data: bytes) -> tuple[dict[str, np.ndarray], list[str]]:
     """Decode container bytes; tensors come back as float64 arrays."""
-    cur = _Cursor(data)
+    return _read_container(io.BytesIO(data), len(data))
+
+
+def _read_container(fh, size: int) -> tuple[dict[str, np.ndarray], list[str]]:
+    cur = _Cursor(fh, size)
     if cur.take(len(MAGIC)) != MAGIC:
         raise WeightsFormatError("bad magic: not a weight container")
     tensors: dict[str, np.ndarray] = {}
-    for _ in range(cur.u32()):
+    for _ in range(cur.uint("<I")):
         name = cur.text()
         if name in tensors:
             raise WeightsFormatError(f"duplicate tensor name {name!r}")
-        rank = cur.u8()
+        rank = cur.uint("<B")
         shape = struct.unpack(f"<{rank}Q", cur.take(8 * rank))
-        tag = cur.u8()
+        tag = cur.uint("<B")
         if tag not in _TAG_DTYPES:
             raise WeightsFormatError(f"unknown dtype tag {tag} for tensor {name!r}")
         np_dtype = _TAG_DTYPES[tag]
         # exact integer product: extents whose product overflows int64 must
         # read as a truncated container, not wrap round to a small count
-        raw = cur.take(math.prod(shape) * np_dtype.itemsize)
+        values = cur.take(math.prod(shape) * np_dtype.itemsize, np_dtype)
         try:
-            values = np.frombuffer(raw, dtype=np_dtype).reshape(shape)
+            values = values.reshape(shape)
         except ValueError:
             raise WeightsFormatError(f"tensor {name!r} has unusable extents {shape}") from None
-        tensors[name] = values.astype(np.float64)
-    labels = [cur.text() for _ in range(cur.u32())]
-    if cur.pos != len(data):
-        raise WeightsFormatError(f"{len(data) - cur.pos} trailing bytes after container")
+        tensors[name] = values.astype(np.float64, copy=False)
+    labels = [cur.text() for _ in range(cur.uint("<I"))]
+    if cur.pos != size:
+        raise WeightsFormatError(f"{size - cur.pos} trailing bytes after container")
     return tensors, labels
 
 
@@ -132,4 +138,5 @@ def load_container(path) -> tuple[dict[str, np.ndarray], list[str]]:
     path = Path(path)
     if not path.exists():
         raise IngestionError(f"{path}: no such file")
-    return parse_container(path.read_bytes())
+    with path.open("rb") as fh:
+        return _read_container(fh, os.fstat(fh.fileno()).st_size)

@@ -1,4 +1,5 @@
 import concurrent.futures
+import hashlib
 import sys
 
 import numpy as np
@@ -771,7 +772,16 @@ def test_state_round_trip(tmp_path):
                          labels=["a", "b", "c"])
     path = tmp_path / "clf.weights"
     cls.save_state(path, state)
+    # saving and hashing go piece by piece, yet see the container bytes
+    data = b"".join(cls.state_parts(state))
+    assert path.read_bytes() == data
+    assert cls.state_checksum(state) == hashlib.sha256(data).hexdigest()
     loaded = cls.load_state(path)
+    (from_file, file_labels), (from_bytes, byte_labels) = (
+        wio.load_container(path), wio.parse_container(path.read_bytes()))
+    assert file_labels == byte_labels == ["a", "b", "c"]
+    assert from_file.keys() == from_bytes.keys()
+    assert all(np.array_equal(from_file[k], from_bytes[k]) for k in from_bytes)
     assert np.array_equal(loaded.gram, state.gram)
     assert np.array_equal(loaded.cross, state.cross)
     assert loaded.lam == state.lam
@@ -836,10 +846,10 @@ def test_load_state_rejects_undecodable_label(tmp_path):
         cls.load_state(path)
 
 
-_FUZZ_STATE = cls.serialize_state(cls.fit_base(
+_FUZZ_STATE = b"".join(cls.state_parts(cls.fit_base(
     np.random.default_rng(59).normal(size=(8, 2)), np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]], 0.25,
     labels=["a", "b", "é"],
-))
+)))
 
 
 @settings(max_examples=300, deadline=None)
