@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, IngestionError
+from .weights_io import MAX_TEXT_BYTES
 
 PCM_FULL_SCALE = 32768.0  # 16-bit two's complement
 
@@ -303,6 +304,8 @@ def read_manifest(path) -> list[ManifestRow]:
         p, label, split = row
         if split not in VALID_SPLITS:
             raise IngestionError(f"{path}:{ln}: split must be train or test, got {split!r}")
+        if len(label.encode("utf-8")) > MAX_TEXT_BYTES:  # the classifier container's limit
+            raise IngestionError(f"{path}:{ln}: label longer than {MAX_TEXT_BYTES} UTF-8 bytes")
         first = listed.setdefault(os.path.normpath(p), ln)
         if first != ln:
             raise IngestionError(f"{path}:{ln}: {p!r} is already listed on line {first}")

@@ -9,9 +9,10 @@ Two objects answer "which class":
 * Prototypes — per-class mean embeddings scored by cosine (ablation
   baseline).
 
-Both expose ``registry``, ``weights()`` — the (D, N) columns that
-``predict`` scores by cosine — and ``update(E, Y, labels)``, the session
-update that returns a new classifier with the new classes registered.
+Both expose ``registry``, the tuple of labels in column order,
+``weights()`` — the (D, N) columns that ``predict`` scores by cosine — and
+``update(E, Y, labels)``, the session update that returns a new classifier
+with the new labels appended.
 ``update`` is the only way classes enter: the base session is the update
 of ``empty(...)``, a classifier with no classes.
 
@@ -94,50 +95,6 @@ def cosine_loss(e_batch: Tensor, labels, head: CosineHead) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# label registry
-
-
-class LabelRegistry:
-    """Append-only label -> column-index map; indices never change."""
-
-    def __init__(self, labels=()):
-        self._labels: list = []
-        self._index: dict = {}
-        if labels:
-            self.add(labels)
-
-    def add(self, labels) -> None:
-        labels = list(labels)
-        dup = [l for l in labels if l in self._index]
-        if dup:
-            raise ProtocolViolationError(f"labels already registered: {dup}")
-        if len(set(labels)) != len(labels):
-            raise ProtocolViolationError(f"duplicate labels within one session: {labels}")
-        for l in labels:
-            self._index[l] = len(self._labels)
-            self._labels.append(l)
-
-    def index_of(self, label) -> int:
-        try:
-            return self._index[label]
-        except KeyError:
-            raise ProtocolViolationError(f"label {label!r} not registered") from None
-
-    def __contains__(self, label) -> bool:
-        return label in self._index
-
-    def __len__(self) -> int:
-        return len(self._labels)
-
-    @property
-    def labels(self) -> tuple:
-        return tuple(self._labels)
-
-    def copy(self) -> "LabelRegistry":
-        return LabelRegistry(self._labels)
-
-
-# ---------------------------------------------------------------------------
 # ridge regression classifier
 
 
@@ -149,7 +106,7 @@ class RidgeState:
     gram: np.ndarray  # (D, D)
     cross: np.ndarray  # (D, N_total)
     lam: float
-    registry: LabelRegistry
+    registry: tuple  # the N_total labels, in column order
     _weights: np.ndarray | None = field(default=None, repr=False)
 
     @classmethod
@@ -159,7 +116,7 @@ class RidgeState:
         if not 0.0 <= lam < np.inf:
             raise UsageError(f"ridge lam must be finite and >= 0, got {lam}")
         return cls(gram=np.broadcast_to(0.0, (dim, dim)), cross=np.zeros((dim, 0)),
-                   lam=float(lam), registry=LabelRegistry())
+                   lam=float(lam), registry=())
 
     @property
     def dim(self) -> int:
@@ -173,10 +130,11 @@ class RidgeState:
         return update_incremental(self, E_m, Y_m, new_labels)
 
 
-def _session(E, Y, labels, dim):
+def _session(E, Y, labels, dim, registered=()):
     """Check one session: E (n, D) embeddings, Y (n, N) one-hot targets and
-    N labels, returned as float64 arrays and a list. ``labels`` None names
-    the columns 0..N-1; ``dim`` None accepts any width."""
+    N new labels, none of them in ``registered`` or given twice; returned
+    as float64 arrays and a tuple. ``labels`` None names the columns
+    0..N-1; ``dim`` None accepts any width."""
     E = np.asarray(E, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if E.ndim != 2 or Y.ndim != 2 or E.shape[0] != Y.shape[0]:
@@ -186,7 +144,12 @@ def _session(E, Y, labels, dim):
     labels = list(range(Y.shape[1]) if labels is None else labels)
     if len(labels) != Y.shape[1]:
         raise UsageError(f"{len(labels)} labels for {Y.shape[1]} target columns")
-    return E, Y, labels
+    dup = [l for l in labels if l in registered]
+    if dup:
+        raise ProtocolViolationError(f"labels already registered: {dup}")
+    if len(set(labels)) != len(labels):
+        raise ProtocolViolationError(f"duplicate labels within one session: {labels}")
+    return E, Y, tuple(labels)
 
 
 def fit_base(E: np.ndarray, Y: np.ndarray, lam: float, labels=None) -> RidgeState:
@@ -201,19 +164,17 @@ def fit_base(E: np.ndarray, Y: np.ndarray, lam: float, labels=None) -> RidgeStat
 
 
 def update_incremental(state: RidgeState, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> RidgeState:
-    """Analytic session update: register the new classes, accumulate
+    """Analytic session update: append the new labels, accumulate
     E_m^T E_m into the gram and append E_m^T Y_m as their cross columns.
     Returns a new state; the cached weights are invalidated."""
-    E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, state.dim)
-    registry = state.registry.copy()
-    registry.add(new_labels)
+    E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, state.dim, state.registry)
     gram = E_m.T @ E_m
     gram += state.gram
     return RidgeState(
         gram=gram,
         cross=np.hstack([state.cross, E_m.T @ Y_m]),
         lam=state.lam,
-        registry=registry,
+        registry=state.registry + new_labels,
     )
 
 
@@ -323,8 +284,9 @@ def cosine_scores(W: np.ndarray, e: np.ndarray) -> np.ndarray:
     return scores
 
 
-def predict(W: np.ndarray, registry: LabelRegistry, e: np.ndarray):
-    """Argmax cosine class (ties -> lowest registry index) plus the scores.
+def predict(W: np.ndarray, registry: tuple, e: np.ndarray):
+    """Argmax cosine class (ties -> lowest column) plus the scores;
+    ``registry`` holds the label of each column of W.
 
     One (D,) row gives (label, (N,) scores); an (n, D) matrix gives an (n,)
     object array of labels and (n, N) scores.
@@ -334,8 +296,8 @@ def predict(W: np.ndarray, registry: LabelRegistry, e: np.ndarray):
         raise ProtocolViolationError("no classes registered")
     best = np.argmax(scores, axis=-1)
     if scores.ndim == 1:
-        return registry.labels[int(best)], scores
-    return np.array(registry.labels, dtype=object)[best], scores
+        return registry[int(best)], scores
+    return np.array(registry, dtype=object)[best], scores
 
 
 def _stratified_folds(labels: np.ndarray, k_folds: int, rng: np.random.Generator) -> np.ndarray:
@@ -372,13 +334,12 @@ def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int
         raise UsageError(f"need 2 <= k_folds <= n, got k_folds={k_folds}, n={len(labels)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF))))
     fold_of = _stratified_folds(labels, k_folds, rng)
-    registry = LabelRegistry(columns)
 
     correct = np.zeros(len(grid), dtype=np.int64)
     for fold in range(k_folds):
         train = fold_of != fold
         for i, w in enumerate(_fold_weights(E[train], Y[train], grid)):
-            pred, _ = predict(w, registry, E[~train])
+            pred, _ = predict(w, columns, E[~train])
             correct[i] += np.sum(pred == labels[~train])
     return grid[int(np.argmax(correct))]  # first maximum: the smaller lam
 
@@ -416,12 +377,12 @@ def _fold_weights(E: np.ndarray, Y: np.ndarray, grid):
 @dataclass
 class Prototypes:
     means: np.ndarray  # (N_total, D)
-    registry: LabelRegistry
+    registry: tuple  # the N_total labels, in row order
 
     @classmethod
     def empty(cls, dim: int) -> "Prototypes":
         """The baseline before the base session: no classes."""
-        return cls(means=np.zeros((0, dim)), registry=LabelRegistry())
+        return cls(means=np.zeros((0, dim)), registry=())
 
     def weights(self) -> np.ndarray:
         """(D, N) columns scored by cosine: the class means."""
@@ -429,15 +390,13 @@ class Prototypes:
 
     def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "Prototypes":
         """Append the mean embedding of each new class; old rows untouched."""
-        E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, self.means.shape[1])
+        E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, self.means.shape[1], self.registry)
         counts = Y_m.sum(axis=0)
         unseen = [new_labels[i] for i in np.flatnonzero(counts == 0)]
         if unseen:
             raise UsageError(f"classes with no samples: {unseen}")
-        registry = self.registry.copy()
-        registry.add(new_labels)
         means = (Y_m.T @ E_m) / counts[:, None]
-        return Prototypes(means=np.vstack([self.means, means]), registry=registry)
+        return Prototypes(means=np.vstack([self.means, means]), registry=self.registry + new_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -454,12 +413,13 @@ def state_parts(state: RidgeState) -> list:
         ("cross", state.cross),
         ("lambda", np.array([state.lam])),
     ]
-    return weights_io.container_parts(tensors, labels=state.registry.labels, dtype="f64")
+    return weights_io.container_parts(tensors, labels=state.registry, dtype="f64")
 
 
 def save_state(path, state: RidgeState) -> None:
+    parts = state_parts(state)  # before the open: a bad state leaves the file as it was
     with open(path, "wb") as fh:
-        fh.writelines(state_parts(state))
+        fh.writelines(parts)
 
 
 def load_state(path) -> RidgeState:
@@ -469,7 +429,7 @@ def load_state(path) -> RidgeState:
             raise WeightsShapeError(f"classifier container missing tensor {required!r}")
     gram, cross, lam = tensors["gram"], tensors["cross"], tensors["lambda"]
     _check_state(gram, cross, lam, labels)
-    return RidgeState(gram=gram, cross=cross, lam=float(lam[0]), registry=LabelRegistry(labels))
+    return RidgeState(gram=gram, cross=cross, lam=float(lam[0]), registry=tuple(labels))
 
 
 def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -> None:

@@ -73,6 +73,8 @@ def _write_run_outputs(out: Path, report, cfg, last) -> None:
         enc.save_params(out / "mee.weights", last.params)
         if isinstance(last.classifier, cls.RidgeState):
             cls.save_state(out / "classifier.weights", last.classifier)
+        else:  # pbc saves no memory: an earlier run's must not outlive it here
+            (out / "classifier.weights").unlink(missing_ok=True)
     except OSError as e:
         raise IngestionError(f"cannot write outputs to {out}: {e}") from e
 

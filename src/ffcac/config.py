@@ -164,6 +164,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
     base = base or ExperimentConfig()
     overrides: dict[str, dict[str, object]] = {}
     problems: list[str] = []
+    set_on: dict[str, int] = {}  # key -> line setting it
     for ln, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -175,6 +176,10 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
         key, raw = key.strip(), raw.strip()
         if key not in _KEYS:
             problems.append(f"line {ln}: unknown key {key!r}")
+            continue
+        first = set_on.setdefault(key, ln)
+        if first != ln:
+            problems.append(f"line {ln}: {key} is already set on line {first}")
             continue
         section_name, f = _KEYS[key]
         try:

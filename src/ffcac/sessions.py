@@ -171,16 +171,8 @@ def make_splits(items: list[DatasetItem], num_incremental: int, base_classes: in
 
 @dataclass
 class Episode:
-    session: int
-    pairs: list[ClipRef]  # exactly N_m * K refs, grouped by class
-
-    @property
-    def labels(self) -> list[str]:
-        seen: list[str] = []
-        for ref in self.pairs:
-            if ref.label not in seen:
-                seen.append(ref.label)
-        return seen
+    labels: list[str]  # the session's classes, in the order of their columns
+    pairs: list[ClipRef]  # exactly N_m * K refs, grouped by class in label order
 
 
 def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
@@ -196,7 +188,7 @@ def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
             raise SamplingError(f"class {label} has {len(pool)} train items, episode needs {k}")
         chosen = rng.choice(len(pool), size=k, replace=False)
         pairs.extend(pool[i] for i in sorted(chosen))
-    return Episode(session=m, pairs=pairs)
+    return Episode(labels=plan.session_labels[m], pairs=pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +240,9 @@ class BaseSessionResult:
     epoch_losses: list[float]
 
 
-def _episode_onehot(episode: Episode, labels: list[str]) -> np.ndarray:
-    index = {label: i for i, label in enumerate(labels)}
-    y = np.zeros((len(episode.pairs), len(labels)))
-    for r, ref in enumerate(episode.pairs):
-        y[r, index[ref.label]] = 1.0
-    return y
+def _targets(episode: Episode) -> np.ndarray:
+    """Each pair's column: the index of its label in ``episode.labels``."""
+    return np.array([episode.labels.index(ref.label) for ref in episode.pairs], dtype=np.int64)
 
 
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
@@ -263,8 +252,7 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     embeddings, as every later session updates the current one."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
-    label_index = {label: i for i, label in enumerate(labels)}
-    targets = np.array([label_index[ref.label] for ref in episode.pairs])
+    targets = _targets(episode)
 
     params = enc.init_mee_params(enc_cfg, int(_rng(seed, _TAG_INIT).integers(0, 2**31 - 1)))
     head = cls.init_cosine_head(
@@ -288,7 +276,7 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
                     cfg.train.learning_rate, cfg.train.weight_decay)
 
     embeddings = pipeline.embed_batch(episode.pairs, params)
-    onehot = _episode_onehot(episode, labels)
+    onehot = np.eye(len(labels))[targets]
     if cfg.classifier.kind == "pbc":
         empty = cls.Prototypes.empty(embeddings.shape[1])
     else:
@@ -309,7 +297,7 @@ def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
     before = enc.params_checksum(params)
     labels = episode.labels
     embeddings = pipeline.embed_batch(episode.pairs, params)
-    updated = classifier.update(embeddings, _episode_onehot(episode, labels), labels)
+    updated = classifier.update(embeddings, np.eye(len(labels))[_targets(episode)], labels)
     after = enc.params_checksum(params)
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")

@@ -33,6 +33,7 @@ from .errors import IngestionError, WeightsFormatError
 MAGIC = b"MEEW1"
 _DTYPE_TAGS = {"f32": 0, "f64": 1}
 _TAG_DTYPES = {0: np.dtype("<f4"), 1: np.dtype("<f8")}
+MAX_TEXT_BYTES = 0xFFFF  # a name or label has a u16 byte length
 
 
 def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
@@ -53,16 +54,22 @@ def container_parts(tensors, labels=(), dtype: str = "f32") -> list:
         if name in seen:
             raise WeightsFormatError(f"duplicate tensor name {name!r}")
         seen.add(name)
-        raw_name = name.encode("utf-8")
         values = np.ascontiguousarray(values, dtype=np_dtype)
-        parts += [struct.pack("<H", len(raw_name)), raw_name,
+        parts += [*_text(name, "tensor name"),
                   struct.pack(f"<B{values.ndim}QB", values.ndim, *values.shape, tag),
                   values.reshape(-1).view(np.uint8)]
     parts.append(struct.pack("<I", len(labels)))
     for label in labels:
-        raw = str(label).encode("utf-8")
-        parts += [struct.pack("<H", len(raw)), raw]
+        parts += _text(str(label), "label")
     return parts
+
+
+def _text(text: str, what: str) -> list:
+    """A u16 byte length, then the UTF-8 bytes of ``text``."""
+    raw = text.encode("utf-8")
+    if len(raw) > MAX_TEXT_BYTES:
+        raise WeightsFormatError(f"{what} of {len(raw)} UTF-8 bytes exceeds {MAX_TEXT_BYTES}")
+    return [struct.pack("<H", len(raw)), raw]
 
 
 class _Cursor:

@@ -372,3 +372,11 @@ def test_manifest_path_listed_twice_rejected(tmp_path, again):
     path.write_text(f"path,label,split\na.wav,cat,train\nb.wav,cat,test\n{again}\n")
     with pytest.raises(IngestionError, match=r"m\.csv:4: .* already listed on line 2"):
         read_manifest(path)
+
+
+def test_manifest_label_too_long_for_the_container_rejected(tmp_path):
+    path = tmp_path / "m.csv"
+    fits = "é" * (65_535 // 2)  # 65,534 UTF-8 bytes
+    path.write_text(f"path,label,split\na.wav,{fits},train\nb.wav,{fits}é,test\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=r"m\.csv:3: label longer than 65535 UTF-8 bytes"):
+        read_manifest(path)

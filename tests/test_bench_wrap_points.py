@@ -84,3 +84,18 @@ def test_classifier_wrap_points_record_every_update(monkeypatch):
     assert fit_names.count("classifiers.fit_base") == 1
     assert fit_names.count("classifiers.update_incremental") == 1
     assert cls.update_incremental is original  # restore() put the original back
+
+
+def test_ridge_wide_protocol_runs_through_the_public_classifier_calls(tmp_path, monkeypatch):
+    """The ridge-wide workload drives ``classifiers`` directly (it passes a
+    state's ``registry`` to ``predict``); one small protocol run must fail
+    no operation."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.make("ridge-wide", 3, {"dim": 16, "classes": 12, "base_classes": 4,
+                                             "base_shots": 5})
+    bench.setup(tmp_path)
+    rec = workloads.Recorder()
+    bench.iterate(importlib.import_module("tracing").Tracer(), rec)
+    assert rec.failed == 0, rec.failures
+    assert rec.attempted > 0 and len(rec.samples["aa"]) == 1

@@ -1,5 +1,6 @@
 import concurrent.futures
 import hashlib
+import re
 import sys
 
 import numpy as np
@@ -124,7 +125,7 @@ def test_non_finite_lam_rejected(lam):
     with pytest.raises(UsageError, match="finite"):
         cls.select_lambda_cv(E, Y, [1.0, lam], k_folds=5, seed=0)
     # a state built around fit_base: the NaN residual fails the bound
-    state = cls.RidgeState(gram=E.T @ E, cross=E.T @ Y, lam=lam, registry=cls.LabelRegistry(range(4)))
+    state = cls.RidgeState(gram=E.T @ E, cross=E.T @ Y, lam=lam, registry=tuple(range(4)))
     with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="residual"):
         cls.solve_weights(state)
 
@@ -156,10 +157,43 @@ def test_update_rejects_duplicate_label():
         cls.update_incremental(state, np.eye(2), np.eye(2), ["b", "c"])
 
 
+def _ridge_ab():
+    return cls.fit_base(np.eye(2), np.eye(2), 0.1, labels=["a", "b"])
+
+
+def _prototypes_ab():
+    return cls.Prototypes.empty(2).update(np.eye(2), np.eye(2), ["a", "b"])
+
+
+# every way classes enter, given labels it cannot take: (maker of a
+# classifier holding a and b, or None for the base fit; the new labels;
+# the error message)
+_REPEATED_LABELS = {
+    "ridge-update-registered": (_ridge_ab, ["b", "c"], "labels already registered: ['b']"),
+    "ridge-update-twice": (_ridge_ab, ["c", "c"], "duplicate labels within one session: ['c', 'c']"),
+    "prototypes-update-registered": (_prototypes_ab, ["c", "a"], "labels already registered: ['a']"),
+    "prototypes-update-twice": (_prototypes_ab, ["c", "c"],
+                                "duplicate labels within one session: ['c', 'c']"),
+    "fit-base-twice": (None, ["a", "a"], "duplicate labels within one session: ['a', 'a']"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REPEATED_LABELS))
+def test_repeated_label_rejected(case):
+    before, labels, message = _REPEATED_LABELS[case]
+    classifier = before and before()
+    with pytest.raises(ProtocolViolationError, match=re.escape(message)):
+        if classifier is None:
+            cls.fit_base(np.eye(2), np.eye(2), 0.1, labels)
+        else:
+            classifier.update(np.eye(2), np.eye(2), labels)
+    assert classifier is None or classifier.registry == ("a", "b")  # left as it was
+
+
 def test_update_with_empty_session_grows_registry_only():
     state = cls.fit_base(np.eye(2), np.eye(2), 0.1, labels=["a", "b"])
     grown = cls.update_incremental(state, np.zeros((0, 2)), np.zeros((0, 1)), ["c"])
-    assert grown.registry.labels == ("a", "b", "c")
+    assert grown.registry == ("a", "b", "c")
     assert np.array_equal(grown.gram, state.gram)
     assert np.array_equal(grown.cross[:, :2], state.cross)
     assert np.all(grown.cross[:, 2] == 0.0)
@@ -310,7 +344,7 @@ def _flaky_cho_factor(monkeypatch, failures):
 def _state(lam, dim=12, seed=61):
     rng = np.random.default_rng(seed)
     e, y = rng.normal(size=(40, dim)), np.eye(3)[np.arange(40) % 3]
-    return cls.RidgeState(gram=e.T @ e, cross=e.T @ y, lam=lam, registry=cls.LabelRegistry(range(3)))
+    return cls.RidgeState(gram=e.T @ e, cross=e.T @ y, lam=lam, registry=tuple(range(3)))
 
 
 def _cv_data(dim, seed=61):
@@ -372,7 +406,7 @@ def test_empty_memory_solves_to_no_columns_that_predict_refuses(tmp_path):
         assert weights.shape == (2, 0)
         for query in (np.ones(2), np.ones((3, 2))):
             with pytest.raises(ProtocolViolationError, match="no classes registered"):
-                cls.predict(weights, cls.LabelRegistry(), query)
+                cls.predict(weights, (), query)
 
 
 def test_solve_cache_stable():
@@ -384,7 +418,7 @@ def test_solve_cache_stable():
 
 def test_predict_picks_matching_column():
     w = np.eye(3)
-    registry = cls.LabelRegistry(["a", "b", "c"])
+    registry = ("a", "b", "c")
     label, scores = cls.predict(w, registry, np.array([0.0, 1.0, 0.0]))
     assert label == "b"
     assert scores.shape == (3,)
@@ -393,7 +427,7 @@ def test_predict_picks_matching_column():
 def test_predict_scale_invariant():
     rng = np.random.default_rng(19)
     w = rng.normal(size=(6, 4))
-    registry = cls.LabelRegistry(list("abcd"))
+    registry = tuple("abcd")
     e = rng.normal(size=6)
     l1, s1 = cls.predict(w, registry, e)
     l5, s5 = cls.predict(w, registry, 5.0 * e)
@@ -403,13 +437,13 @@ def test_predict_scale_invariant():
 
 def test_predict_tie_breaks_to_lowest_index():
     w = np.stack([np.array([1.0, 0.0]), np.array([1.0, 0.0])], axis=1)  # identical columns
-    registry = cls.LabelRegistry(["first", "second"])
+    registry = ("first", "second")
     label, _ = cls.predict(w, registry, np.array([2.0, 0.0]))
     assert label == "first"
 
 
 def test_predict_rejects_zero_embedding():
-    registry = cls.LabelRegistry(["a"])
+    registry = ("a",)
     with pytest.raises(NumericError):
         cls.predict(np.ones((3, 1)), registry, np.zeros(3))
 
@@ -421,7 +455,7 @@ def test_predict_matrix_matches_row_by_row_calls():
     w = rng.integers(-3, 4, size=(6, 5)).astype(float)
     w[:, 2] = 0.0  # zero-norm column: scores 0
     w[:, 4] = w[:, 1]
-    registry = cls.LabelRegistry(["a", "b", "c", "d", "e"])
+    registry = ("a", "b", "c", "d", "e")
     rows = rng.integers(1, 4, size=(12, 6)) * rng.choice([-1.0, 1.0], size=(12, 6))
     e = np.vstack([rows, w[:, 1], 2.0 * w[:, 1]])
     labels, scores = cls.predict(w, registry, e)
@@ -436,7 +470,7 @@ def test_predict_matrix_matches_row_by_row_calls():
 
 
 def test_predict_matrix_rejects_a_zero_row():
-    registry = cls.LabelRegistry(["a", "b"])
+    registry = ("a", "b")
     e = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     with pytest.raises(NumericError):
         cls.predict(np.eye(3)[:, :2], registry, e)
@@ -444,7 +478,7 @@ def test_predict_matrix_rejects_a_zero_row():
 
 def test_predict_rejects_higher_rank_queries():
     with pytest.raises(UsageError):
-        cls.predict(np.eye(3), cls.LabelRegistry(list("abc")), np.ones((2, 2, 3)))
+        cls.predict(np.eye(3), tuple("abc"), np.ones((2, 2, 3)))
 
 
 def _norm_cosine_scores(W, e):
@@ -472,7 +506,7 @@ def test_cosine_scores_match_norm_formula(order):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_predict_rejects_a_non_finite_row(bad):
-    registry = cls.LabelRegistry(["a", "b", "c"])
+    registry = ("a", "b", "c")
     with pytest.raises(NumericError):
         cls.predict(np.eye(3), registry, np.array([bad, 1.0, 0.0]))
     with pytest.raises(NumericError):
@@ -731,9 +765,9 @@ def test_prototype_predict_scale_invariant():
 def test_prototype_update_appends():
     protos = cls.Prototypes.empty(2).update(np.eye(2), np.eye(2), ["a", "b"])
     grown = protos.update(np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
-    assert grown.registry.labels == ("a", "b", "c")
+    assert grown.registry == ("a", "b", "c")
     assert np.array_equal(grown.means[:2], protos.means)
-    assert protos.registry.labels == ("a", "b")  # the old classifier is untouched
+    assert protos.registry == ("a", "b")  # the old classifier is untouched
 
 
 def test_ridge_interface_is_solve_and_update_incremental():
@@ -743,27 +777,12 @@ def test_ridge_interface_is_solve_and_update_incremental():
     e, y = rng.normal(size=(2, 3)), np.eye(1)[[0, 0]]
     grown = state.update(e, y, ["c"])
     direct = cls.update_incremental(state, e, y, ["c"])
-    assert grown.registry.labels == ("a", "b", "c")
+    assert grown.registry == ("a", "b", "c")
     assert np.array_equal(grown.gram, direct.gram) and np.array_equal(grown.cross, direct.cross)
 
 
 # ---------------------------------------------------------------------------
-# registry and serialization
-
-
-def test_registry_append_only_indices():
-    reg = cls.LabelRegistry(["x", "y"])
-    assert (reg.index_of("x"), reg.index_of("y")) == (0, 1)
-    reg.add(["z"])
-    assert reg.index_of("x") == 0 and reg.index_of("z") == 2
-    with pytest.raises(ProtocolViolationError):
-        reg.add(["y"])
-
-
-def test_registry_unknown_label():
-    reg = cls.LabelRegistry(["x"])
-    with pytest.raises(ProtocolViolationError):
-        reg.index_of("nope")
+# serialization
 
 
 def test_state_round_trip(tmp_path):
@@ -785,7 +804,7 @@ def test_state_round_trip(tmp_path):
     assert np.array_equal(loaded.gram, state.gram)
     assert np.array_equal(loaded.cross, state.cross)
     assert loaded.lam == state.lam
-    assert loaded.registry.labels == ("a", "b", "c")
+    assert loaded.registry == ("a", "b", "c")
     assert np.allclose(cls.solve_weights(loaded), cls.solve_weights(state), atol=1e-15)
 
 
@@ -846,6 +865,20 @@ def test_load_state_rejects_undecodable_label(tmp_path):
         cls.load_state(path)
 
 
+def test_overlong_text_is_a_format_error_and_save_keeps_the_old_file(tmp_path):
+    limit = "x" * wio.MAX_TEXT_BYTES
+    assert wio.parse_container(wio.serialize_container([(limit, np.ones(1))], labels=[limit]))
+    for tensors, labels in (([(limit + "x", np.ones(1))], ()), ([], ["é" * 32_768])):
+        with pytest.raises(WeightsFormatError, match="exceeds 65535"):
+            wio.container_parts(tensors, labels)
+    path = tmp_path / "clf.weights"
+    cls.save_state(path, cls.fit_base(np.eye(2), np.eye(2), 0.1, labels=["a", "b"]))
+    saved = path.read_bytes()
+    with pytest.raises(WeightsFormatError, match="label of 70000 UTF-8 bytes"):
+        cls.save_state(path, cls.fit_base(np.eye(2), np.eye(2), 0.1, labels=["a", "b" * 70_000]))
+    assert path.read_bytes() == saved
+
+
 _FUZZ_STATE = b"".join(cls.state_parts(cls.fit_base(
     np.random.default_rng(59).normal(size=(8, 2)), np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]], 0.25,
     labels=["a", "b", "é"],
@@ -874,4 +907,4 @@ def test_load_state_fuzzed_container_raises_only_weights_errors(tmp_path_factory
 
 def test_load_state_accepts_a_consistent_memory(tmp_path):
     loaded = cls.load_state(_saved_state(tmp_path, GOOD_GRAM, GOOD_CROSS, [0.0], ["a", "b"]))
-    assert loaded.lam == 0.0 and loaded.registry.labels == ("a", "b")
+    assert loaded.lam == 0.0 and loaded.registry == ("a", "b")

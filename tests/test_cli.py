@@ -121,6 +121,17 @@ def test_run_emits_reports_and_weights(toy_config, tmp_path, capsys):
     assert params["patch_embed.weight"].values.shape == (256, cfg.encoder.dim)
 
 
+def test_pbc_run_removes_an_earlier_runs_ridge_memory(tmp_path):
+    out = tmp_path / "out"
+    one_run = TOY_CONFIG.replace("run.repeats = 2", "run.repeats = 1")
+    for kind in ("rrc", "pbc"):
+        path = tmp_path / f"{kind}.cfg"
+        path.write_text(one_run + f"classifier.kind = {kind}\n")
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        assert (out / "classifier.weights").exists() == (kind == "rrc")
+    assert json.loads((out / "report.json").read_text())["config"]["classifier.kind"] == "pbc"
+
+
 def test_run_byte_identical_reports(toy_config, tmp_path):
     outs = [tmp_path / "r1", tmp_path / "r2"]
     for out in outs:
@@ -177,10 +188,17 @@ def test_run_rejects_out_of_range_value_without_traceback(line, tmp_path, capsys
     with pytest.raises(ConfigError):
         parse_config_text(line + "\n")
     path = tmp_path / "bad.cfg"
-    path.write_text(TOY_CONFIG.replace("classifier.lambda = 0.1\n", "") + line + "\n")
+    # the copy leaves out the keys the cases set: a key set twice is a config error of its own
+    path.write_text(TOY_CONFIG.replace("classifier.lambda = 0.1\n", "").replace("run.seed = 7\n", "")
+                    + line + "\n")
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_key_set_twice_names_both_lines():
+    with pytest.raises(ConfigError, match="line 3: train.epochs is already set on line 1"):
+        parse_config_text("train.epochs = 1\n# then\ntrain.epochs = 7\n")
 
 
 def test_run_undecodable_config_is_io_error(tmp_path, capsys):
@@ -351,12 +369,20 @@ def _write(path, data: bytes):
 _LISTED_TWICE = (b"path,label,split\nclass00_000.wav,class00,train\n"
                  b"class00_000.wav,class00,test\nclass00_000.wav,class01,train\n")
 
+# one label past the classifier container's 65,535-byte limit
+_LONG_LABEL = b"path,label,split\na.wav,a,train\nb.wav," + b"x" * 70_000 + b",train\n"
+
 # subcommand -> (argv builder over a tmp dir, documented exit code)
 MALFORMED = {
     "run-unknown-key": (lambda d: ["run", "--config", _write(d / "c.cfg", b"no.such = 1\n"),
                                    "--out", str(d / "o")], 2),
     "run-not-utf8": (lambda d: ["run", "--config", _write(d / "c.cfg", b"\xff = 1\n"),
                                 "--out", str(d / "o")], 3),
+    "run-key-set-twice": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", b"train.epochs = 1\ntrain.epochs = 7\n"), "--out", str(d / "o")], 2),
+    "run-manifest-label-too-long": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", f"data.source = manifest\ndata.manifest = {_write(d / 'm.csv', _LONG_LABEL)}\n".encode()),
+        "--out", str(d / "o")], 3),
     "run-manifest-lists-a-clip-twice": (lambda d: ["run", "--config", _write(
         d / "c.cfg", f"data.source = manifest\ndata.manifest = {_write(d / 'm.csv', _LISTED_TWICE)}\n".encode()),
         "--out", str(d / "o")], 3),

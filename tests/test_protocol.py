@@ -77,6 +77,8 @@ def test_episode_shape_five_way_five_shot():
         per_class[ref.label] = per_class.get(ref.label, 0) + 1
     assert set(per_class.values()) == {5}
     assert set(per_class) == set(plan.session_labels[0])
+    assert ep.labels == plan.session_labels[0]
+    assert [ep.labels.index(ref.label) for ref in ep.pairs] == [i for i in range(5) for _ in range(5)]
     assert len(set(ep.pairs)) == 25  # without replacement
 
 
@@ -173,8 +175,8 @@ def test_incremental_grows_registry_by_session_ways():
     updated = sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
     assert len(updated.registry) == len(base.classifier.registry) + 5
     # original indices unchanged
-    for label in base.classifier.registry.labels:
-        assert updated.registry.index_of(label) == base.classifier.registry.index_of(label)
+    for label in base.classifier.registry:
+        assert updated.registry.index(label) == base.classifier.registry.index(label)
 
 
 def test_incremental_label_collision_rejected():
@@ -192,7 +194,7 @@ def test_incremental_equals_batch_refit_on_same_embeddings():
     updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe)
 
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
-    all_labels = list(base.classifier.registry.labels) + ep1.labels
+    all_labels = list(base.classifier.registry) + ep1.labels
     e_all, rows = [], []
     for ref in list(ep0.pairs) + list(ep1.pairs):
         e_all.append(enc.extract_embedding(pipe.patches(ref), base.params, pipe.enc_cfg))
@@ -236,6 +238,8 @@ def test_evaluate_scores_hand_made_embeddings():
                          [0.0, 0.2, 1.0], [1.0, 0.0, 0.5]])
     r0 = sessions.evaluate(protos, plan, 0, embedded)
     assert (r0.correct, r0.total, r0.accuracy) == (2, 3, 2 / 3)
+    with pytest.raises(ProtocolViolationError, match="test class 'c' not yet registered"):
+        sessions.evaluate(protos, plan, 1, embedded)
     grown = protos.update(np.array([[0.0, 0.0, 1.0]]), np.ones((1, 1)), ["c"])
     r1 = sessions.evaluate(grown, plan, 1, embedded)
     assert (r1.correct, r1.total, r1.accuracy) == (3, 5, 0.6)
