@@ -27,7 +27,8 @@ _GELU_A = 0.044715
 _state = threading.local()
 
 
-def _recording() -> bool:
+def recording() -> bool:
+    """Whether ops record their inputs (false inside ``no_grad``)."""
     return getattr(_state, "grad_enabled", True)
 
 
@@ -35,7 +36,7 @@ class no_grad:
     """Context manager disabling graph recording (forward-only mode)."""
 
     def __enter__(self):
-        self._prev = _recording()
+        self._prev = recording()
         _state.grad_enabled = False
         return self
 
@@ -100,10 +101,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _from_op(values, parents, backward) -> Tensor:
-    """Build an op output; record parents only when recording is on."""
+def record(values, parents, backward) -> Tensor:
+    """Build an op output; record parents only when recording is on.
+    ``backward(g)`` returns one gradient per parent, in ``parents`` order."""
     out = Tensor(values)
-    if _recording() and any(p.requires_grad for p in parents):
+    if recording() and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -129,6 +131,47 @@ def _check_axis(axis: int, ndim: int) -> int:
 
 
 # ---------------------------------------------------------------------------
+# plain-array kernels, shared by the ops below and the extractor's
+# hand-written layers (encoder.py). Each writes only into arrays it made.
+
+
+def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """GELU of ``x`` and the tanh term its backward needs."""
+    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
+    return 0.5 * x * (1.0 + t), t
+
+
+def gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
+    sech2 = 1.0 - t * t
+    return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x))
+
+
+def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
+    # in place: on an attention batch one array instead of three halves the time
+    out = x - x.max(axis=axis, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=axis, keepdims=True)
+    return out
+
+
+def softmax_backward(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
+    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+
+
+def layer_norm_forward(x: np.ndarray, axis: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """Zero mean, unit variance along ``axis``; also the inverse std."""
+    xc = x - x.mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axis, keepdims=True) + eps)
+    return xc * inv, inv
+
+
+def layer_norm_backward(g: np.ndarray, out: np.ndarray, inv: np.ndarray, axis: int) -> np.ndarray:
+    gm = g.mean(axis=axis, keepdims=True)
+    gym = (g * out).mean(axis=axis, keepdims=True)
+    return inv * (g - gm - out * gym)
+
+
+# ---------------------------------------------------------------------------
 # elementwise suite
 
 
@@ -142,7 +185,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _from_op(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -155,7 +198,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _from_op(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -168,7 +211,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return (_unbroadcast(g * b.values, a.shape), _unbroadcast(g * a.values, b.shape))
 
-    return _from_op(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
@@ -183,7 +226,7 @@ def div(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(-g * a.values / (b.values * b.values), b.shape)
         return ga, gb
 
-    return _from_op(out, (a, b), backward)
+    return record(out, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -194,7 +237,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         return (g * c,)
 
-    return _from_op(a.values * c, (a,), backward)
+    return record(a.values * c, (a,), backward)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -204,21 +247,14 @@ def relu(a: Tensor) -> Tensor:
     def backward(g):
         return (g * mask,)
 
-    return _from_op(np.where(mask, a.values, 0.0), (a,), backward)
+    return record(np.where(mask, a.values, 0.0), (a,), backward)
 
 
 def gelu(a: Tensor) -> Tensor:
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + 0.044715*x^3)))."""
     a = _as_tensor(a)
-    x = a.values
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-
-    def backward(g):
-        sech2 = 1.0 - t * t
-        d = 0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-        return (g * d,)
-
-    return _from_op(0.5 * x * (1.0 + t), (a,), backward)
+    out, t = gelu_forward(a.values)
+    return record(out, (a,), lambda g: (gelu_backward(g, a.values, t),))
 
 
 def exp(a: Tensor) -> Tensor:
@@ -228,7 +264,7 @@ def exp(a: Tensor) -> Tensor:
     def backward(g):
         return (g * out,)
 
-    return _from_op(out, (a,), backward)
+    return record(out, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -238,7 +274,7 @@ def log(a: Tensor) -> Tensor:
     def backward(g):
         return (g / a.values,)
 
-    return _from_op(np.log(a.values), (a,), backward)
+    return record(np.log(a.values), (a,), backward)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -249,7 +285,7 @@ def power(a: Tensor, p: float) -> Tensor:
     def backward(g):
         return (g * p * a.values ** (p - 1.0),)
 
-    return _from_op(a.values**p, (a,), backward)
+    return record(a.values**p, (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +304,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return g @ np.swapaxes(b.values, -1, -2), np.swapaxes(a.values, -1, -2) @ g
 
-    return _from_op(a.values @ b.values, (a, b), backward)
+    return record(a.values @ b.values, (a, b), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -286,7 +322,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     def backward(g):
         return (g.transpose(inverse),)
 
-    return _from_op(a.values.transpose(axes), (a,), backward)
+    return record(a.values.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -300,7 +336,7 @@ def reshape(a: Tensor, shape) -> Tensor:
         out = a.values.reshape(shape)
     except ValueError:
         raise DimensionError(f"reshape: cannot view {old} as {tuple(shape)}") from None
-    return _from_op(out, (a,), backward)
+    return record(out, (a,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -323,7 +359,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
         raise DimensionError(
             "concat: shapes " + ", ".join(str(t.shape) for t in tensors) + " disagree"
         ) from None
-    return _from_op(out, tuple(tensors), backward)
+    return record(out, tuple(tensors), backward)
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
@@ -339,7 +375,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         full[idx] = g
         return (full,)
 
-    return _from_op(a.values[idx], (a,), backward)
+    return record(a.values[idx], (a,), backward)
 
 
 def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -354,7 +390,7 @@ def sum_(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _from_op(a.values.sum(axis=axis, keepdims=keepdims), (a,), backward)
+    return record(a.values.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
@@ -370,21 +406,14 @@ def mean(a: Tensor, axis: int | None = None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g / n, a.shape).copy(),)
 
-    return _from_op(a.values.mean(axis=axis, keepdims=keepdims), (a,), backward)
+    return record(a.values.mean(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     a = _as_tensor(a)
     axis = _check_axis(axis, a.values.ndim)
-    shifted = a.values - a.values.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=axis, keepdims=True)
-
-    def backward(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        return (out * (g - dot),)
-
-    return _from_op(out, (a,), backward)
+    out = softmax_forward(a.values, axis)
+    return record(out, (a,), lambda g: (softmax_backward(g, out, axis),))
 
 
 def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
@@ -393,18 +422,8 @@ def layer_norm(a: Tensor, axis: int = -1, eps: float = 1e-5) -> Tensor:
         raise UsageError(f"layer_norm eps must be > 0, got {eps}")
     a = _as_tensor(a)
     axis = _check_axis(axis, a.values.ndim)
-    mu = a.values.mean(axis=axis, keepdims=True)
-    xc = a.values - mu
-    var = (xc * xc).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    out = xc * inv
-
-    def backward(g):
-        gm = g.mean(axis=axis, keepdims=True)
-        gym = (g * out).mean(axis=axis, keepdims=True)
-        return (inv * (g - gm - out * gym),)
-
-    return _from_op(out, (a,), backward)
+    out, inv = layer_norm_forward(a.values, axis, eps)
+    return record(out, (a,), lambda g: (layer_norm_backward(g, out, inv, axis),))
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +441,13 @@ def backward(loss: Tensor) -> None:
         raise UsageError(f"backward root must be scalar, got shape {loss.shape}")
 
     # iterative post-order DFS: inputs of every node precede it
-    record: list[Tensor] = []
+    order: list[Tensor] = []
     visited: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(loss, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
-            record.append(node)
+            order.append(node)
             continue
         if id(node) in visited:
             continue
@@ -439,7 +458,7 @@ def backward(loss: Tensor) -> None:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
-    for node in reversed(record):
+    for node in reversed(order):
         g = grads.pop(id(node), None)
         if g is None:
             continue

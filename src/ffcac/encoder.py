@@ -134,13 +134,42 @@ def init_mee_params(cfg: EncoderConfig, seed: int) -> MeeParams:
 
 # ---------------------------------------------------------------------------
 # forward passes
+#
+# The patch embedding and the blocks run on plain arrays, one function per
+# layer, as one tape node whose backward is the matching hand-written
+# functions. They evaluate the expressions of the tape ops they replace and
+# sum three gradient contributions in the tape's order, so the gradients
+# equal the op-by-op tape's bit for bit (tests/helpers.py keeps that tape).
 
 
-def _affine_norm(x: Tensor, params: MeeParams, prefix: str) -> Tensor:
-    return ad.layer_norm(x, axis=-1, eps=LN_EPS) * params[f"{prefix}.gain"] + params[f"{prefix}.bias"]
+def _affine_norm(x: np.ndarray, p: dict, prefix: str):
+    n, inv = ad.layer_norm_forward(x, -1, LN_EPS)
+    out = n * p[f"{prefix}.gain"]
+    out += p[f"{prefix}.bias"]
+    return out, (n, inv)
 
 
-def _attention(h: Tensor, params: MeeParams, block: str, cfg: EncoderConfig, batch: int) -> Tensor:
+def _affine_norm_backward(g: np.ndarray, cache, p: dict, prefix: str, grads: dict) -> np.ndarray:
+    n, inv = cache
+    grads[f"{prefix}.gain"] = (g * n).sum(axis=0)
+    grads[f"{prefix}.bias"] = g.sum(axis=0)
+    return ad.layer_norm_backward(g * p[f"{prefix}.gain"], n, inv, -1)
+
+
+def _linear(x: np.ndarray, p: dict, w: str, b: str) -> np.ndarray:
+    out = x @ p[w]
+    out += p[b]
+    return out
+
+
+def _linear_backward(g: np.ndarray, x: np.ndarray, p: dict, w: str, b: str, grads: dict) -> np.ndarray:
+    """Gradients of ``x @ p[w] + p[b]``; returns the input's."""
+    grads[w] = x.T @ g
+    grads[b] = g.sum(axis=0)
+    return g @ p[w].T
+
+
+def _attention(h: np.ndarray, p: dict, block: str, cfg: EncoderConfig, batch: int):
     """Multi-head self-attention over ``batch`` clips of T tokens each.
 
     ``h`` is (B*T, D). Heads are split by reshape and transpose so every
@@ -149,33 +178,110 @@ def _attention(h: Tensor, params: MeeParams, block: str, cfg: EncoderConfig, bat
     tokens = h.shape[0] // batch
     dh = cfg.dim // cfg.heads
 
-    def project(x: Tensor, name: str) -> Tensor:
-        return ad.matmul(x, params[f"{block}.attn.w{name}"]) + params[f"{block}.attn.b{name}"]
+    def split_heads(name: str, axes) -> np.ndarray:
+        x = _linear(h, p, f"{block}.attn.w{name}", f"{block}.attn.b{name}")
+        x = x.reshape(batch, tokens, cfg.heads, dh).transpose(axes)
+        return x.reshape((batch * cfg.heads,) + x.shape[2:])
 
-    def split_heads(x: Tensor, axes) -> Tensor:
-        x = ad.transpose(ad.reshape(x, (batch, tokens, cfg.heads, dh)), axes)
-        return ad.reshape(x, (batch * cfg.heads,) + x.shape[2:])
-
-    q = split_heads(project(h, "q"), (0, 2, 1, 3))  # (B*H, T, dh)
-    k_t = split_heads(project(h, "k"), (0, 2, 3, 1))  # (B*H, dh, T)
-    v = split_heads(project(h, "v"), (0, 2, 1, 3))
-    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))
-    heads = ad.matmul(ad.softmax(scores, axis=-1), v)  # (B*H, T, dh)
-    merged = ad.transpose(ad.reshape(heads, (batch, cfg.heads, tokens, dh)), (0, 2, 1, 3))
-    return project(ad.reshape(merged, (batch * tokens, cfg.dim)), "o")
-
-
-def _feed_forward(h: Tensor, params: MeeParams, block: str) -> Tensor:
-    hidden = ad.gelu(ad.matmul(h, params[f"{block}.ffn.w1"]) + params[f"{block}.ffn.b1"])
-    return ad.matmul(hidden, params[f"{block}.ffn.w2"]) + params[f"{block}.ffn.b2"]
+    q = split_heads("q", (0, 2, 1, 3))  # (B*H, T, dh)
+    k_t = split_heads("k", (0, 2, 3, 1))  # (B*H, dh, T)
+    v = split_heads("v", (0, 2, 1, 3))
+    scores = q @ k_t
+    scores *= 1.0 / math.sqrt(dh)
+    probs = ad.softmax_forward(scores, 2)
+    heads = probs @ v  # (B*H, T, dh)
+    merged = heads.reshape(batch, cfg.heads, tokens, dh).transpose(0, 2, 1, 3)
+    merged = merged.reshape(batch * tokens, cfg.dim)
+    out = _linear(merged, p, f"{block}.attn.wo", f"{block}.attn.bo")
+    return out, (h, q, k_t, v, probs, merged)
 
 
-def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> list[Tensor]:
-    """Run the block stack; return the per-block pooled feature vectors.
+def _attention_backward(g: np.ndarray, cache, p: dict, block: str, cfg: EncoderConfig,
+                        batch: int, grads: dict) -> np.ndarray:
+    h, q, k_t, v, probs, merged = cache
+    tokens = h.shape[0] // batch
+    dh = cfg.dim // cfg.heads
+    attn = f"{block}.attn"
 
-    ``patches`` is one clip's (Z, P) patch matrix, giving (D,) features, or
-    a (B, Z, P) batch of equally long clips, giving (B, D) features. Affine
-    maps run as one 2-D product over all B*T tokens.
+    def merge_heads(g_split: np.ndarray, axes) -> np.ndarray:
+        g_split = g_split.reshape((batch, cfg.heads) + g_split.shape[1:]).transpose(axes)
+        return g_split.reshape(batch * tokens, cfg.dim)
+
+    g = _linear_backward(g, merged, p, f"{attn}.wo", f"{attn}.bo", grads)
+    g_heads = g.reshape(batch, tokens, cfg.heads, dh).transpose(0, 2, 1, 3)
+    g_heads = g_heads.reshape(batch * cfg.heads, tokens, dh)
+    g_probs = g_heads @ v.transpose(0, 2, 1)
+    g_v = probs.transpose(0, 2, 1) @ g_heads
+    g_scores = ad.softmax_backward(g_probs, probs, 2)
+    g_scores *= 1.0 / math.sqrt(dh)
+    g_q = g_scores @ k_t.transpose(0, 2, 1)
+    g_k_t = q.transpose(0, 2, 1) @ g_scores
+    # the tape's order: (q + k) + v
+    g_h = _linear_backward(merge_heads(g_q, (0, 2, 1, 3)), h, p, f"{attn}.wq", f"{attn}.bq", grads)
+    g_h += _linear_backward(merge_heads(g_k_t, (0, 3, 1, 2)), h, p, f"{attn}.wk", f"{attn}.bk", grads)
+    g_h += _linear_backward(merge_heads(g_v, (0, 2, 1, 3)), h, p, f"{attn}.wv", f"{attn}.bv", grads)
+    return g_h
+
+
+def _feed_forward(h: np.ndarray, p: dict, block: str):
+    pre = _linear(h, p, f"{block}.ffn.w1", f"{block}.ffn.b1")
+    hidden, t = ad.gelu_forward(pre)
+    return _linear(hidden, p, f"{block}.ffn.w2", f"{block}.ffn.b2"), (h, pre, t, hidden)
+
+
+def _feed_forward_backward(g: np.ndarray, cache, p: dict, block: str, grads: dict) -> np.ndarray:
+    h, pre, t, hidden = cache
+    g = _linear_backward(g, hidden, p, f"{block}.ffn.w2", f"{block}.ffn.b2", grads)
+    g = ad.gelu_backward(g, pre, t)
+    return _linear_backward(g, h, p, f"{block}.ffn.w1", f"{block}.ffn.b1", grads)
+
+
+def _block(x: np.ndarray, p: dict, block: str, cfg: EncoderConfig, batch: int, caches):
+    """One pre-norm block on (B*T, D) tokens: its output tokens and pooled
+    (B, D) feature. Appends the five layer caches its backward reads to
+    ``caches`` unless that is None; then each is freed as the next layer
+    runs, which keeps a forward-only pass at the op-by-op peak memory."""
+
+    def layer(fn, *args):
+        out, cache = fn(*args)
+        if caches is not None:
+            caches.append(cache)
+        return out
+
+    attended = layer(_attention, layer(_affine_norm, x, p, f"{block}.ln1"), p, block, cfg, batch)
+    attended += x
+    y = layer(_feed_forward, layer(_affine_norm, attended, p, f"{block}.ln2"), p, block)
+    y += attended
+    tapped = layer(_affine_norm, y, p, f"{block}.feature_norm")
+    return y, tapped.reshape(batch, -1, cfg.dim).mean(axis=1)
+
+
+def _block_backward(g_pooled: np.ndarray, g_next, caches, p: dict, block: str,
+                    cfg: EncoderConfig, batch: int, grads: dict):
+    """Gradient of the block input as (residual path, ln1 path), from the
+    gradient of the pooled feature and the next block's input gradient in
+    that form (None for the last block)."""
+    ln1, attn, ln2, ffn, tap = caches
+    tokens = tap[0].shape[0] // batch
+    g = np.broadcast_to(np.expand_dims(g_pooled, 1) / tokens, (batch, tokens, cfg.dim)).copy()
+    g_y = _affine_norm_backward(g.reshape(-1, cfg.dim), tap, p, f"{block}.feature_norm", grads)
+    if g_next is not None:  # the tape's order: (tap + residual) + ln1
+        g_y += g_next[0]
+        g_y += g_next[1]
+    g_h2 = _feed_forward_backward(g_y, ffn, p, block, grads)
+    g_attended = _affine_norm_backward(g_h2, ln2, p, f"{block}.ln2", grads)
+    g_attended += g_y
+    g_h1 = _attention_backward(g_attended, attn, p, block, cfg, batch, grads)
+    return g_attended, _affine_norm_backward(g_h1, ln1, p, f"{block}.ln1", grads)
+
+
+def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
+    """Run the block stack; return the pooled features of every block.
+
+    ``patches`` is one clip's (Z, P) patch matrix, giving an (L, D) stack,
+    or a (B, Z, P) batch of equally long clips, giving (B, L, D). Affine
+    maps run as one 2-D product over all B*T tokens. The stack is one tape
+    node whose parents are the extractor parameters (all but ``fusion.*``).
     """
     mat = np.asarray(patches)
     single = mat.ndim == 2
@@ -189,36 +295,52 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     if pd != cfg.patch_dim:
         raise DimensionError(f"patch dim {pd} != configured {cfg.patch_dim}")
     t, d = z + 1, cfg.dim
-    x = ad.matmul(Tensor(mat.reshape(batch * z, pd)), params["patch_embed.weight"]) \
-        + params["patch_embed.bias"]
+    p = {name: tensor.values for name, tensor in params.items()}
+    flat = mat.reshape(batch * z, pd)
+    x = _linear(flat, p, "patch_embed.weight", "patch_embed.bias")
     # one class token per clip: broadcast it over the batch by adding zeros
-    cls_rows = ad.reshape(params["cls_token"], (1, 1, d)) + np.zeros((batch, 1, d))
-    tokens = ad.concat([cls_rows, ad.reshape(x, (batch, z, d))], axis=1)
-    tokens = ad.reshape(tokens + ad.slice_axis(params["pos_table"], 0, 0, t), (batch * t, d))
+    cls_rows = p["cls_token"].reshape(1, 1, d) + np.zeros((batch, 1, d))
+    x = np.concatenate([cls_rows, x.reshape(batch, z, d)], axis=1) + p["pos_table"][:t]
+    x = x.reshape(batch * t, d)
 
+    caches = [] if ad.recording() else None  # five per block
     feats = []
     for i in range(cfg.blocks):
-        block = f"block{i}"
-        attended = tokens + _attention(_affine_norm(tokens, params, f"{block}.ln1"),
-                                       params, block, cfg, batch)
-        tokens = attended + _feed_forward(_affine_norm(attended, params, f"{block}.ln2"), params, block)
-        tapped = _affine_norm(tokens, params, f"{block}.feature_norm")
-        pooled = ad.mean(ad.reshape(tapped, (batch, t, d)), axis=1)
-        feats.append(ad.reshape(pooled, (d,)) if single else pooled)
-    return feats
+        x, pooled = _block(x, p, f"block{i}", cfg, batch, caches)
+        feats.append(pooled)
+    stack = np.stack(feats, axis=1)  # (B, L, D)
+    names = [name for name in params if not name.startswith("fusion.")]
+
+    def backward(g_stack):
+        g_stack = g_stack.reshape(batch, cfg.blocks, d)
+        grads: dict[str, np.ndarray] = {}
+        g_x = None
+        for i in reversed(range(cfg.blocks)):
+            g_x = _block_backward(g_stack[:, i], g_x, caches[5 * i : 5 * i + 5], p, f"block{i}",
+                                  cfg, batch, grads)
+        g = (g_x[0] + g_x[1]).reshape(batch, t, d)
+        grads["pos_table"] = np.zeros(p["pos_table"].shape)
+        grads["pos_table"][:t] = g.sum(axis=0)
+        grads["cls_token"] = g[:, 0].sum(axis=0)
+        g = g[:, 1:].reshape(batch * z, d)
+        grads["patch_embed.weight"] = flat.T @ g
+        grads["patch_embed.bias"] = g.sum(axis=0)
+        return tuple(grads[name] for name in names)
+
+    return ad.record(stack[0] if single else stack, [params[n] for n in names], backward)
 
 
-def fuse(block_features: list[Tensor], params: MeeParams) -> EmbeddingOutput:
+def fuse(stack: Tensor, params: MeeParams) -> EmbeddingOutput:
     """Convex combination of block features, weighted by an MLP + softmax
     over the concatenated features.
 
-    Features are (D,) for one clip or (B, D) for a batch; the outputs keep
-    the same leading batch axis, or none.
+    ``stack`` is encoder_forward's (L, D) for one clip or (B, L, D) for a
+    batch; the outputs keep the same leading batch axis, or none.
     """
-    lead = block_features[0].shape[:-1]  # () for one clip, (B,) for a batch
+    lead = stack.shape[:-2]  # () for one clip, (B,) for a batch
     batch = lead[0] if lead else 1
-    n_blocks, dim = len(block_features), block_features[0].shape[-1]
-    stack = ad.concat([ad.reshape(f, (batch, 1, dim)) for f in block_features], axis=1)
+    n_blocks, dim = stack.shape[-2:]
+    stack = ad.reshape(stack, (batch, n_blocks, dim))
     eprime = ad.reshape(stack, (batch, n_blocks * dim))
     hidden = ad.relu(ad.matmul(eprime, params["fusion.w1"]) + params["fusion.b1"])
     logits = ad.matmul(hidden, params["fusion.w2"]) + params["fusion.b2"]
@@ -233,8 +355,11 @@ def fuse(block_features: list[Tensor], params: MeeParams) -> EmbeddingOutput:
 def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
     """The extractor's embedding: fused block features, or the last block's
     features when fusion is off. (D,) for one clip, (B, D) for a batch."""
-    feats = encoder_forward(patches, params, cfg)
-    return fuse(feats, params).e if cfg.use_fusion else feats[-1]
+    stack = encoder_forward(patches, params, cfg)
+    if cfg.use_fusion:
+        return fuse(stack, params).e
+    last = ad.slice_axis(stack, -2, cfg.blocks - 1, cfg.blocks)
+    return ad.reshape(last, stack.shape[:-2] + (cfg.dim,))
 
 
 def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndarray:

@@ -43,7 +43,8 @@ def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
 
 def container_parts(tensors, labels=(), dtype: str = "f32") -> list:
     """The container as buffers, tensor values as views: writing or hashing
-    them in turn skips the joined copy."""
+    them in turn skips the joined copy. Labels must be str, since the table
+    stores text: any other label would reload as a different value."""
     if dtype not in _DTYPE_TAGS:
         raise WeightsFormatError(f"unsupported container dtype {dtype!r}")
     tag = _DTYPE_TAGS[dtype]
@@ -60,7 +61,9 @@ def container_parts(tensors, labels=(), dtype: str = "f32") -> list:
                   values.reshape(-1).view(np.uint8)]
     parts.append(struct.pack("<I", len(labels)))
     for label in labels:
-        parts += _text(str(label), "label")
+        if not isinstance(label, str):  # it would reload as its str()
+            raise WeightsFormatError(f"label {label!r} is not a string")
+        parts += _text(label, "label")
     return parts
 
 

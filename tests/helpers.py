@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ffcac import autodiff as ad
+from ffcac import encoder as enc
+from ffcac.autodiff import Tensor
 
 
 def rel_err(analytic, numeric, floor: float = 1e-2) -> float:
@@ -88,3 +92,75 @@ def lstsq_weights(E: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Independent least-squares oracle (orthogonal factorization via SVD)."""
     w, *_ = np.linalg.lstsq(E, Y, rcond=None)
     return w
+
+
+# ---------------------------------------------------------------------------
+# the extractor as a composite of tape ops: the oracle for encoder.py's
+# hand-written layer backward, which must match its gradients bit for bit
+
+
+def _tape_affine_norm(x, params, prefix: str):
+    return (ad.layer_norm(x, axis=-1, eps=enc.LN_EPS) * params[f"{prefix}.gain"]
+            + params[f"{prefix}.bias"])
+
+
+def _tape_attention(h, params, block: str, cfg, batch: int):
+    tokens = h.shape[0] // batch
+    dh = cfg.dim // cfg.heads
+
+    def project(x, name: str):
+        return ad.matmul(x, params[f"{block}.attn.w{name}"]) + params[f"{block}.attn.b{name}"]
+
+    def split_heads(x, axes):
+        x = ad.transpose(ad.reshape(x, (batch, tokens, cfg.heads, dh)), axes)
+        return ad.reshape(x, (batch * cfg.heads,) + x.shape[2:])
+
+    q = split_heads(project(h, "q"), (0, 2, 1, 3))  # (B*H, T, dh)
+    k_t = split_heads(project(h, "k"), (0, 2, 3, 1))  # (B*H, dh, T)
+    v = split_heads(project(h, "v"), (0, 2, 1, 3))
+    scores = ad.scale(ad.matmul(q, k_t), 1.0 / math.sqrt(dh))
+    heads = ad.matmul(ad.softmax(scores, axis=-1), v)  # (B*H, T, dh)
+    merged = ad.transpose(ad.reshape(heads, (batch, cfg.heads, tokens, dh)), (0, 2, 1, 3))
+    return project(ad.reshape(merged, (batch * tokens, cfg.dim)), "o")
+
+
+def _tape_feed_forward(h, params, block: str):
+    hidden = ad.gelu(ad.matmul(h, params[f"{block}.ffn.w1"]) + params[f"{block}.ffn.b1"])
+    return ad.matmul(hidden, params[f"{block}.ffn.w2"]) + params[f"{block}.ffn.b2"]
+
+
+def tape_encoder_forward(patches: np.ndarray, params, cfg) -> list:
+    """Per-block pooled features, (D,) for a (Z, P) clip or (B, D) for a
+    (B, Z, P) batch, built op by op on the tape (the patch matrix included)."""
+    mat = np.asarray(patches)
+    single = mat.ndim == 2
+    if single:
+        mat = mat[None]
+    batch, z, pd = mat.shape
+    t, d = z + 1, cfg.dim
+    x = ad.matmul(Tensor(mat.reshape(batch * z, pd)), params["patch_embed.weight"]) \
+        + params["patch_embed.bias"]
+    cls_rows = ad.reshape(params["cls_token"], (1, 1, d)) + np.zeros((batch, 1, d))
+    tokens = ad.concat([cls_rows, ad.reshape(x, (batch, z, d))], axis=1)
+    tokens = ad.reshape(tokens + ad.slice_axis(params["pos_table"], 0, 0, t), (batch * t, d))
+
+    feats = []
+    for i in range(cfg.blocks):
+        block = f"block{i}"
+        attended = tokens + _tape_attention(_tape_affine_norm(tokens, params, f"{block}.ln1"),
+                                            params, block, cfg, batch)
+        tokens = attended + _tape_feed_forward(_tape_affine_norm(attended, params, f"{block}.ln2"),
+                                               params, block)
+        tapped = _tape_affine_norm(tokens, params, f"{block}.feature_norm")
+        pooled = ad.mean(ad.reshape(tapped, (batch, t, d)), axis=1)
+        feats.append(ad.reshape(pooled, (d,)) if single else pooled)
+    return feats
+
+
+def tape_embed(patches: np.ndarray, params, cfg):
+    """``encoder.embed`` built on ``tape_encoder_forward``."""
+    feats = tape_encoder_forward(patches, params, cfg)
+    if not cfg.use_fusion:
+        return feats[-1]
+    stack = ad.concat([ad.reshape(f, f.shape[:-1] + (1, cfg.dim)) for f in feats], axis=-2)
+    return enc.fuse(stack, params).e

@@ -296,3 +296,11 @@ def test_transpose_axes_gradient():
     weights = rng.normal(size=(2, 4, 5, 3))
     err = grad_check(lambda: ad.sum_(ad.transpose(x, (0, 2, 3, 1)) * weights), [x])
     assert err <= PRIMITIVE_TOL
+
+
+def test_in_place_softmax_kernel_equals_its_one_expression_form():
+    """The hand-written extractor backward and the tape ops share this
+    kernel; its in-place form must give the bits of the plain expression."""
+    x = np.random.default_rng(47).normal(scale=2.0, size=(2, 7, 9))
+    e = np.exp(x - x.max(axis=2, keepdims=True))
+    assert np.array_equal(ad.softmax_forward(x, 2), e / e.sum(axis=2, keepdims=True))

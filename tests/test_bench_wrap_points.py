@@ -86,6 +86,30 @@ def test_classifier_wrap_points_record_every_update(monkeypatch):
     assert cls.update_incremental is original  # restore() put the original back
 
 
+def test_training_wrap_points_record_one_span_each_per_epoch(monkeypatch):
+    """perfbench reads the base session's forward and backward time from
+    these spans, outside the frozen embeddings that follow training."""
+    cfg = ExperimentConfig(train=TrainConfig(epochs=2))  # configs/desk.cfg geometry
+    plan, pipeline = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
+    episode = sessions.sample_episode(plan, 0, cfg.run.seed)
+
+    tracer = _installed(monkeypatch)
+    try:
+        tracer.recording = True
+        sessions.run_base_session(episode, pipeline, cfg, cfg.run.seed)
+        tracer.recording = False
+    finally:
+        tracer.restore()
+
+    tracing = importlib.import_module("tracing")
+    base = tracing.under(tracer.spans, "sessions.run_base_session")
+    frozen = tracing.under(tracer.spans, "encoder.extract_embedding")
+    training = [s[1] for s in tracer.spans if s[0] in base and s[0] not in frozen]
+    for name in ("encoder.encoder_forward", "encoder.fuse", "classifiers.cosine_loss",
+                 "autodiff.backward"):
+        assert training.count(name) == cfg.train.epochs, name
+
+
 def test_ridge_wide_protocol_runs_through_the_public_classifier_calls(tmp_path, monkeypatch):
     """The ridge-wide workload drives ``classifiers`` directly (it passes a
     state's ``registry`` to ``predict``); one small protocol run must fail

@@ -879,6 +879,25 @@ def test_overlong_text_is_a_format_error_and_save_keeps_the_old_file(tmp_path):
     assert path.read_bytes() == saved
 
 
+def test_non_string_labels_are_refused_and_save_keeps_the_old_file(tmp_path):
+    """The label table stores text, so a state labelled 0, 1, 2 (fit_base's
+    default) would reload as '0', '1', '2': saving and hashing refuse it."""
+    path = tmp_path / "clf.weights"
+    named = cls.fit_base(np.eye(3), np.eye(3), 0.1, labels=["0", "1", "2"])
+    numbered = cls.fit_base(np.eye(3), np.eye(3), 0.1)
+    assert numbered.registry == (0, 1, 2)
+    cls.save_state(path, named)
+    saved = path.read_bytes()
+    with pytest.raises(WeightsFormatError, match="label 0 is not a string"):
+        cls.save_state(path, numbered)
+    assert path.read_bytes() == saved
+    assert cls.state_checksum(named) == hashlib.sha256(saved).hexdigest()
+    with pytest.raises(WeightsFormatError, match="label 0 is not a string"):
+        cls.state_checksum(numbered)
+    with pytest.raises(WeightsFormatError, match="label b'a' is not a string"):
+        wio.container_parts([], labels=["a", b"a"])
+
+
 _FUZZ_STATE = b"".join(cls.state_parts(cls.fit_base(
     np.random.default_rng(59).normal(size=(8, 2)), np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]], 0.25,
     labels=["a", "b", "é"],

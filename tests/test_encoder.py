@@ -1,3 +1,4 @@
+import dataclasses
 import struct
 
 import numpy as np
@@ -8,12 +9,13 @@ from hypothesis import strategies as st
 from ffcac import autodiff as ad
 from ffcac import classifiers as cls
 from ffcac import encoder as enc
+from ffcac import sessions
 from ffcac import weights_io as wio
 from ffcac.autodiff import Tensor
-from ffcac.config import ast_base_config
+from ffcac.config import ExperimentConfig, ast_base_config
 from ffcac.errors import DimensionError, WeightsFormatError, WeightsShapeError
 
-from tests.helpers import grad_check
+from tests.helpers import grad_check, tape_embed
 
 TINY = enc.EncoderConfig(blocks=2, dim=8, heads=2, mlp_hidden=12, fusion_hidden=8,
                          z_max=6, patch_dim=10)
@@ -41,13 +43,14 @@ def test_identity_blocks_pool_layer_normed_embedded_tokens():
     params = _zero_mixing_params(cfg, seed=3)
     rng = np.random.default_rng(5)
     patches = rng.normal(size=(4, 10))
-    feats = enc.encoder_forward(patches, params, cfg)
+    stack = enc.encoder_forward(patches, params, cfg)
 
     # independent trace of the residual path
     embedded = patches @ params["patch_embed.weight"].values + params["patch_embed.bias"].values
     tokens = np.vstack([params["cls_token"].values, embedded]) + params["pos_table"].values[:5]
     expected = _np_layer_norm(tokens).mean(axis=0)
-    assert np.allclose(feats[0].values, expected, atol=1e-12)
+    assert stack.shape == (1, cfg.dim)
+    assert np.allclose(stack.values[0], expected, atol=1e-12)
 
 
 def test_patch_permutation_invariance_without_positions():
@@ -55,10 +58,9 @@ def test_patch_permutation_invariance_without_positions():
     params["pos_table"].values[...] = 0.0
     rng = np.random.default_rng(7)
     patches = rng.normal(size=(5, 10))
-    base = [f.values for f in enc.encoder_forward(patches, params, TINY)]
-    perm = [f.values for f in enc.encoder_forward(patches[::-1].copy(), params, TINY)]
-    for a, b in zip(base, perm):
-        assert np.allclose(a, b, atol=1e-12)
+    base = enc.encoder_forward(patches, params, TINY).values
+    perm = enc.encoder_forward(patches[::-1].copy(), params, TINY).values
+    assert np.allclose(base, perm, atol=1e-12)
 
 
 def test_forward_deterministic():
@@ -74,26 +76,68 @@ def test_batched_forward_equals_per_clip_calls():
     params = enc.init_mee_params(TINY, seed=12)
     rng = np.random.default_rng(29)
     batch = rng.normal(size=(4, 6, 10))
-    feats = enc.encoder_forward(batch, params, TINY)
+    stack = enc.encoder_forward(batch, params, TINY)
     embedded = enc.extract_embedding(batch, params, TINY)
-    assert [f.shape for f in feats] == [(4, TINY.dim)] * TINY.blocks
+    assert stack.shape == (4, TINY.blocks, TINY.dim)
     assert embedded.shape == (4, TINY.dim)
     for i, clip in enumerate(batch):
-        for f_batch, f_one in zip(feats, enc.encoder_forward(clip, params, TINY)):
-            assert np.max(np.abs(f_batch.values[i] - f_one.values)) <= 1e-12
+        one = enc.encoder_forward(clip, params, TINY).values
+        assert np.max(np.abs(stack.values[i] - one)) <= 1e-12
         assert np.max(np.abs(embedded[i] - enc.extract_embedding(clip, params, TINY))) <= 1e-12
 
 
 def test_batched_fuse_keeps_the_batch_axis():
     params = enc.init_mee_params(TINY, seed=13)
     rng = np.random.default_rng(31)
-    feats = [Tensor(rng.normal(size=(3, TINY.dim))) for _ in range(TINY.blocks)]
-    out = enc.fuse(feats, params)
+    stack = Tensor(rng.normal(size=(3, TINY.blocks, TINY.dim)))
+    out = enc.fuse(stack, params)
     assert out.e.shape == (3, TINY.dim)
     assert out.fusion_weights.shape == (3, TINY.blocks)
     for i in range(3):
-        one = enc.fuse([Tensor(f.values[i]) for f in feats], params)
+        one = enc.fuse(Tensor(stack.values[i]), params)
         assert np.max(np.abs(out.e.values[i] - one.e.values)) <= 1e-12
+
+
+def _desk_episode() -> tuple[enc.EncoderConfig, np.ndarray]:
+    """The extractor geometry and (B, Z, P) base-episode patches of
+    configs/desk.cfg (the defaults, run seed 100)."""
+    cfg = ExperimentConfig()
+    plan, pipeline = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
+    episode = sessions.sample_episode(plan, 0, 100)
+    return cfg.encoder_config(), np.stack([pipeline.patches(ref) for ref in episode.pairs])
+
+
+def _loss_gradients(embed, patches, params, cfg):
+    """Embedding values and the gradient of every extractor, fusion and
+    head tensor (zeros where backward leaves none) under the cosine loss."""
+    e = embed(patches, params, cfg)
+    rows = ad.reshape(e, (-1, cfg.dim))
+    head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=5)
+    tensors = list(params.values()) + [head.weight]
+    ad.zero_grads(tensors)
+    ad.backward(cls.cosine_loss(rows, np.arange(rows.shape[0]) % 3, head))
+    return e.values, [np.zeros_like(t.values) if t.grad is None else t.grad for t in tensors]
+
+
+@pytest.mark.parametrize("fusion", [True, False])
+@pytest.mark.parametrize("geometry", ["tiny", "desk"])
+@pytest.mark.parametrize("batched", [True, False])
+def test_layer_backward_matches_the_tape_bit_for_bit(geometry, fusion, batched):
+    if geometry == "desk":
+        cfg, patches = _desk_episode()
+    else:
+        cfg, patches = TINY, np.random.default_rng(37).normal(size=(5, 6, TINY.patch_dim))
+    cfg = dataclasses.replace(cfg, use_fusion=fusion)
+    if not batched:
+        patches = patches[2]
+    params = enc.init_mee_params(cfg, seed=17)
+    tape_e, tape_grads = _loss_gradients(tape_embed, patches, params, cfg)
+    e, grads = _loss_gradients(enc.embed, patches, params, cfg)
+    assert np.array_equal(e, tape_e)
+    assert np.array_equal(enc.extract_embedding(patches, params, cfg), e)
+    names = list(params) + ["head"]
+    unequal = [n for n, g, tg in zip(names, grads, tape_grads) if not np.array_equal(g, tg)]
+    assert unequal == []
 
 
 def test_too_many_patches_rejected():
@@ -131,8 +175,7 @@ def test_fuse_hand_case():
     cfg = enc.EncoderConfig(blocks=2, dim=2, heads=1, mlp_hidden=4, fusion_hidden=4,
                             z_max=4, patch_dim=4)
     params = _constant_logit_params(cfg, [np.log(3.0), 0.0])
-    feats = [Tensor([1.0, 0.0]), Tensor([0.0, 1.0])]
-    out = enc.fuse(feats, params)
+    out = enc.fuse(Tensor([[1.0, 0.0], [0.0, 1.0]]), params)
     assert np.allclose(out.fusion_weights.values, [0.75, 0.25], atol=1e-12)
     assert np.allclose(out.e.values, [0.75, 0.25], atol=1e-12)
 
@@ -142,19 +185,19 @@ def test_fuse_uniform_logits_takes_mean():
                             z_max=4, patch_dim=4)
     params = _constant_logit_params(cfg, [0.7, 0.7, 0.7])
     rng = np.random.default_rng(11)
-    feats = [Tensor(rng.normal(size=4)) for _ in range(3)]
-    out = enc.fuse(feats, params)
-    assert np.allclose(out.e.values, np.mean([f.values for f in feats], axis=0))
+    stack = Tensor(rng.normal(size=(3, 4)))
+    out = enc.fuse(stack, params)
+    assert np.allclose(out.e.values, stack.values.mean(axis=0))
 
 
 def test_fuse_single_block_ignores_mlp():
     cfg = enc.EncoderConfig(blocks=1, dim=4, heads=1, mlp_hidden=4, fusion_hidden=4,
                             z_max=4, patch_dim=4)
     params = enc.init_mee_params(cfg, seed=4)  # arbitrary MLP weights
-    feat = Tensor(np.array([1.0, -2.0, 3.0, 0.5]))
-    out = enc.fuse([feat], params)
+    feat = np.array([1.0, -2.0, 3.0, 0.5])
+    out = enc.fuse(Tensor(feat[None]), params)
     assert np.allclose(out.fusion_weights.values, [1.0])
-    assert np.allclose(out.e.values, feat.values)
+    assert np.allclose(out.e.values, feat)
 
 
 def test_fusion_logit_shift_invariance():
@@ -162,10 +205,10 @@ def test_fusion_logit_shift_invariance():
                             z_max=4, patch_dim=4)
     rng = np.random.default_rng(13)
     params = enc.init_mee_params(cfg, seed=5)
-    feats = [Tensor(rng.normal(size=4)) for _ in range(2)]
-    base = enc.fuse(feats, params).e.values
+    stack = Tensor(rng.normal(size=(2, 4)))
+    base = enc.fuse(stack, params).e.values
     params["fusion.b2"].values += 17.3  # uniform additive shift of all logits
-    shifted = enc.fuse(feats, params).e.values
+    shifted = enc.fuse(stack, params).e.values
     assert np.allclose(base, shifted, atol=1e-12)
 
 
@@ -178,12 +221,11 @@ def test_fusion_weights_convex_for_arbitrary_mlps(seed):
     params = enc.init_mee_params(cfg, seed=int(rng.integers(0, 2**31)))
     for t in (params["fusion.w1"], params["fusion.b1"], params["fusion.w2"], params["fusion.b2"]):
         t.values[...] = rng.normal(scale=3.0, size=t.values.shape)
-    feats = [Tensor(rng.normal(size=5)) for _ in range(3)]
-    out = enc.fuse(feats, params)
+    stack = rng.normal(size=(3, 5))
+    out = enc.fuse(Tensor(stack), params)
     w = out.fusion_weights.values
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-12
-    stack = np.stack([f.values for f in feats])
     assert np.all(out.e.values >= stack.min(axis=0) - 1e-12)
     assert np.all(out.e.values <= stack.max(axis=0) + 1e-12)
 
