@@ -240,7 +240,7 @@ def _block(x: np.ndarray, p: dict, block: str, cfg: EncoderConfig, batch: int, c
     """One pre-norm block on (B*T, D) tokens: its output tokens and pooled
     (B, D) feature. Appends the five layer caches its backward reads to
     ``caches`` unless that is None; then each is freed as the next layer
-    runs, which keeps a forward-only pass at the op-by-op peak memory."""
+    runs, so a forward-only pass holds one layer's intermediates at a time."""
 
     def layer(fn, *args):
         out, cache = fn(*args)
