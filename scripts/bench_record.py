@@ -14,7 +14,8 @@ n over those seeds of every end-to-end metric (``--trace 0`` runs) and,
 where traced runs exist, of every per-layer metric (``--trace 1``). The
 runs must share their machine facts. The second form prints, per workload
 and metric, both medians, their ratio and the old file's interquartile
-range.
+range; each end-to-end metric that the repo's BENCHMARK.json gates also
+gets a verdict under that file's ``better`` and ``bound`` (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from pathlib import Path
 
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 SECTIONS = {"0": "end_to_end", "1": "per_layer"}
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def summary(values: list[float]) -> dict:
@@ -74,9 +76,26 @@ def fold(out_dir: Path, rev: str) -> dict:
     return {"rev": rev, "machine": json.loads(machines.pop()), "workloads": workloads}
 
 
+def verdict(a: dict, b: dict, better: str, bound: float) -> str:
+    """Old summary ``a`` against new summary ``b`` of one gated metric:
+    ``worse`` if the new median is worse by more than ``bound`` times the
+    old median, else ``unresolved`` if the old IQR exceeds that much, else
+    ``better`` if the median improves by more than the old IQR, else
+    ``same``."""
+    gain = b["median"] - a["median"] if better == "higher" else a["median"] - b["median"]
+    allowed = bound * abs(a["median"])
+    iqr = a["q3"] - a["q1"]
+    if -gain > allowed:
+        return "worse"
+    if iqr > allowed:
+        return "unresolved"
+    return "better" if gain > iqr else "same"
+
+
 def diff(old: dict, new: dict) -> None:
+    gates = {m["name"]: m for m in json.loads(BENCHMARK.read_text("utf-8"))["end_to_end"]}
     print(f"{'workload':16s} {'metric':40s} {old['rev']:>12s} {new['rev']:>12s} "
-          f"{'new/old':>8s} {'old IQR':>10s}")
+          f"{'new/old':>8s} {'old IQR':>10s} verdict")
     for workload, sections in old["workloads"].items():
         for section, base in sections.items():
             other = new["workloads"].get(workload, {}).get(section, {}).get("metrics", {})
@@ -85,8 +104,10 @@ def diff(old: dict, new: dict) -> None:
                 if b is None:
                     continue
                 ratio = f"{b['median'] / a['median']:.3f}" if a["median"] else "-"
+                gate = gates.get(name) if section == "end_to_end" else None
+                judged = verdict(a, b, gate["better"], gate["bound"]) if gate else ""
                 print(f"{workload:16s} {name:40s} {a['median']:12.5g} {b['median']:12.5g} "
-                      f"{ratio:>8s} {a['q3'] - a['q1']:10.3g}")
+                      f"{ratio:>8s} {a['q3'] - a['q1']:10.3g} {judged}".rstrip())
 
 
 def main(argv=None) -> int:

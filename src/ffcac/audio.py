@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DimensionError, IngestionError
-from .weights_io import MAX_TEXT_BYTES
+from .weights_io import MAX_TEXT_BYTES, open_input, read_text
 
 PCM_FULL_SCALE = 32768.0  # 16-bit two's complement
 
@@ -69,10 +69,8 @@ def load_wav(path, expected_rate_hz: int = 16000) -> np.ndarray:
     """Read a mono 16-bit PCM RIFF file at ``expected_rate_hz``: its (n,)
     float64 samples, scaled by 1/32768."""
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"{path}: no such file")
     try:
-        with wave.open(str(path), "rb") as wf:
+        with open_input(path) as fh, wave.open(fh, "rb") as wf:
             channels = wf.getnchannels()
             width = wf.getsampwidth()
             rate = wf.getframerate()
@@ -279,14 +277,8 @@ class ManifestRow:
 
 def read_manifest(path) -> list[ManifestRow]:
     path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"{path}: no such manifest")
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
-    try:
-        table = list(csv.reader(io.StringIO(text, newline="")))
+        table = list(csv.reader(io.StringIO(read_text(path), newline="")))
     except csv.Error as e:  # e.g. a field past csv.field_size_limit()
         raise IngestionError(f"{path}: not a readable CSV manifest ({e})") from e
     if not table:

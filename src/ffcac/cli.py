@@ -18,6 +18,7 @@ from . import sessions
 from .audio import FrontendConfig, ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
 from .config import ast_base_config, default_config, fits_int64, load_config, validate_config
 from .errors import ConfigError, FfcacError, IngestionError
+from .weights_io import read_text
 
 
 # synth-data flag -> the synth.* field it sets
@@ -160,14 +161,7 @@ def cmd_count_complexity(args) -> int:
 
 
 def cmd_report(args) -> int:
-    path = Path(args.json_path)
-    if not path.exists():
-        raise IngestionError(f"{path}: no such report")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
-    csv_text = sessions.json_report_to_csv(text)
+    csv_text = sessions.json_report_to_csv(read_text(args.json_path))
     if args.csv:
         try:
             Path(args.csv).write_text(csv_text, encoding="utf-8")

@@ -12,11 +12,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .audio import FrontendConfig, SynthConfig, patch_counts
 from .encoder import EncoderConfig
-from .errors import ConfigError, IngestionError
+from .errors import ConfigError
+from .weights_io import read_text
 
 
 @dataclass(frozen=True)
@@ -198,14 +198,7 @@ def parse_config_text(text: str, base: ExperimentConfig | None = None) -> Experi
 
 
 def load_config(path) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"{path}: no such config file")
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
-    return parse_config_text(text)
+    return parse_config_text(read_text(path))
 
 
 def validate_config(cfg: ExperimentConfig) -> None:

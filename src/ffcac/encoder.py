@@ -67,8 +67,8 @@ MeeParams = dict[str, Tensor]
 class EmbeddingOutput:
     """Embedding plus the fusion weights that produced it."""
 
-    e: Tensor  # (D,)
-    fusion_weights: Tensor | None = None  # (L,), convex
+    e: Tensor  # (B, D)
+    fusion_weights: Tensor | None = None  # (B, L), convex
 
 
 def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -236,11 +236,12 @@ def _feed_forward_backward(g: np.ndarray, cache, p: dict, block: str, grads: dic
     return _linear_backward(g, h, p, f"{block}.ffn.w1", f"{block}.ffn.b1", grads)
 
 
-def _block(x: np.ndarray, p: dict, block: str, cfg: EncoderConfig, batch: int, caches):
-    """One pre-norm block on (B*T, D) tokens: its output tokens and pooled
-    (B, D) feature. Appends the five layer caches its backward reads to
-    ``caches`` unless that is None; then each is freed as the next layer
-    runs, so a forward-only pass holds one layer's intermediates at a time."""
+def _block(x: np.ndarray, p: dict, block: str, cfg: EncoderConfig, batch: int, tap: bool, caches):
+    """One pre-norm block on (B*T, D) tokens: its output tokens and, if
+    ``tap``, its pooled (B, D) feature (else None). Appends the layer
+    caches its backward reads to ``caches`` unless that is None; then each
+    is freed as the next layer runs, so a forward-only pass holds one
+    layer's intermediates at a time."""
 
     def layer(fn, *args):
         out, cache = fn(*args)
@@ -252,22 +253,27 @@ def _block(x: np.ndarray, p: dict, block: str, cfg: EncoderConfig, batch: int, c
     attended += x
     y = layer(_feed_forward, layer(_affine_norm, attended, p, f"{block}.ln2"), p, block)
     y += attended
+    if not tap:
+        return y, None
     tapped = layer(_affine_norm, y, p, f"{block}.feature_norm")
     return y, tapped.reshape(batch, -1, cfg.dim).mean(axis=1)
 
 
-def _block_backward(g_pooled: np.ndarray, g_next, caches, p: dict, block: str,
+def _block_backward(g_pooled, g_next, caches, p: dict, block: str,
                     cfg: EncoderConfig, batch: int, grads: dict):
     """Gradient of the block input as (residual path, ln1 path), from the
-    gradient of the pooled feature and the next block's input gradient in
-    that form (None for the last block)."""
-    ln1, attn, ln2, ffn, tap = caches
-    tokens = tap[0].shape[0] // batch
-    g = np.broadcast_to(np.expand_dims(g_pooled, 1) / tokens, (batch, tokens, cfg.dim)).copy()
-    g_y = _affine_norm_backward(g.reshape(-1, cfg.dim), tap, p, f"{block}.feature_norm", grads)
-    if g_next is not None:  # the tape's order: (tap + residual) + ln1
-        g_y += g_next[0]
-        g_y += g_next[1]
+    gradient of the pooled feature (None for an untapped block) and the
+    next block's input gradient in that form (None for the last block)."""
+    ln1, attn, ln2, ffn = caches[:4]
+    if g_pooled is None:  # the tape's order: residual + ln1
+        g_y = g_next[0] + g_next[1]
+    else:
+        tokens = ln1[0].shape[0] // batch
+        g = np.broadcast_to(np.expand_dims(g_pooled, 1) / tokens, (batch, tokens, cfg.dim)).copy()
+        g_y = _affine_norm_backward(g.reshape(-1, cfg.dim), caches[4], p, f"{block}.feature_norm", grads)
+        if g_next is not None:  # the tape's order: (tap + residual) + ln1
+            g_y += g_next[0]
+            g_y += g_next[1]
     g_h2 = _feed_forward_backward(g_y, ffn, p, block, grads)
     g_attended = _affine_norm_backward(g_h2, ln2, p, f"{block}.ln2", grads)
     g_attended += g_y
@@ -276,19 +282,17 @@ def _block_backward(g_pooled: np.ndarray, g_next, caches, p: dict, block: str,
 
 
 def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
-    """Run the block stack; return the pooled features of every block.
+    """Run the block stack on a (B, Z, P) batch of equally long clips;
+    return the (B, L, D) pooled features of every block, or the (B, 1, D)
+    features of the last block when fusion is off.
 
-    ``patches`` is one clip's (Z, P) patch matrix, giving an (L, D) stack,
-    or a (B, Z, P) batch of equally long clips, giving (B, L, D). Affine
-    maps run as one 2-D product over all B*T tokens. The stack is one tape
-    node whose parents are the extractor parameters (all but ``fusion.*``).
+    Affine maps run as one 2-D product over all B*T tokens. The stack is
+    one tape node whose parents are the extractor parameters it read: all
+    but ``fusion.*`` and the feature norms of untapped blocks.
     """
     mat = np.asarray(patches)
-    single = mat.ndim == 2
-    if single:
-        mat = mat[None]
     if mat.ndim != 3:
-        raise DimensionError(f"expected a (Z, P) clip or a (B, Z, P) batch, got shape {mat.shape}")
+        raise DimensionError(f"expected a (B, Z, P) batch, got shape {mat.shape}")
     batch, z, pd = mat.shape
     if z > cfg.z_max:
         raise DimensionError(f"{z} patches exceed positional table length {cfg.z_max}")
@@ -303,21 +307,23 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     x = np.concatenate([cls_rows, x.reshape(batch, z, d)], axis=1) + p["pos_table"][:t]
     x = x.reshape(batch * t, d)
 
-    caches = [] if ad.recording() else None  # five per block
+    first_tap = 0 if cfg.use_fusion else cfg.blocks - 1
+    caches = [[] if ad.recording() else None for _ in range(cfg.blocks)]  # one list per block
     feats = []
     for i in range(cfg.blocks):
-        x, pooled = _block(x, p, f"block{i}", cfg, batch, caches)
+        x, pooled = _block(x, p, f"block{i}", cfg, batch, i >= first_tap, caches[i])
         feats.append(pooled)
-    stack = np.stack(feats, axis=1)  # (B, L, D)
-    names = [name for name in params if not name.startswith("fusion.")]
+    stack = np.stack(feats[first_tap:], axis=1)  # (B, L or 1, D)
+    skipped = ("fusion.",) + tuple(f"block{i}.feature_norm." for i in range(first_tap))
+    names = [name for name in params if not name.startswith(skipped)]
 
     def backward(g_stack):
-        g_stack = g_stack.reshape(batch, cfg.blocks, d)
         grads: dict[str, np.ndarray] = {}
         g_x = None
         for i in reversed(range(cfg.blocks)):
-            g_x = _block_backward(g_stack[:, i], g_x, caches[5 * i : 5 * i + 5], p, f"block{i}",
-                                  cfg, batch, grads)
+            # the stack holds blocks first_tap..L-1, so block i is column i - L
+            g_pooled = g_stack[:, i - cfg.blocks] if i >= first_tap else None
+            g_x = _block_backward(g_pooled, g_x, caches[i], p, f"block{i}", cfg, batch, grads)
         g = (g_x[0] + g_x[1]).reshape(batch, t, d)
         grads["pos_table"] = np.zeros(p["pos_table"].shape)
         grads["pos_table"][:t] = g.sum(axis=0)
@@ -327,44 +333,33 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
         grads["patch_embed.bias"] = g.sum(axis=0)
         return tuple(grads[name] for name in names)
 
-    return ad.record(stack[0] if single else stack, [params[n] for n in names], backward)
+    return ad.record(stack, [params[n] for n in names], backward)
 
 
 def fuse(stack: Tensor, params: MeeParams) -> EmbeddingOutput:
     """Convex combination of block features, weighted by an MLP + softmax
-    over the concatenated features.
-
-    ``stack`` is encoder_forward's (L, D) for one clip or (B, L, D) for a
-    batch; the outputs keep the same leading batch axis, or none.
+    over the concatenated features, for encoder_forward's (B, L, D) stack.
     """
-    lead = stack.shape[:-2]  # () for one clip, (B,) for a batch
-    batch = lead[0] if lead else 1
-    n_blocks, dim = stack.shape[-2:]
-    stack = ad.reshape(stack, (batch, n_blocks, dim))
+    batch, n_blocks, dim = stack.shape
     eprime = ad.reshape(stack, (batch, n_blocks * dim))
     hidden = ad.relu(ad.matmul(eprime, params["fusion.w1"]) + params["fusion.b1"])
     logits = ad.matmul(hidden, params["fusion.w2"]) + params["fusion.b2"]
     weights = ad.softmax(logits, axis=1)  # (B, L)
     e = ad.matmul(ad.reshape(weights, (batch, 1, n_blocks)), stack)  # (B, 1, D)
-    return EmbeddingOutput(
-        e=ad.reshape(e, lead + (dim,)),
-        fusion_weights=ad.reshape(weights, lead + (n_blocks,)),
-    )
+    return EmbeddingOutput(e=ad.reshape(e, (batch, dim)), fusion_weights=weights)
 
 
 def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
-    """The extractor's embedding: fused block features, or the last block's
-    features when fusion is off. (D,) for one clip, (B, D) for a batch."""
+    """The extractor's (B, D) embedding of a (B, Z, P) batch: fused block
+    features, or the last block's features when fusion is off."""
     stack = encoder_forward(patches, params, cfg)
     if cfg.use_fusion:
         return fuse(stack, params).e
-    last = ad.slice_axis(stack, -2, cfg.blocks - 1, cfg.blocks)
-    return ad.reshape(last, stack.shape[:-2] + (cfg.dim,))
+    return ad.reshape(stack, (stack.shape[0], cfg.dim))
 
 
 def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndarray:
-    """Forward-only embedding of a pre-split (Z, P) patch matrix, giving
-    (D,), or of a (B, Z, P) batch, giving (B, D)."""
+    """Forward-only (B, D) embedding of a (B, Z, P) batch of patch matrices."""
     with ad.no_grad():
         return embed(patches, params, cfg).values.copy()
 

@@ -293,12 +293,13 @@ def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
                             pipeline: ClipPipeline):
     """Frozen-extractor session: embed the episode, update the classifier
     analytically under the base session's λ. The extractor is checksummed
-    before and after."""
-    before = enc.params_checksum(params)
+    at full f64 precision before and after, so a change below f32
+    resolution is caught too."""
+    before = enc.params_checksum(params, "f64")
     labels = episode.labels
     embeddings = pipeline.embed_batch(episode.pairs, params)
     updated = classifier.update(embeddings, np.eye(len(labels))[_targets(episode)], labels)
-    after = enc.params_checksum(params)
+    after = enc.params_checksum(params, "f64")
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")
     return updated

@@ -24,7 +24,7 @@ import io
 import math
 import os
 import struct
-from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -144,9 +144,26 @@ def _read_container(fh, size: int) -> tuple[dict[str, np.ndarray], list[str]]:
     return tensors, labels
 
 
+def open_input(path) -> BinaryIO:
+    """Open an input file for binary reading; a path that cannot be opened
+    (missing, a directory, unreadable) raises IngestionError."""
+    try:
+        return open(path, "rb")
+    except FileNotFoundError:
+        raise IngestionError(f"{path}: no such file") from None
+    except OSError as e:
+        raise IngestionError(f"{path}: cannot open ({e.strerror})") from e
+
+
+def read_text(path) -> str:
+    """An input file's UTF-8 text, newlines translated as ``Path.read_text`` does."""
+    with io.TextIOWrapper(open_input(path), encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as e:
+            raise IngestionError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from e
+
+
 def load_container(path) -> tuple[dict[str, np.ndarray], list[str]]:
-    path = Path(path)
-    if not path.exists():
-        raise IngestionError(f"{path}: no such file")
-    with path.open("rb") as fh:
+    with open_input(path) as fh:
         return _read_container(fh, os.fstat(fh.fileno()).st_size)

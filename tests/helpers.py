@@ -130,12 +130,9 @@ def _tape_feed_forward(h, params, block: str):
 
 
 def tape_encoder_forward(patches: np.ndarray, params, cfg) -> list:
-    """Per-block pooled features, (D,) for a (Z, P) clip or (B, D) for a
-    (B, Z, P) batch, built op by op on the tape (the patch matrix included)."""
+    """Per-block (B, D) pooled features of a (B, Z, P) batch, built op by op
+    on the tape (the patch matrix included)."""
     mat = np.asarray(patches)
-    single = mat.ndim == 2
-    if single:
-        mat = mat[None]
     batch, z, pd = mat.shape
     t, d = z + 1, cfg.dim
     x = ad.matmul(Tensor(mat.reshape(batch * z, pd)), params["patch_embed.weight"]) \
@@ -153,7 +150,7 @@ def tape_encoder_forward(patches: np.ndarray, params, cfg) -> list:
                                                params, block)
         tapped = _tape_affine_norm(tokens, params, f"{block}.feature_norm")
         pooled = ad.mean(ad.reshape(tapped, (batch, t, d)), axis=1)
-        feats.append(ad.reshape(pooled, (d,)) if single else pooled)
+        feats.append(pooled)
     return feats
 
 

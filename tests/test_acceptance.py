@@ -142,11 +142,8 @@ def test_gradient_correctness_through_toy_extractor():
             tensors = list(params.values()) + [head.weight]
 
             def make_loss():
-                rows = [
-                    ad.reshape(enc.fuse(enc.encoder_forward(c, params, cfg), params).e,
-                               (1, cfg.dim))
-                    for c in clips
-                ]
+                rows = [enc.fuse(enc.encoder_forward(c[None], params, cfg), params).e
+                        for c in clips]
                 return cls.cosine_loss(ad.concat(rows, axis=0), labels, head)
 
             err = grad_check(make_loss, tensors, max_coords_per_tensor=3, rng=rng)

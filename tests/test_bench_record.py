@@ -49,3 +49,33 @@ def test_fold_rejects_mixed_machines_and_empty_dirs(tmp_path):
     _run_file(tmp_path, "ridge-wide", 3, 0, {"protocol_run_s": 0.5}, {**MACHINE, "nproc": 4})
     with pytest.raises(SystemExit, match="machine"):
         bench_record.fold(tmp_path, "abc1234")
+
+
+def _record(rev, metrics):
+    """A folded record of one workload: metric -> (median, q1, q3)."""
+    summaries = {name: {"unit": "s", "gated": True, "median": m, "q1": q1, "q3": q3, "n": 10}
+                 for name, (m, q1, q3) in metrics.items()}
+    section = {"seeds": list(range(10)), "seconds": 30.0, "metrics": summaries}
+    return {"rev": rev, "machine": MACHINE,
+            "workloads": {"desk-train": {"end_to_end": section, "per_layer": section}}}
+
+
+def test_diff_gives_each_gated_end_to_end_metric_a_verdict(capsys):
+    old = _record("old", {"protocol_run_s": (1.0, 0.98, 1.02), "setup_s": (1.0, 0.8, 1.1),
+                          "aa": (0.9, 0.89, 0.91), "peak_rss_mb": (100.0, 99.5, 100.5),
+                          "protocol_wall_s": (1.0, 0.98, 1.02)})
+    new = _record("new", {"protocol_run_s": (1.3, 1.28, 1.32), "setup_s": (1.0, 0.8, 1.1),
+                          "aa": (0.95, 0.94, 0.96), "peak_rss_mb": (100.5, 100.0, 101.0),
+                          "protocol_wall_s": (2.0, 1.98, 2.02)})
+    bench_record.diff(old, new)
+    rows = [line.split()[1:2] + line.split()[6:] for line in capsys.readouterr().out.splitlines()[1:]]
+    # BENCHMARK.json bounds: run and setup times 25%, aa 6%, peak RSS 2% of the old median
+    assert rows[:5] == [
+        ["protocol_run_s", "worse"],  # +30%
+        ["setup_s", "unresolved"],  # the old IQR is 30% of its median
+        ["aa", "better"],  # +0.05 against an old IQR of 0.02
+        ["peak_rss_mb", "same"],  # +0.5%, within the old IQR
+        ["protocol_wall_s"],  # not gated
+    ]
+    assert rows[5:] == [[name] for name in ("protocol_run_s", "setup_s", "aa", "peak_rss_mb",
+                                            "protocol_wall_s")]  # per-layer rows are not judged

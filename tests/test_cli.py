@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 
@@ -6,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffcac import classifiers as cls
 from ffcac import cli, sessions
 from ffcac import encoder as enc
+from ffcac import weights_io as wio
 from ffcac.audio import FrontendConfig, SynthConfig, load_wav, read_manifest, synth_class_waveform
 from ffcac.config import ast_base_config, default_config, load_config, parse_config_text
-from ffcac.errors import ConfigError
+from ffcac.errors import ConfigError, IngestionError
 
 TOY_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -199,6 +202,36 @@ def test_run_rejects_out_of_range_value_without_traceback(line, tmp_path, capsys
 def test_config_key_set_twice_names_both_lines():
     with pytest.raises(ConfigError, match="line 3: train.epochs is already set on line 1"):
         parse_config_text("train.epochs = 1\n# then\ntrain.epochs = 7\n")
+
+
+_READERS = {
+    "config": load_config,
+    "manifest": read_manifest,
+    "wav": load_wav,
+    "container": wio.load_container,
+    "ridge state": cls.load_state,
+    "extractor": lambda path: enc.load_params(path, enc.EncoderConfig()),
+    "report": lambda path: cli.cmd_report(argparse.Namespace(json_path=path, csv=None)),
+}
+
+
+@pytest.mark.parametrize("reader", list(_READERS))
+def test_an_unopenable_input_is_an_ingestion_error(tmp_path, reader):
+    read = _READERS[reader]
+    with pytest.raises(IngestionError, match="ghost: no such file"):
+        read(tmp_path / "ghost")
+    with pytest.raises(IngestionError, match="cannot open"):
+        read(tmp_path)  # a directory
+
+
+def test_crlf_config_and_manifest_read_as_their_lf_text(tmp_path):
+    config = tmp_path / "crlf.cfg"
+    config.write_bytes(TOY_CONFIG.replace("\n", "\r\n").encode())
+    assert load_config(config) == parse_config_text(TOY_CONFIG)
+    manifest = tmp_path / "crlf.csv"
+    manifest.write_bytes(b"path,label,split\r\na.wav,cat,train\r\n\r\nb.wav,dog,test\r\n")
+    assert [(r.path, r.label, r.split) for r in read_manifest(manifest)] \
+        == [("a.wav", "cat", "train"), ("b.wav", "dog", "test")]
 
 
 def test_run_undecodable_config_is_io_error(tmp_path, capsys):

@@ -43,14 +43,14 @@ def test_identity_blocks_pool_layer_normed_embedded_tokens():
     params = _zero_mixing_params(cfg, seed=3)
     rng = np.random.default_rng(5)
     patches = rng.normal(size=(4, 10))
-    stack = enc.encoder_forward(patches, params, cfg)
+    stack = enc.encoder_forward(patches[None], params, cfg)
 
     # independent trace of the residual path
     embedded = patches @ params["patch_embed.weight"].values + params["patch_embed.bias"].values
     tokens = np.vstack([params["cls_token"].values, embedded]) + params["pos_table"].values[:5]
     expected = _np_layer_norm(tokens).mean(axis=0)
-    assert stack.shape == (1, cfg.dim)
-    assert np.allclose(stack.values[0], expected, atol=1e-12)
+    assert stack.shape == (1, 1, cfg.dim)
+    assert np.allclose(stack.values[0][0], expected, atol=1e-12)
 
 
 def test_patch_permutation_invariance_without_positions():
@@ -58,8 +58,8 @@ def test_patch_permutation_invariance_without_positions():
     params["pos_table"].values[...] = 0.0
     rng = np.random.default_rng(7)
     patches = rng.normal(size=(5, 10))
-    base = enc.encoder_forward(patches, params, TINY).values
-    perm = enc.encoder_forward(patches[::-1].copy(), params, TINY).values
+    base = enc.encoder_forward(patches[None], params, TINY).values
+    perm = enc.encoder_forward(patches[::-1].copy()[None], params, TINY).values
     assert np.allclose(base, perm, atol=1e-12)
 
 
@@ -67,8 +67,8 @@ def test_forward_deterministic():
     params = enc.init_mee_params(TINY, seed=2)
     rng = np.random.default_rng(9)
     patches = rng.normal(size=(6, 10))
-    one = enc.extract_embedding(patches, params, TINY)
-    two = enc.extract_embedding(patches, params, TINY)
+    one = enc.extract_embedding(patches[None], params, TINY)
+    two = enc.extract_embedding(patches[None], params, TINY)
     assert np.array_equal(one, two)
 
 
@@ -81,9 +81,9 @@ def test_batched_forward_equals_per_clip_calls():
     assert stack.shape == (4, TINY.blocks, TINY.dim)
     assert embedded.shape == (4, TINY.dim)
     for i, clip in enumerate(batch):
-        one = enc.encoder_forward(clip, params, TINY).values
+        one = enc.encoder_forward(clip[None], params, TINY).values[0]
         assert np.max(np.abs(stack.values[i] - one)) <= 1e-12
-        assert np.max(np.abs(embedded[i] - enc.extract_embedding(clip, params, TINY))) <= 1e-12
+        assert np.max(np.abs(embedded[i] - enc.extract_embedding(clip[None], params, TINY)[0])) <= 1e-12
 
 
 def test_batched_fuse_keeps_the_batch_axis():
@@ -94,8 +94,8 @@ def test_batched_fuse_keeps_the_batch_axis():
     assert out.e.shape == (3, TINY.dim)
     assert out.fusion_weights.shape == (3, TINY.blocks)
     for i in range(3):
-        one = enc.fuse(Tensor(stack.values[i]), params)
-        assert np.max(np.abs(out.e.values[i] - one.e.values)) <= 1e-12
+        one = enc.fuse(Tensor(stack.values[i][None]), params)
+        assert np.max(np.abs(out.e.values[i] - one.e.values[0])) <= 1e-12
 
 
 def _desk_episode() -> tuple[enc.EncoderConfig, np.ndarray]:
@@ -128,8 +128,8 @@ def test_layer_backward_matches_the_tape_bit_for_bit(geometry, fusion, batched):
     else:
         cfg, patches = TINY, np.random.default_rng(37).normal(size=(5, 6, TINY.patch_dim))
     cfg = dataclasses.replace(cfg, use_fusion=fusion)
-    if not batched:
-        patches = patches[2]
+    if not batched:  # a batch of one
+        patches = patches[2:3]
     params = enc.init_mee_params(cfg, seed=17)
     tape_e, tape_grads = _loss_gradients(tape_embed, patches, params, cfg)
     e, grads = _loss_gradients(enc.embed, patches, params, cfg)
@@ -140,12 +140,29 @@ def test_layer_backward_matches_the_tape_bit_for_bit(geometry, fusion, batched):
     assert unequal == []
 
 
+def test_fusion_off_leaves_the_untapped_feature_norms_without_a_gradient():
+    cfg, patches = _desk_episode()
+    cfg = dataclasses.replace(cfg, use_fusion=False)
+    params = enc.init_mee_params(cfg, seed=17)
+    _loss_gradients(enc.embed, patches, params, cfg)
+    last = f"block{cfg.blocks - 1}.feature_norm"
+    assert params[f"{last}.gain"].grad is not None and params[f"{last}.bias"].grad is not None
+    untapped = [f"block{i}.feature_norm.{part}" for i in range(cfg.blocks - 1) for part in ("gain", "bias")]
+    assert untapped and all(params[name].grad is None for name in untapped)
+
+
+def test_a_single_clip_matrix_is_not_a_batch():
+    params = enc.init_mee_params(TINY, seed=2)
+    with pytest.raises(DimensionError, match=r"\(B, Z, P\) batch, got shape \(3, 10\)"):
+        enc.encoder_forward(np.zeros((3, 10)), params, TINY)
+
+
 def test_too_many_patches_rejected():
     params = enc.init_mee_params(TINY, seed=2)
     with pytest.raises(DimensionError, match="positional"):
-        enc.encoder_forward(np.zeros((7, 10)), params, TINY)
+        enc.encoder_forward(np.zeros((1, 7, 10)), params, TINY)
     with pytest.raises(DimensionError, match="patch dim"):
-        enc.encoder_forward(np.zeros((3, 11)), params, TINY)
+        enc.encoder_forward(np.zeros((1, 3, 11)), params, TINY)
     with pytest.raises(DimensionError, match="batch"):
         enc.encoder_forward(np.zeros((1, 2, 3, 10)), params, TINY)
 
@@ -175,9 +192,9 @@ def test_fuse_hand_case():
     cfg = enc.EncoderConfig(blocks=2, dim=2, heads=1, mlp_hidden=4, fusion_hidden=4,
                             z_max=4, patch_dim=4)
     params = _constant_logit_params(cfg, [np.log(3.0), 0.0])
-    out = enc.fuse(Tensor([[1.0, 0.0], [0.0, 1.0]]), params)
-    assert np.allclose(out.fusion_weights.values, [0.75, 0.25], atol=1e-12)
-    assert np.allclose(out.e.values, [0.75, 0.25], atol=1e-12)
+    out = enc.fuse(Tensor([[[1.0, 0.0], [0.0, 1.0]]]), params)
+    assert np.allclose(out.fusion_weights.values[0], [0.75, 0.25], atol=1e-12)
+    assert np.allclose(out.e.values[0], [0.75, 0.25], atol=1e-12)
 
 
 def test_fuse_uniform_logits_takes_mean():
@@ -185,9 +202,9 @@ def test_fuse_uniform_logits_takes_mean():
                             z_max=4, patch_dim=4)
     params = _constant_logit_params(cfg, [0.7, 0.7, 0.7])
     rng = np.random.default_rng(11)
-    stack = Tensor(rng.normal(size=(3, 4)))
+    stack = Tensor(rng.normal(size=(1, 3, 4)))
     out = enc.fuse(stack, params)
-    assert np.allclose(out.e.values, stack.values.mean(axis=0))
+    assert np.allclose(out.e.values[0], stack.values[0].mean(axis=0))
 
 
 def test_fuse_single_block_ignores_mlp():
@@ -195,9 +212,9 @@ def test_fuse_single_block_ignores_mlp():
                             z_max=4, patch_dim=4)
     params = enc.init_mee_params(cfg, seed=4)  # arbitrary MLP weights
     feat = np.array([1.0, -2.0, 3.0, 0.5])
-    out = enc.fuse(Tensor(feat[None]), params)
-    assert np.allclose(out.fusion_weights.values, [1.0])
-    assert np.allclose(out.e.values, feat)
+    out = enc.fuse(Tensor(feat[None, None]), params)
+    assert np.allclose(out.fusion_weights.values[0], [1.0])
+    assert np.allclose(out.e.values[0], feat)
 
 
 def test_fusion_logit_shift_invariance():
@@ -205,7 +222,7 @@ def test_fusion_logit_shift_invariance():
                             z_max=4, patch_dim=4)
     rng = np.random.default_rng(13)
     params = enc.init_mee_params(cfg, seed=5)
-    stack = Tensor(rng.normal(size=(2, 4)))
+    stack = Tensor(rng.normal(size=(1, 2, 4)))
     base = enc.fuse(stack, params).e.values
     params["fusion.b2"].values += 17.3  # uniform additive shift of all logits
     shifted = enc.fuse(stack, params).e.values
@@ -222,12 +239,12 @@ def test_fusion_weights_convex_for_arbitrary_mlps(seed):
     for t in (params["fusion.w1"], params["fusion.b1"], params["fusion.w2"], params["fusion.b2"]):
         t.values[...] = rng.normal(scale=3.0, size=t.values.shape)
     stack = rng.normal(size=(3, 5))
-    out = enc.fuse(Tensor(stack), params)
-    w = out.fusion_weights.values
+    out = enc.fuse(Tensor(stack[None]), params)
+    w = out.fusion_weights.values[0]
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-12
-    assert np.all(out.e.values >= stack.min(axis=0) - 1e-12)
-    assert np.all(out.e.values <= stack.max(axis=0) + 1e-12)
+    assert np.all(out.e.values[0] >= stack.min(axis=0) - 1e-12)
+    assert np.all(out.e.values[0] <= stack.max(axis=0) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -246,8 +263,8 @@ def test_save_load_round_trip_f32_idempotent(tmp_path):
     rng = np.random.default_rng(19)
     patches = rng.normal(size=(4, 10))
     again = enc.load_params(p2, TINY)
-    a = enc.extract_embedding(patches, loaded, TINY)
-    b = enc.extract_embedding(patches, again, TINY)
+    a = enc.extract_embedding(patches[None], loaded, TINY)
+    b = enc.extract_embedding(patches[None], again, TINY)
     assert np.array_equal(a, b)
 
 
@@ -417,8 +434,7 @@ def test_end_to_end_gradient_through_loss():
     tensors = list(params.values()) + [head.weight]
 
     def make_loss():
-        rows = [ad.reshape(enc.fuse(enc.encoder_forward(c, params, cfg), params).e, (1, cfg.dim))
-                for c in clips]
+        rows = [enc.fuse(enc.encoder_forward(c[None], params, cfg), params).e for c in clips]
         return cls.cosine_loss(ad.concat(rows, axis=0), labels, head)
 
     err = grad_check(make_loss, tensors, max_coords_per_tensor=4, rng=rng)

@@ -168,6 +168,24 @@ def test_incremental_preserves_extractor_checksum():
     assert enc.params_checksum(base.params) == before
 
 
+def test_incremental_session_catches_a_change_below_f32_resolution(monkeypatch):
+    cfg = desk_config(epochs=1)
+    plan, pipe, base = _trained(cfg)
+    gain = base.params["block0.ln1.gain"]
+    embed_batch = pipe.embed_batch
+
+    def nudging(refs, params):
+        gain.values *= 1.0 + 1e-9  # the f32 rounding of every weight stays the same
+        return embed_batch(refs, params)
+
+    before = enc.params_checksum(base.params)
+    monkeypatch.setattr(pipe, "embed_batch", nudging)
+    ep = sessions.sample_episode(plan, 1, cfg.run.seed)
+    with pytest.raises(ProtocolViolationError, match="extractor weights changed"):
+        sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
+    assert enc.params_checksum(base.params) == before
+
+
 def test_incremental_grows_registry_by_session_ways():
     cfg = desk_config(epochs=1)
     plan, pipe, base = _trained(cfg)
@@ -197,7 +215,7 @@ def test_incremental_equals_batch_refit_on_same_embeddings():
     all_labels = list(base.classifier.registry) + ep1.labels
     e_all, rows = [], []
     for ref in list(ep0.pairs) + list(ep1.pairs):
-        e_all.append(enc.extract_embedding(pipe.patches(ref), base.params, pipe.enc_cfg))
+        e_all.append(enc.extract_embedding(pipe.patches(ref)[None], base.params, pipe.enc_cfg)[0])
         rows.append(all_labels.index(ref.label))
     y_all = np.eye(len(all_labels))[rows]
     batch = cls.fit_base(np.stack(e_all), y_all, updated.lam, labels=all_labels)
@@ -210,7 +228,7 @@ def test_embed_batch_across_chunks_equals_per_clip_embedding():
     refs = [item.ref for item in tiny_items(clips=13)][: sessions.EMBED_CHUNK + 1]
     assert len(refs) == sessions.EMBED_CHUNK + 1
     batched = pipe.embed_batch(refs, params)
-    one_by_one = np.stack([enc.extract_embedding(pipe.patches(ref), params, pipe.enc_cfg)
+    one_by_one = np.stack([enc.extract_embedding(pipe.patches(ref)[None], params, pipe.enc_cfg)[0]
                            for ref in refs])
     assert batched.shape == one_by_one.shape
     assert np.max(np.abs(batched - one_by_one)) <= 1e-12
