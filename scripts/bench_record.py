@@ -31,6 +31,7 @@ from pathlib import Path
 RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\.json")
 SECTIONS = {"0": "end_to_end", "1": "per_layer"}
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+MIN_SEEDS_FOR_GAIN = 10  # fewer seeds than this cannot show a gain
 
 
 def summary(values: list[float]) -> dict:
@@ -80,7 +81,9 @@ def verdict(a: dict, b: dict, better: str, bound: float) -> str:
     """Old summary ``a`` against new summary ``b`` of one gated metric:
     ``worse`` if the new median is worse by more than ``bound`` times the
     old median, else ``unresolved`` if the old IQR exceeds that much, else
-    ``better`` if the median improves by more than the old IQR, else
+    ``better`` if the median improves by more than the old IQR (but
+    ``unresolved`` when either side has fewer than ``MIN_SEEDS_FOR_GAIN``
+    seeds, whose quartiles sit too close to tell a gain from drift), else
     ``same``."""
     gain = b["median"] - a["median"] if better == "higher" else a["median"] - b["median"]
     allowed = bound * abs(a["median"])
@@ -89,7 +92,9 @@ def verdict(a: dict, b: dict, better: str, bound: float) -> str:
         return "worse"
     if iqr > allowed:
         return "unresolved"
-    return "better" if gain > iqr else "same"
+    if gain <= iqr:
+        return "same"
+    return "better" if min(a["n"], b["n"]) >= MIN_SEEDS_FOR_GAIN else "unresolved"
 
 
 def diff(old: dict, new: dict) -> None:

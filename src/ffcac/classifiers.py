@@ -1,24 +1,22 @@
 """Classifiers.
 
-Two objects answer "which class":
+RidgeState is the classifier and the whole learning memory. Its weights
+come from the closed form W = (G + lam*I)^(-1) C, with G and C
+accumulated across sessions, so each incremental session is an analytic
+update (no retraining) that matches a batch refit on the union of all
+sessions. The prototype baseline is the same memory at lam = inf, the
+limit of lam*W: there W = C, whose column j is n_j times the mean
+embedding of class j, and a cosine score ignores a column's scale.
 
-* RidgeState — the deployed classifier. Weights come from the closed form
-  W = (G + lam*I)^(-1) C with G and C accumulated across sessions, so each
-  incremental session is an analytic update (no retraining) and matches a
-  batch refit on the union of all sessions.
-* Prototypes — per-class mean embeddings scored by cosine (ablation
-  baseline).
+``registry`` is the tuple of labels in column order, ``weights()`` the
+(D, N) columns that ``predict`` scores by cosine, and ``update(E, Y,
+labels)`` the session update that returns a new memory with the new labels
+appended. ``update`` is the only way classes enter: the base session is the
+update of ``RidgeState.empty(...)``, a memory with no classes.
 
-Both expose ``registry``, the tuple of labels in column order,
-``weights()`` — the (D, N) columns that ``predict`` scores by cosine — and
-``update(E, Y, labels)``, the session update that returns a new classifier
-with the new labels appended.
-``update`` is the only way classes enter: the base session is the update
-of ``empty(...)``, a classifier with no classes.
-
-A third object, CosineHead, exists only to finetune the extractor in the
-base session: scaled cosine-softmax cross entropy, differentiable through
-the autodiff graph, discarded once the extractor is frozen.
+CosineHead exists only to finetune the extractor in the base session:
+scaled cosine-softmax cross entropy, differentiable through the autodiff
+graph, discarded once the extractor is frozen.
 """
 
 from __future__ import annotations
@@ -101,7 +99,8 @@ def cosine_loss(e_batch: Tensor, labels, head: CosineHead) -> Tensor:
 @dataclass
 class RidgeState:
     """The entire incremental-learning memory: gram = sum E^T E,
-    cross = sum E^T Y (one column per registered class), and lam."""
+    cross = sum E^T Y (one column per registered class), and lam in
+    [0, inf]; lam = inf is the prototype baseline."""
 
     gram: np.ndarray  # (D, D)
     cross: np.ndarray  # (D, N_total)
@@ -113,8 +112,8 @@ class RidgeState:
     def empty(cls, dim: int, lam: float) -> "RidgeState":
         """The memory before the base session: no classes, a zero gram (a
         read-only broadcast, which the first update only reads)."""
-        if not 0.0 <= lam < np.inf:
-            raise UsageError(f"ridge lam must be finite and >= 0, got {lam}")
+        if not lam >= 0.0:  # NaN fails too
+            raise UsageError(f"ridge lam must be >= 0, finite or inf, got {lam}")
         return cls(gram=np.broadcast_to(0.0, (dim, dim)), cross=np.zeros((dim, 0)),
                    lam=float(lam), registry=())
 
@@ -123,7 +122,8 @@ class RidgeState:
         return self.gram.shape[0]
 
     def weights(self) -> np.ndarray:
-        """(D, N) columns scored by cosine: the ridge solution."""
+        """(D, N) columns scored by cosine: the ridge solution, or the
+        class sums at lam = inf."""
         return solve_weights(self)
 
     def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "RidgeState":
@@ -180,17 +180,21 @@ def update_incremental(state: RidgeState, E_m: np.ndarray, Y_m: np.ndarray, new_
 
 def solve_weights(state: RidgeState) -> np.ndarray:
     """Solve (gram + lam*I) W = cross (see ``_solve_shifted``); cache W on
-    the state.
+    the state. At lam = inf, W is a copy of cross: the limit of lam*W,
+    which scores by cosine as the class means do.
 
-    The returned W always satisfies the residual bound
+    A solved W always satisfies the residual bound
     ||(G+lam I)W - C||_inf <= 1e-8 * (1 + ||C||_inf). W is read-only: it is
     the cached solution, and ``cosine_scores`` memoizes its column norms.
     """
     if state._weights is not None:
         return state._weights
     gram, lam = state.gram, state.lam
-    w = _solve_shifted(gram, state.cross, lam)
-    _check_residual(gram @ w + lam * w - state.cross, state.cross, lam)
+    if lam == np.inf:
+        w = state.cross.copy()
+    else:
+        w = _solve_shifted(gram, state.cross, lam)
+        _check_residual(gram @ w + lam * w - state.cross, state.cross, lam)
     w.flags.writeable = False
     state._weights = w
     return w
@@ -371,35 +375,6 @@ def _fold_weights(E: np.ndarray, Y: np.ndarray, grid):
 
 
 # ---------------------------------------------------------------------------
-# prototype baseline
-
-
-@dataclass
-class Prototypes:
-    means: np.ndarray  # (N_total, D)
-    registry: tuple  # the N_total labels, in row order
-
-    @classmethod
-    def empty(cls, dim: int) -> "Prototypes":
-        """The baseline before the base session: no classes."""
-        return cls(means=np.zeros((0, dim)), registry=())
-
-    def weights(self) -> np.ndarray:
-        """(D, N) columns scored by cosine: the class means."""
-        return self.means.T
-
-    def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "Prototypes":
-        """Append the mean embedding of each new class; old rows untouched."""
-        E_m, Y_m, new_labels = _session(E_m, Y_m, new_labels, self.means.shape[1], self.registry)
-        counts = Y_m.sum(axis=0)
-        unseen = [new_labels[i] for i in np.flatnonzero(counts == 0)]
-        if unseen:
-            raise UsageError(f"classes with no samples: {unseen}")
-        means = (Y_m.T @ E_m) / counts[:, None]
-        return Prototypes(means=np.vstack([self.means, means]), registry=self.registry + new_labels)
-
-
-# ---------------------------------------------------------------------------
 # serialization
 
 
@@ -435,8 +410,8 @@ def load_state(path) -> RidgeState:
 def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -> None:
     """Reject a loaded learning memory that cannot be a ridge state, in
     O(D^2) passes: gram square, symmetric and finite; cross of D rows and
-    one column per label, finite; lambda one finite value >= 0; no label
-    twice."""
+    one column per label, finite; lambda one value >= 0, finite or inf; no
+    label twice."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise WeightsShapeError(f"classifier gram must be square, got shape {gram.shape}")
     d = gram.shape[0]
@@ -452,8 +427,8 @@ def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -
     # exact: E^T E and sums of such products are symmetric to the bit
     if not np.array_equal(gram, gram.T):
         raise WeightsFormatError("classifier gram is not symmetric")
-    if not (np.isfinite(lam[0]) and lam[0] >= 0.0):
-        raise WeightsFormatError(f"classifier lambda must be finite and >= 0, got {lam[0]}")
+    if not lam[0] >= 0.0:  # NaN fails too
+        raise WeightsFormatError(f"classifier lambda must be >= 0, finite or inf, got {lam[0]}")
     if len(set(labels)) != len(labels):
         raise WeightsFormatError(f"classifier labels repeat: {labels}")
 

@@ -72,10 +72,7 @@ def _write_run_outputs(out: Path, report, cfg, last) -> None:
         (out / "report.json").write_text(json_text, encoding="utf-8")
         (out / "report.csv").write_text(sessions.json_report_to_csv(json_text), encoding="utf-8")
         enc.save_params(out / "mee.weights", last.params)
-        if isinstance(last.classifier, cls.RidgeState):
-            cls.save_state(out / "classifier.weights", last.classifier)
-        else:  # pbc saves no memory: an earlier run's must not outlive it here
-            (out / "classifier.weights").unlink(missing_ok=True)
+        cls.save_state(out / "classifier.weights", last.classifier)
     except OSError as e:
         raise IngestionError(f"cannot write outputs to {out}: {e}") from e
 
@@ -203,8 +200,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_ablate)
 
     p = sub.add_parser("count-complexity", help="parameter and MAC census")
-    p.add_argument("--config", default=None)
-    p.add_argument("--preset", choices=["ast-base"], default=None)
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--config", default=None)
+    source.add_argument("--preset", choices=["ast-base"], default=None)
     p.add_argument("--num-classes", type=int, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_count_complexity)

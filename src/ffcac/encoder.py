@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from . import weights_io
 from .autodiff import Tensor
-from .errors import ConfigError, DimensionError, WeightsShapeError
+from .errors import ConfigError, DimensionError, WeightsFormatError, WeightsShapeError
 
 PARAM_INIT_POS_STD = 0.02
 LN_EPS = 1e-5
@@ -384,7 +384,7 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     Missing, unexpected, and wrongly-shaped tensors are all reported in one
     error so a mismatched config is diagnosable in a single pass. The map
     is built in param_shapes order, whatever order the container lists its
-    tensors in.
+    tensors in. A tensor holding NaN or inf is refused by name.
     """
     tensors, _ = weights_io.load_container(path)
     expected = dict(param_shapes(cfg))
@@ -404,6 +404,10 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
         problems.append("shape mismatch: " + "; ".join(bad_shape))
     if problems:
         raise WeightsShapeError("weight container does not fit config — " + " | ".join(problems))
+    non_finite = [n for n in expected if not np.isfinite(tensors[n]).all()]
+    if non_finite:
+        raise WeightsFormatError("weight container holds non-finite values in: "
+                                 + ", ".join(non_finite))
     return {n: Tensor(tensors[n], requires_grad=True) for n in expected}
 
 

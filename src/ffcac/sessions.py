@@ -236,7 +236,7 @@ class ClipPipeline:
 @dataclass
 class BaseSessionResult:
     params: enc.MeeParams
-    classifier: "cls.RidgeState | cls.Prototypes"
+    classifier: cls.RidgeState
     epoch_losses: list[float]
 
 
@@ -248,8 +248,9 @@ def _targets(episode: Episode) -> np.ndarray:
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
                      seed: int) -> BaseSessionResult:
     """Finetune the extractor on the base episode under the scaled
-    cosine-softmax loss, then update an empty classifier with the final
-    embeddings, as every later session updates the current one."""
+    cosine-softmax loss, then update an empty ridge memory with the final
+    embeddings, as every later session updates the current one. Its λ is
+    inf for pbc (the prototype limit), else the fixed or the CV λ."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
     targets = _targets(episode)
@@ -277,15 +278,11 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
 
     embeddings = pipeline.embed_batch(episode.pairs, params)
     onehot = np.eye(len(labels))[targets]
-    if cfg.classifier.kind == "pbc":
-        empty = cls.Prototypes.empty(embeddings.shape[1])
-    else:
-        lam = cfg.classifier.fixed_lam()
-        if lam is None:
-            lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
-                                       cfg.classifier.cv_folds, seed)
-        empty = cls.RidgeState.empty(embeddings.shape[1], lam)
-    classifier = empty.update(embeddings, onehot, labels)
+    lam = np.inf if cfg.classifier.kind == "pbc" else cfg.classifier.fixed_lam()
+    if lam is None:
+        lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
+                                   cfg.classifier.cv_folds, seed)
+    classifier = cls.RidgeState.empty(embeddings.shape[1], lam).update(embeddings, onehot, labels)
     return BaseSessionResult(params=params, classifier=classifier, epoch_losses=losses)
 
 

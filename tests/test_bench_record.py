@@ -51,11 +51,11 @@ def test_fold_rejects_mixed_machines_and_empty_dirs(tmp_path):
         bench_record.fold(tmp_path, "abc1234")
 
 
-def _record(rev, metrics):
-    """A folded record of one workload: metric -> (median, q1, q3)."""
-    summaries = {name: {"unit": "s", "gated": True, "median": m, "q1": q1, "q3": q3, "n": 10}
+def _record(rev, metrics, n=10):
+    """A folded record of one workload over n seeds: metric -> (median, q1, q3)."""
+    summaries = {name: {"unit": "s", "gated": True, "median": m, "q1": q1, "q3": q3, "n": n}
                  for name, (m, q1, q3) in metrics.items()}
-    section = {"seeds": list(range(10)), "seconds": 30.0, "metrics": summaries}
+    section = {"seeds": list(range(n)), "seconds": 30.0, "metrics": summaries}
     return {"rev": rev, "machine": MACHINE,
             "workloads": {"desk-train": {"end_to_end": section, "per_layer": section}}}
 
@@ -79,3 +79,18 @@ def test_diff_gives_each_gated_end_to_end_metric_a_verdict(capsys):
     ]
     assert rows[5:] == [[name] for name in ("protocol_run_s", "setup_s", "aa", "peak_rss_mb",
                                             "protocol_wall_s")]  # per-layer rows are not judged
+
+
+@pytest.mark.parametrize("n_old, n_new", [(3, 3), (3, 10), (10, 3)])
+def test_diff_calls_no_gain_better_from_fewer_than_ten_seeds(capsys, n_old, n_new):
+    old = _record("old", {"protocol_run_s": (1.0, 0.99, 1.01), "setup_s": (1.0, 0.99, 1.01),
+                          "aa": (0.9, 0.89, 0.91)}, n=n_old)
+    new = _record("new", {"protocol_run_s": (0.9, 0.89, 0.91), "setup_s": (1.3, 1.29, 1.31),
+                          "aa": (0.9, 0.89, 0.91)}, n=n_new)
+    bench_record.diff(old, new)
+    rows = [line.split()[1:2] + line.split()[6:] for line in capsys.readouterr().out.splitlines()[1:4]]
+    assert rows == [
+        ["protocol_run_s", "unresolved"],  # -10% against an old IQR of 0.02: better at n >= 10
+        ["setup_s", "worse"],  # worse and same keep their rules
+        ["aa", "same"],
+    ]

@@ -116,7 +116,7 @@ def test_fit_base_rejects_bad_inputs():
         cls.fit_base(np.eye(2), np.eye(2), -1.0)
 
 
-@pytest.mark.parametrize("lam", [np.nan, np.inf])
+@pytest.mark.parametrize("lam", [np.nan])  # inf is the prototype limit: see below
 def test_non_finite_lam_rejected(lam):
     rng = np.random.default_rng(4)
     E, Y = rng.normal(size=(20, 6)), np.eye(4)[np.arange(20) % 4]
@@ -161,8 +161,13 @@ def _ridge_ab():
     return cls.fit_base(np.eye(2), np.eye(2), 0.1, labels=["a", "b"])
 
 
+def _prototypes(dim, e, y, labels):
+    """The prototype baseline: the memory at lam = inf, where W = C (class sums)."""
+    return cls.RidgeState.empty(dim, np.inf).update(e, y, labels)
+
+
 def _prototypes_ab():
-    return cls.Prototypes.empty(2).update(np.eye(2), np.eye(2), ["a", "b"])
+    return _prototypes(2, np.eye(2), np.eye(2), ["a", "b"])
 
 
 # every way classes enter, given labels it cannot take: (maker of a
@@ -214,8 +219,8 @@ _MALFORMED_SESSIONS = [
 _SESSION_TARGETS = {
     "RidgeState.update": lambda e, y, labels: cls.fit_base(
         np.eye(4), np.eye(4), 0.1, list("abcd")).update(e, y, labels),
-    "Prototypes.update": lambda e, y, labels: cls.Prototypes.empty(4).update(
-        np.eye(4), np.eye(4), list("abcd")).update(e, y, labels),
+    "Prototypes.update": lambda e, y, labels: _prototypes(
+        4, np.eye(4), np.eye(4), list("abcd")).update(e, y, labels),
     "fit_base": lambda e, y, labels: cls.fit_base(e, y, 0.1, labels),
 }
 
@@ -402,7 +407,7 @@ def test_solve_fails_when_jitter_does_not_help(monkeypatch):
 def test_empty_memory_solves_to_no_columns_that_predict_refuses(tmp_path):
     empty = cls.RidgeState.empty(2, 0.1)
     saved = cls.load_state(_saved_state(tmp_path, GOOD_GRAM, np.zeros((2, 0)), [0.1], []))
-    for weights in (empty.weights(), saved.weights(), cls.Prototypes.empty(2).weights()):
+    for weights in (empty.weights(), saved.weights(), cls.RidgeState.empty(2, np.inf).weights()):
         assert weights.shape == (2, 0)
         for query in (np.ones(2), np.ones((3, 2))):
             with pytest.raises(ProtocolViolationError, match="no classes registered"):
@@ -658,6 +663,12 @@ def test_cv_rejects_negative_lam():
         cls.select_lambda_cv(np.eye(4), np.eye(2)[[0, 0, 1, 1]], [-1.0, 1.0], k_folds=2, seed=0)
 
 
+def test_cv_rejects_an_infinite_lam():
+    # inf is a valid memory (the prototype baseline) but not a CV candidate
+    with pytest.raises(UsageError, match="finite"):
+        cls.select_lambda_cv(np.eye(4), np.eye(2)[[0, 0, 1, 1]], [1.0, np.inf], k_folds=2, seed=0)
+
+
 def _clustered_data(rng, n_classes, per_class, dim, spread):
     means = rng.normal(size=(n_classes, dim))
     e = np.concatenate([m + spread * rng.normal(size=(per_class, dim)) for m in means])
@@ -732,30 +743,34 @@ def test_cv_checks_the_residual_bound(monkeypatch, dim):
 
 
 # ---------------------------------------------------------------------------
-# prototypes
+# the prototype baseline: the memory at lam = inf
 
 
 def test_prototype_single_sample_is_itself():
     e = np.array([[1.0, 2.0], [3.0, 4.0]])
-    protos = cls.Prototypes.empty(2).update(e, np.eye(2), ["a", "b"])
-    assert np.array_equal(protos.means, e)
+    protos = _prototypes(2, e, np.eye(2), ["a", "b"])
+    assert np.array_equal(protos.weights(), e.T)
 
 
 def test_prototype_mean():
     e = np.array([[1.0, 0.0], [0.0, 1.0]])
-    protos = cls.Prototypes.empty(2).update(e, np.ones((2, 1)), ["only"])
-    assert np.allclose(protos.means, [[0.5, 0.5]])
+    protos = _prototypes(2, e, np.ones((2, 1)), ["only"])
+    assert np.array_equal(protos.weights(), 2 * np.array([[0.5], [0.5]]))  # n times the mean
 
 
-def test_prototype_empty_class_rejected():
-    with pytest.raises(UsageError, match="no samples"):
-        cls.Prototypes.empty(2).update(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), ["a", "b"])
+def test_prototype_empty_class_scores_zero():
+    # a class with no samples gets a zero column, as at every finite lam
+    protos = _prototypes(2, np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), ["a", "b"])
+    assert np.all(protos.weights()[:, 1] == 0.0)
+    for q in (np.array([0.5, 1.0]), np.array([[0.5, 1.0], [1.0, -1.0]])):
+        label, scores = cls.predict(protos.weights(), protos.registry, q)
+        assert np.all(scores[..., 1] == 0.0)
+        assert np.all(np.asarray(label) == "a")
 
 
 def test_prototype_predict_scale_invariant():
     rng = np.random.default_rng(37)
-    protos = cls.Prototypes.empty(4).update(rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, 6)],
-                                         range(3))
+    protos = _prototypes(4, rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, 6)], range(3))
     e = rng.normal(size=4)
     w = protos.weights()
     assert w.shape == (4, 3)
@@ -763,11 +778,54 @@ def test_prototype_predict_scale_invariant():
 
 
 def test_prototype_update_appends():
-    protos = cls.Prototypes.empty(2).update(np.eye(2), np.eye(2), ["a", "b"])
+    protos = _prototypes(2, np.eye(2), np.eye(2), ["a", "b"])
     grown = protos.update(np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
     assert grown.registry == ("a", "b", "c")
-    assert np.array_equal(grown.means[:2], protos.means)
+    assert np.array_equal(grown.weights()[:, :2], protos.weights())  # old columns untouched
     assert protos.registry == ("a", "b")  # the old classifier is untouched
+
+
+def _two_sessions(rng, dim):
+    """A 4-class base session of 20 rows and a 2-class session of 6 rows."""
+    return ((rng.normal(size=(20, dim)), np.eye(4)[np.arange(20) % 4], list("abcd")),
+            (rng.normal(size=(6, dim)), np.eye(2)[np.arange(6) % 2], ["e", "f"]))
+
+
+def test_inf_lam_scores_as_cosine_against_the_class_means():
+    rng = np.random.default_rng(59)
+    sessions = _two_sessions(rng, 8)
+    state = _prototypes(8, *sessions[0]).update(*sessions[1])
+    means = np.hstack([(y.T @ e / y.sum(axis=0)[:, None]).T for e, y, _ in sessions])
+    for q in _queries(rng, 8):
+        scores, oracle = cls.cosine_scores(state.weights(), q), _norm_cosine_scores(means, q)
+        assert np.max(np.abs(scores - oracle)) <= 1e-15
+        assert np.array_equal(np.argmax(scores, axis=-1), np.argmax(oracle, axis=-1))
+
+
+def test_ridge_scores_approach_the_inf_scores_as_lam_grows():
+    rng = np.random.default_rng(61)
+    base, session = _two_sessions(rng, 8)
+    state = _prototypes(8, *base).update(*session)
+    queries = rng.normal(size=(50, 8))
+    limit = cls.cosine_scores(state.weights(), queries)
+    top = np.linalg.eigvalsh(state.gram)[-1]
+    gaps = [np.max(np.abs(cls.cosine_scores(cls.solve_weights(cls.RidgeState(
+                state.gram, state.cross, k * top, state.registry)), queries) - limit))
+            for k in (1e2, 1e4, 1e6, 1e8)]
+    assert all(later < earlier / 10 for earlier, later in zip(gaps, gaps[1:])), gaps  # O(1/lam)
+
+
+def test_inf_memory_reloaded_and_updated_matches_the_in_process_weights(tmp_path):
+    rng = np.random.default_rng(67)
+    base, session = _two_sessions(rng, 8)
+    state = _prototypes(8, *base)
+    path = tmp_path / "classifier.weights"
+    cls.save_state(path, state)
+    loaded = cls.load_state(path)
+    assert loaded.lam == np.inf and cls.state_checksum(loaded) == cls.state_checksum(state)
+    in_process, reloaded = state.update(*session), loaded.update(*session)
+    assert np.array_equal(reloaded.weights(), in_process.weights())
+    assert reloaded.registry == in_process.registry == tuple("abcdef")
 
 
 def test_ridge_interface_is_solve_and_update_incremental():
@@ -825,7 +883,6 @@ GOOD_CROSS = [[1.0, 0.0], [0.0, 1.0]]
     [
         (GOOD_GRAM, GOOD_CROSS, [-1.0], WeightsFormatError, "lambda"),
         (GOOD_GRAM, GOOD_CROSS, [np.nan], WeightsFormatError, "lambda"),
-        (GOOD_GRAM, GOOD_CROSS, [np.inf], WeightsFormatError, "lambda"),
         (GOOD_GRAM, GOOD_CROSS, [0.1, 0.2], WeightsShapeError, "lambda"),
         (GOOD_GRAM, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [0.1], WeightsShapeError, "cross"),
         (GOOD_GRAM, [[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], [0.1], WeightsShapeError, "cross"),
@@ -834,7 +891,7 @@ GOOD_CROSS = [[1.0, 0.0], [0.0, 1.0]]
         ([[2.0, np.nan], [np.nan, 1.0]], GOOD_CROSS, [0.1], WeightsFormatError, "non-finite"),
         (GOOD_GRAM, [[1.0, np.inf], [0.0, 1.0]], [0.1], WeightsFormatError, "non-finite"),
     ],
-    ids=["negative-lambda", "nan-lambda", "inf-lambda", "two-lambdas", "cross-columns",
+    ids=["negative-lambda", "nan-lambda", "two-lambdas", "cross-columns",
          "cross-rows", "non-square-gram", "asymmetric-gram", "nan-gram", "inf-cross"],
 )
 def test_load_state_rejects_inconsistent_memory(tmp_path, gram, cross, lam, error, match):

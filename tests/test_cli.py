@@ -124,14 +124,15 @@ def test_run_emits_reports_and_weights(toy_config, tmp_path, capsys):
     assert params["patch_embed.weight"].values.shape == (256, cfg.encoder.dim)
 
 
-def test_pbc_run_removes_an_earlier_runs_ridge_memory(tmp_path):
+def test_pbc_run_writes_a_memory_at_infinite_lam(tmp_path):
     out = tmp_path / "out"
     one_run = TOY_CONFIG.replace("run.repeats = 2", "run.repeats = 1")
     for kind in ("rrc", "pbc"):
         path = tmp_path / f"{kind}.cfg"
         path.write_text(one_run + f"classifier.kind = {kind}\n")
         assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
-        assert (out / "classifier.weights").exists() == (kind == "rrc")
+        lam = cls.load_state(out / "classifier.weights").lam  # each run writes its own memory
+        assert (lam == np.inf) == (kind == "pbc")
     assert json.loads((out / "report.json").read_text())["config"]["classifier.kind"] == "pbc"
 
 
@@ -329,6 +330,13 @@ def test_count_complexity_json(toy_config, capsys):
     expected = enc.count_params_macs(cfg.encoder_config(), cfg.synth.num_classes)
     assert doc["num_params"] == expected.num_params
     assert doc["macs"] == expected.macs
+
+
+def test_count_complexity_preset_and_config_are_exclusive(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["count-complexity", "--preset", "ast-base", "--config", str(tmp_path / "none.cfg")])
+    assert exit_info.value.code == 2  # the config-error code
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_count_complexity_full_scale_preset(capsys):

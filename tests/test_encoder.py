@@ -289,6 +289,16 @@ def test_load_reorders_a_reversed_container_to_param_shapes_order(tmp_path):
     assert enc.params_checksum(loaded) == enc.params_checksum(params)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_weights_rejected_by_name(tmp_path, bad):
+    params = enc.init_mee_params(TINY, seed=9)
+    params["block0.ln1.gain"].values[3] = bad
+    path = tmp_path / "bad.weights"
+    enc.save_params(path, params)
+    with pytest.raises(WeightsFormatError, match=r"non-finite values in: block0\.ln1\.gain$"):
+        enc.load_params(path, TINY)
+
+
 def test_bad_magic_rejected(tmp_path):
     params = enc.init_mee_params(TINY, seed=9)
     path = tmp_path / "bad.weights"

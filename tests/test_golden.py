@@ -1,5 +1,5 @@
 """Golden reports: `ffcac run` on small synthetic configs must reproduce
-the exact bytes of report.json (and of the ridge classifier.weights).
+the exact bytes of report.json and of classifier.weights.
 
 The hashes were recorded before the frozen sessions moved onto embedding
 matrices, so any refactor of the session protocol, the classifiers or the
@@ -9,7 +9,9 @@ embedding chunk. The noise amplitude keeps the accuracies well below 1, so
 a changed prediction changes a report byte. The report.json hashes were
 re-recorded once, when the `classifier.relambda_each_session` key left the
 report's config block; that line was the only byte that changed, and the
-classifier.weights hash is the original.
+rrc classifier.weights hash is the original. The pbc classifier.weights
+hash was first recorded when the prototype baseline became the ridge
+memory at lam = inf, which left its report.json bytes as they were.
 
 The hashes hold for the float64 numpy/OpenBLAS stack the project is
 developed on (x86-64); another BLAS may round differently. They were
@@ -56,7 +58,7 @@ GOLDEN = {
     "pbc": (
         "classifier.kind = pbc\n",
         "2d62276c7efa7ca474074b5603c17a3bc23a3ed2141f593a74e6767970f40638",
-        None,  # prototypes have no weight file
+        "74f45d8365c5e24c9f11f38bdbb12f72a0aef70a9f4e84e016195e3189251c9e",
     ),
 }
 
@@ -86,8 +88,4 @@ def test_golden_report_bytes(case, tmp_path):
     out = tmp_path / "out"
     _ffcac_run(cfg, out)
     assert _sha256(out / "report.json") == report_sha
-    weights = out / "classifier.weights"
-    if weights_sha is None:
-        assert not weights.exists()
-    else:
-        assert _sha256(weights) == weights_sha
+    assert _sha256(out / "classifier.weights") == weights_sha

@@ -250,7 +250,8 @@ def _hand_plan():
 def test_evaluate_scores_hand_made_embeddings():
     plan = _hand_plan()
     assert [r.label for r in sessions.union_test_refs(plan, 1)] == ["a", "a", "b", "c", "c"]
-    protos = cls.Prototypes.empty(3).update(np.eye(3)[:2], np.eye(2), ["a", "b"])  # a = e0, b = e1
+    # the prototype baseline, the memory at lam = inf: a = e0, b = e1
+    protos = cls.RidgeState.empty(3, np.inf).update(np.eye(3)[:2], np.eye(2), ["a", "b"])
     # rows: a0 right, a1 wrong (-> b), b0 right, c0 (-> c once registered), c1 wrong (-> a)
     embedded = np.array([[1.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.0, 1.0, 0.3],
                          [0.0, 0.2, 1.0], [1.0, 0.0, 0.5]])
