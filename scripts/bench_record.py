@@ -9,13 +9,15 @@ The first form reads every ``<workload>-seed<n>-trace<t>.json`` that
 and trace setting, and writes ``BENCH_<rev>.json`` into ``--out``
 (default: the current directory). The file holds the machine facts, the
 git revision (default: the short HEAD of the checkout that holds the
-directory) and, for each workload, the seeds and the median, quartiles and
-n over those seeds of every end-to-end metric (``--trace 0`` runs) and,
-where traced runs exist, of every per-layer metric (``--trace 1``). The
-runs must share their machine facts. The second form prints, per workload
-and metric, both medians, their ratio and the old file's interquartile
-range; each end-to-end metric that the repo's BENCHMARK.json gates also
-gets a verdict under that file's ``better`` and ``bound`` (see ``verdict``).
+directory) and, for each workload, the seeds and the median, quartiles, n
+and value at each seed of every end-to-end metric (``--trace 0`` runs)
+and, where traced runs exist, of every per-layer metric (``--trace 1``).
+The runs must share their machine facts. The second form prints, per
+workload and metric, both medians, their ratio and the old file's
+interquartile range; each end-to-end metric that the repo's BENCHMARK.json
+gates also gets the count of seeds the new side wins out of those both
+files hold (``-`` when a file predates per-seed values) and a verdict under
+that file's ``better`` and ``bound`` (see ``verdict``).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ RUN_FILE = re.compile(r"(?P<workload>.+)-seed(?P<seed>\d+)-trace(?P<trace>[01])\
 SECTIONS = {"0": "end_to_end", "1": "per_layer"}
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 MIN_SEEDS_FOR_GAIN = 10  # fewer seeds than this cannot show a gain
+MIN_WIN_SHARE = 0.9  # a gain needs the new side to win this share of the shared seeds
 
 
 def summary(values: list[float]) -> dict:
@@ -52,9 +55,11 @@ def git_rev(checkout: Path) -> str:
 def fold_seeds(by_seed: dict[int, dict]) -> dict:
     seeds = sorted(by_seed)
     first = by_seed[seeds[0]]
-    metrics = {name: {"unit": meta["unit"], "gated": meta["gated"],
-                      **summary([by_seed[s]["metrics"][name]["value"] for s in seeds])}
-               for name, meta in first["metrics"].items()}
+    metrics = {}
+    for name, meta in first["metrics"].items():
+        values = [by_seed[s]["metrics"][name]["value"] for s in seeds]
+        metrics[name] = {"unit": meta["unit"], "gated": meta["gated"], **summary(values),
+                         "by_seed": {str(s): v for s, v in zip(seeds, values)}}
     return {"seeds": seeds, "seconds": first["seconds"], "metrics": metrics}
 
 
@@ -77,13 +82,28 @@ def fold(out_dir: Path, rev: str) -> dict:
     return {"rev": rev, "machine": json.loads(machines.pop()), "workloads": workloads}
 
 
+def wins(a: dict, b: dict, better: str) -> tuple[int, int] | None:
+    """(seeds where new summary ``b`` beats old summary ``a``, seeds both
+    hold); ties count for neither side. None when either summary predates
+    per-seed values."""
+    if "by_seed" not in a or "by_seed" not in b:
+        return None
+    shared = a["by_seed"].keys() & b["by_seed"].keys()
+    sign = 1.0 if better == "higher" else -1.0
+    won = sum(sign * (b["by_seed"][s] - a["by_seed"][s]) > 0.0 for s in shared)
+    return won, len(shared)
+
+
 def verdict(a: dict, b: dict, better: str, bound: float) -> str:
     """Old summary ``a`` against new summary ``b`` of one gated metric:
     ``worse`` if the new median is worse by more than ``bound`` times the
     old median, else ``unresolved`` if the old IQR exceeds that much, else
     ``better`` if the median improves by more than the old IQR (but
     ``unresolved`` when either side has fewer than ``MIN_SEEDS_FOR_GAIN``
-    seeds, whose quartiles sit too close to tell a gain from drift), else
+    seeds, whose quartiles sit too close to tell a gain from drift, or when
+    the two share fewer such seeds or the new side wins less than
+    ``MIN_WIN_SHARE`` of them; a file without per-seed values is judged by
+    the medians alone), else
     ``same``."""
     gain = b["median"] - a["median"] if better == "higher" else a["median"] - b["median"]
     allowed = bound * abs(a["median"])
@@ -94,13 +114,17 @@ def verdict(a: dict, b: dict, better: str, bound: float) -> str:
         return "unresolved"
     if gain <= iqr:
         return "same"
+    paired = wins(a, b, better)
+    if paired is not None and (paired[1] < MIN_SEEDS_FOR_GAIN
+                               or paired[0] < MIN_WIN_SHARE * paired[1]):
+        return "unresolved"
     return "better" if min(a["n"], b["n"]) >= MIN_SEEDS_FOR_GAIN else "unresolved"
 
 
 def diff(old: dict, new: dict) -> None:
     gates = {m["name"]: m for m in json.loads(BENCHMARK.read_text("utf-8"))["end_to_end"]}
     print(f"{'workload':16s} {'metric':40s} {old['rev']:>12s} {new['rev']:>12s} "
-          f"{'new/old':>8s} {'old IQR':>10s} verdict")
+          f"{'new/old':>8s} {'old IQR':>10s} {'wins':>6s} verdict")
     for workload, sections in old["workloads"].items():
         for section, base in sections.items():
             other = new["workloads"].get(workload, {}).get(section, {}).get("metrics", {})
@@ -110,7 +134,11 @@ def diff(old: dict, new: dict) -> None:
                     continue
                 ratio = f"{b['median'] / a['median']:.3f}" if a["median"] else "-"
                 gate = gates.get(name) if section == "end_to_end" else None
-                judged = verdict(a, b, gate["better"], gate["bound"]) if gate else ""
+                judged = ""
+                if gate:
+                    paired = wins(a, b, gate["better"])
+                    won = "-" if paired is None else f"{paired[0]}/{paired[1]}"
+                    judged = f"{won:>6s} {verdict(a, b, gate['better'], gate['bound'])}"
                 print(f"{workload:16s} {name:40s} {a['median']:12.5g} {b['median']:12.5g} "
                       f"{ratio:>8s} {a['q3'] - a['q1']:10.3g} {judged}".rstrip())
 

@@ -42,6 +42,7 @@ from .errors import (
 )
 
 RESIDUAL_RTOL = 1e-8  # solve residual bound: ||(G+lam I)W - C||_inf <= rtol*(1+||C||_inf)
+_SYMMETRY_BLOCK = 128  # rows per slab of the loaded gram's symmetry check
 _SINGULAR_AT_ZERO = (
     "gram matrix is singular at lam = 0; use lam > 0 (required whenever E^T E is singular)"
 )
@@ -237,21 +238,27 @@ def _check_residual(residual: np.ndarray, cross: np.ndarray, lam: float) -> None
 
 def _shifted(system: np.ndarray, *shifts: float) -> np.ndarray:
     """system + s*I for each shift s in turn, as a Fortran-ordered copy that
-    cho_factor factors in place (no eye(n) temporary, no second copy)."""
-    shifted = system.copy(order="F")
+    cho_factor factors in place (no eye(n) temporary, no second copy).
+
+    ``system`` must be exactly symmetric, as every caller's is (syrk
+    products, sums of them, or a gram that passed ``_check_state``): the
+    Fortran-ordered copy of its transpose is then the same matrix, made by
+    one contiguous copy instead of a transposing one."""
+    shifted = system.T.copy(order="F")
     for s in shifts:
         shifted.flat[:: len(shifted) + 1] += s
     return shifted
 
 
 # (weakref to the last read-only W scored, its column denominators, its
-# zero-norm column mask); replaced as one tuple, never mutated
+# zero-norm column mask or None); replaced as one tuple, never mutated
 _norm_memo: tuple = (None, None, None)
 
 
-def _column_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _column_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(denominators, dead) for W's columns: the column norms with 1.0 in
-    place of a zero norm, and the mask of zero-norm columns.
+    place of a zero norm, and the mask of zero-norm columns, None when no
+    column has a zero norm.
 
     Memoizes one W: a read-only array that owns its data (the cached
     ``solve_weights`` result) cannot change, so scoring it again reuses
@@ -264,7 +271,7 @@ def _column_norms(W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # einsum sums the squares without the (D, N) temporaries of np.linalg.norm
     col_norms = np.sqrt(np.einsum("ij,ij->j", W, W))
     live = col_norms > 0.0
-    denom, dead = np.where(live, col_norms, 1.0), ~live
+    denom, dead = np.where(live, col_norms, 1.0), None if live.all() else ~live
     if not W.flags.writeable and W.base is None:
         _norm_memo = (weakref.ref(W), denom, dead)
     return denom, dead
@@ -280,11 +287,17 @@ def cosine_scores(W: np.ndarray, e: np.ndarray) -> np.ndarray:
         raise UsageError(f"expected a (D,) row or an (n, D) matrix, got shape {e.shape}")
     W = np.asarray(W)
     e_norms = np.sqrt(np.einsum("...j,...j->...", e, e))
-    if not ((e_norms > 0.0) & (e_norms < np.inf)).all():  # NaN fails both
+    if e.ndim == 1:  # one query: a scalar norm, tested without array passes
+        finite = 0.0 < e_norms < np.inf  # NaN fails both
+    else:
+        e_norms = e_norms[:, None]
+        finite = ((e_norms > 0.0) & (e_norms < np.inf)).all()
+    if not finite:
         raise NumericError("zero or non-finite embedding: cosine scores undefined")
     denom, dead = _column_norms(W)
-    scores = (e @ W) / (e_norms[..., None] * denom)
-    scores[..., dead] = 0.0
+    scores = (e @ W) / (e_norms * denom)
+    if dead is not None:
+        scores[..., dead] = 0.0
     return scores
 
 
@@ -298,9 +311,9 @@ def predict(W: np.ndarray, registry: tuple, e: np.ndarray):
     scores = cosine_scores(W, e)
     if scores.shape[-1] == 0:
         raise ProtocolViolationError("no classes registered")
-    best = np.argmax(scores, axis=-1)
+    best = scores.argmax(axis=-1)
     if scores.ndim == 1:
-        return registry[int(best)], scores
+        return registry[best], scores
     return np.array(registry, dtype=object)[best], scores
 
 
@@ -342,9 +355,10 @@ def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int
     correct = np.zeros(len(grid), dtype=np.int64)
     for fold in range(k_folds):
         train = fold_of != fold
+        held_out, truth = E[~train], labels[~train]
         for i, w in enumerate(_fold_weights(E[train], Y[train], grid)):
-            pred, _ = predict(w, columns, E[~train])
-            correct[i] += np.sum(pred == labels[~train])
+            pred, _ = predict(w, columns, held_out)
+            correct[i] += np.sum(pred == truth)
     return grid[int(np.argmax(correct))]  # first maximum: the smaller lam
 
 
@@ -424,9 +438,13 @@ def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -
         raise WeightsShapeError(f"classifier lambda must hold one value, got shape {lam.shape}")
     if not (np.isfinite(gram).all() and np.isfinite(cross).all()):
         raise WeightsFormatError("classifier gram or cross holds non-finite values")
-    # exact: E^T E and sums of such products are symmetric to the bit
-    if not np.array_equal(gram, gram.T):
-        raise WeightsFormatError("classifier gram is not symmetric")
+    # exact: E^T E and sums of such products are symmetric to the bit. One
+    # slab of rows against the matching slab of columns, from the diagonal
+    # on, reads each pair once and never walks down whole columns.
+    for i in range(0, d, _SYMMETRY_BLOCK):
+        j = i + _SYMMETRY_BLOCK
+        if not np.array_equal(gram[i:j, i:], gram[i:, i:j].T):
+            raise WeightsFormatError("classifier gram is not symmetric")
     if not lam[0] >= 0.0:  # NaN fails too
         raise WeightsFormatError(f"classifier lambda must be >= 0, finite or inf, got {lam[0]}")
     if len(set(labels)) != len(labels):

@@ -68,7 +68,9 @@ def test_diff_gives_each_gated_end_to_end_metric_a_verdict(capsys):
                           "aa": (0.95, 0.94, 0.96), "peak_rss_mb": (100.5, 100.0, 101.0),
                           "protocol_wall_s": (2.0, 1.98, 2.02)})
     bench_record.diff(old, new)
-    rows = [line.split()[1:2] + line.split()[6:] for line in capsys.readouterr().out.splitlines()[1:]]
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split()[6] for line in lines[:4]] == ["-"] * 4  # no per-seed values: no wins
+    rows = [line.split()[1:2] + line.split()[7:] for line in lines]
     # BENCHMARK.json bounds: run and setup times 25%, aa 6%, peak RSS 2% of the old median
     assert rows[:5] == [
         ["protocol_run_s", "worse"],  # +30%
@@ -88,9 +90,38 @@ def test_diff_calls_no_gain_better_from_fewer_than_ten_seeds(capsys, n_old, n_ne
     new = _record("new", {"protocol_run_s": (0.9, 0.89, 0.91), "setup_s": (1.3, 1.29, 1.31),
                           "aa": (0.9, 0.89, 0.91)}, n=n_new)
     bench_record.diff(old, new)
-    rows = [line.split()[1:2] + line.split()[6:] for line in capsys.readouterr().out.splitlines()[1:4]]
+    rows = [line.split()[1:2] + line.split()[7:] for line in capsys.readouterr().out.splitlines()[1:4]]
     assert rows == [
         ["protocol_run_s", "unresolved"],  # -10% against an old IQR of 0.02: better at n >= 10
         ["setup_s", "worse"],  # worse and same keep their rules
         ["aa", "same"],
     ]
+
+
+def _folded(tmp_path, rev, run_s):
+    """A record folded from one ridge-wide run file per seed 1..n, with the
+    given protocol_run_s values and a fixed aa."""
+    out = tmp_path / rev
+    out.mkdir()
+    for seed, value in enumerate(run_s, start=1):
+        _run_file(out, "ridge-wide", seed, 0, {"protocol_run_s": value, "aa": 0.9})
+    return bench_record.fold(out, rev)
+
+
+@pytest.mark.parametrize("won, expected", [(10, "better"), (9, "better"), (8, "unresolved")])
+def test_diff_counts_the_seeds_the_new_side_wins(tmp_path, capsys, won, expected):
+    parent = [0.42, 0.41, 0.43, 0.42, 0.41, 0.42, 0.43, 0.42, 0.41, 0.42]
+    change = [p - 0.04 if k < won else p + 0.01 for k, p in enumerate(parent)]
+    old, new = _folded(tmp_path, "old", parent), _folded(tmp_path, "new", change)
+    assert old["workloads"]["ridge-wide"]["end_to_end"]["metrics"]["protocol_run_s"][
+        "by_seed"] == {str(s): v for s, v in enumerate(parent, start=1)}
+    bench_record.diff(old, new)
+    rows = [line.split()[1:2] + line.split()[6:] for line in capsys.readouterr().out.splitlines()[1:]]
+    # the median gains 0.04 s against an old IQR under 0.01 s whatever the wins
+    assert rows == [["protocol_run_s", f"{won}/10", expected], ["aa", "0/10", "same"]]
+    stripped = json.loads(json.dumps(old))
+    for summary in stripped["workloads"]["ridge-wide"]["end_to_end"]["metrics"].values():
+        del summary["by_seed"]  # a record written before per-seed values
+    bench_record.diff(stripped, new)
+    rows = [line.split()[1:2] + line.split()[6:] for line in capsys.readouterr().out.splitlines()[1:]]
+    assert rows == [["protocol_run_s", "-", "better"], ["aa", "-", "same"]]

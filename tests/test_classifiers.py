@@ -404,6 +404,33 @@ def test_solve_fails_when_jitter_does_not_help(monkeypatch):
         monkeypatch.undo()
 
 
+def _f_ordered_solve(gram, cross, *shifts):
+    """The solve as it was written before the contiguous copy: cho_solve of
+    cho_factor on a Fortran-ordered copy of gram + s*I for each shift."""
+    system = gram.copy(order="F")
+    for s in shifts:
+        system.flat[:: len(system) + 1] += s
+    return scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), cross)
+
+
+@pytest.mark.parametrize("dim", [32, 768])
+@pytest.mark.parametrize("retry", [False, True], ids=["first-try", "jitter-retry"])
+def test_solve_weights_matches_the_f_ordered_copy_bit_for_bit(tmp_path, monkeypatch, dim, retry):
+    rng = np.random.default_rng(71)
+    e, y = rng.normal(size=(dim // 2 + 40, dim)), np.eye(10)[np.arange(dim // 2 + 40) % 10]
+    state = cls.fit_base(e, y, 0.5, labels=[f"c{k}" for k in range(10)])
+    path = tmp_path / "clf.weights"
+    cls.save_state(path, state)
+    for memory in (cls.RidgeState(state.gram, state.cross, state.lam, state.registry),
+                   cls.load_state(path)):
+        shifts = (memory.lam, 1e-10 * np.trace(memory.gram) / memory.dim) if retry else (memory.lam,)
+        expected = _f_ordered_solve(memory.gram, memory.cross, *shifts)
+        if retry:
+            _flaky_cho_factor(monkeypatch, failures=1)
+        assert np.array_equal(cls.solve_weights(memory), expected)
+        monkeypatch.undo()
+
+
 def test_empty_memory_solves_to_no_columns_that_predict_refuses(tmp_path):
     empty = cls.RidgeState.empty(2, 0.1)
     saved = cls.load_state(_saved_state(tmp_path, GOOD_GRAM, np.zeros((2, 0)), [0.1], []))
@@ -606,6 +633,41 @@ def test_column_norm_memo_is_shared_safely_by_threads():
             assert all(f.result(timeout=60) for f in futures)
     finally:
         sys.setswitchinterval(interval)
+
+
+def _einsum_scores(W, e):
+    """One-row cosine scores as written before the one-row path: the same
+    einsum norms, an array-wide finiteness test and the dead-column mask."""
+    e_norms = np.sqrt(np.einsum("...j,...j->...", e, e))
+    assert ((e_norms > 0.0) & (e_norms < np.inf)).all()
+    col_norms = np.sqrt(np.einsum("ij,ij->j", W, W))
+    live = col_norms > 0.0
+    scores = (e @ W) / (e_norms[..., None] * np.where(live, col_norms, 1.0))
+    scores[..., ~live] = 0.0
+    return scores
+
+
+@pytest.mark.parametrize("weights", ["read-only", "read-only-dead-column", "writeable",
+                                     "writeable-underflowing-column"])
+def test_one_row_scores_match_the_einsum_formula_bit_for_bit(weights):
+    rng = np.random.default_rng(73)
+    e = rng.normal(size=(60, 96))
+    y = np.zeros((60, 6))
+    live = 5 if weights == "read-only-dead-column" else 6  # class 5 may have no samples
+    y[np.arange(60), np.arange(60) % live] = 1.0
+    w = cls.solve_weights(cls.fit_base(e, y, 0.1, labels=list("abcdef")))
+    assert np.any(np.all(w == 0.0, axis=0)) == (live == 5)
+    if weights.startswith("writeable"):
+        w = np.copy(w)
+    if weights == "writeable-underflowing-column":
+        w[:, 3] = 1e-170  # its squares underflow: a zero norm, but a nonzero product
+    for row in rng.normal(size=(5, 96)):
+        expected = _einsum_scores(w, row)
+        for _ in range(2):  # the first call fills the column-norm memo, the second reads it
+            assert np.array_equal(cls.cosine_scores(w, row), expected)
+            label, scores = cls.predict(w, tuple("abcdef"), row)
+            assert np.array_equal(scores, expected)
+            assert label == "abcdef"[int(np.argmax(expected))]
 
 
 # ---------------------------------------------------------------------------
@@ -898,6 +960,26 @@ def test_load_state_rejects_inconsistent_memory(tmp_path, gram, cross, lam, erro
     path = _saved_state(tmp_path, gram, cross, lam, ["a", "b"])
     with pytest.raises(error, match=match):
         cls.load_state(path)
+
+
+_BLOCK = cls._SYMMETRY_BLOCK
+
+
+@pytest.mark.parametrize("dim", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 300])
+def test_load_state_checks_every_block_for_symmetry(tmp_path, dim):
+    rng = np.random.default_rng(79)
+    e = rng.normal(size=(dim + 5, dim))
+    gram, cross = e.T @ e, e.T @ np.ones((dim + 5, 1))
+    assert cls.load_state(_saved_state(tmp_path, gram, cross, [0.1], ["a"])).dim == dim
+    # one off-diagonal element in the first block, in a block far from the
+    # diagonal and in the last (partial) block, on either side of the diagonal
+    for row, col in ((2, 1), (dim - 1, 0), (dim - 1, dim - 2)):
+        for r, c in ((row, col), (col, row)):
+            flipped = gram.copy()
+            flipped.view(np.uint64)[r, c] ^= 1  # the lowest mantissa bit
+            path = _saved_state(tmp_path, flipped, cross, [0.1], ["a"])
+            with pytest.raises(WeightsFormatError, match="symmetric"):
+                cls.load_state(path)
 
 
 def test_load_state_rejects_missing_tensor(tmp_path):
