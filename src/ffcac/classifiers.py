@@ -8,11 +8,12 @@ sessions. The prototype baseline is the same memory at lam = inf, the
 limit of lam*W: there W = C, whose column j is n_j times the mean
 embedding of class j, and a cosine score ignores a column's scale.
 
-``registry`` is the tuple of labels in column order, ``weights()`` the
-(D, N) columns that ``predict`` scores by cosine, and ``update(E, Y,
-labels)`` the session update that returns a new memory with the new labels
-appended. ``update`` is the only way classes enter: the base session is the
-update of ``RidgeState.empty(...)``, a memory with no classes.
+``registry`` is the tuple of labels in column order, ``solve_weights``
+gives the (D, N) columns that ``predict`` scores by cosine, and
+``update_incremental(state, E, Y, labels)`` is the session update that
+returns a new memory with the new labels appended. It is the only way
+classes enter: the base session is the update of ``RidgeState.empty(...)``,
+a memory with no classes.
 
 CosineHead exists only to finetune the extractor in the base session:
 scaled cosine-softmax cross entropy, differentiable through the autodiff
@@ -121,14 +122,6 @@ class RidgeState:
     @property
     def dim(self) -> int:
         return self.gram.shape[0]
-
-    def weights(self) -> np.ndarray:
-        """(D, N) columns scored by cosine: the ridge solution, or the
-        class sums at lam = inf."""
-        return solve_weights(self)
-
-    def update(self, E_m: np.ndarray, Y_m: np.ndarray, new_labels) -> "RidgeState":
-        return update_incremental(self, E_m, Y_m, new_labels)
 
 
 def _session(E, Y, labels, dim, registered=()):
@@ -347,8 +340,9 @@ def select_lambda_cv(E: np.ndarray, Y: np.ndarray, grid, k_folds: int, seed: int
         raise UsageError(f"ridge lam must be finite and >= 0, got {bad[0]}")
     E, Y, columns = _session(E, Y, None, None)
     labels = np.argmax(Y, axis=1)
-    if not 2 <= k_folds <= len(labels):
-        raise UsageError(f"need 2 <= k_folds <= n, got k_folds={k_folds}, n={len(labels)}")
+    # too many folds for some class is a StratificationError, raised below
+    if k_folds < 2 or len(labels) == 0:
+        raise UsageError(f"need k_folds >= 2 and n >= 1, got k_folds={k_folds}, n={len(labels)}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xCF))))
     fold_of = _stratified_folds(labels, k_folds, rng)
 

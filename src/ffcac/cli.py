@@ -16,7 +16,7 @@ from . import classifiers as cls
 from . import encoder as enc
 from . import sessions
 from .audio import FrontendConfig, ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
-from .config import ast_base_config, default_config, fits_int64, load_config, validate_config
+from .config import ExperimentConfig, ast_base_config, fits_int64, load_config, validate_config
 from .errors import ConfigError, FfcacError, IngestionError
 from .weights_io import read_text
 
@@ -47,7 +47,7 @@ def cmd_synth_data(args) -> int:
     except OSError as e:
         raise IngestionError(f"cannot create output dir {out}: {e}") from e
     rows = []
-    items = sessions.synthetic_dataset(cfg.num_classes, cfg.clips_per_class, cfg.train_per_class, args.seed)
+    items = sessions.synthetic_dataset(cfg, args.seed)
     for k, item in enumerate(items):
         ref = item.ref
         name = f"{ref.label}_{k % cfg.clips_per_class:03d}.wav"  # items run class by class
@@ -136,7 +136,7 @@ def cmd_count_complexity(args) -> int:
         enc_cfg = ast_base_config()
         num_classes = args.num_classes if args.num_classes is not None else 100
     else:
-        cfg = load_config(args.config) if args.config else default_config()
+        cfg = load_config(args.config) if args.config else ExperimentConfig()
         enc_cfg = cfg.encoder_config()
         num_classes = args.num_classes if args.num_classes is not None else (
             cfg.synth.num_classes if cfg.data.source == "synth"
@@ -144,12 +144,7 @@ def cmd_count_complexity(args) -> int:
         )
     report = enc.count_params_macs(enc_cfg, num_classes)
     if args.json:
-        print(json.dumps({
-            "num_params": report.num_params,
-            "num_params_extractor": report.num_params_extractor,
-            "num_params_classifier": report.num_params_classifier,
-            "macs": report.macs,
-        }, indent=2))
+        print(json.dumps(dataclasses.asdict(report), indent=2))
     else:
         print(f"parameters: {report.num_params} "
               f"(extractor {report.num_params_extractor}, classifier {report.num_params_classifier})")

@@ -271,10 +271,6 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError("invalid config:\n  " + "\n  ".join(bad))
 
 
-def default_config() -> ExperimentConfig:
-    return ExperimentConfig()
-
-
 def ast_base_config() -> EncoderConfig:
     """Full-scale encoder preset mirroring a base-size audio spectrogram
     transformer: 12 blocks, width 768, 12 heads, MLP 3072, 16x16 patches

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +24,7 @@ from . import autodiff as ad
 from . import classifiers as cls
 from . import encoder as enc
 from .audio import (
+    SynthConfig,
     fit_to_length,
     load_wav,
     log_mel_spectrogram,
@@ -31,7 +32,7 @@ from .audio import (
     read_manifest,
     synth_class_waveform,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, PlanConfig
 from .errors import (
     DivergenceError,
     FfcacError,
@@ -86,17 +87,16 @@ def dataset_from_manifest(manifest_path) -> list[DatasetItem]:
     return items
 
 
-def synthetic_dataset(num_classes: int, clips_per_class: int, train_per_class: int,
-                      seed: int) -> list[DatasetItem]:
+def synthetic_dataset(synth: SynthConfig, seed: int) -> list[DatasetItem]:
     """Synthesizable clips, class by class, the first train_per_class of
     each class in the train split; ``ffcac synth-data`` writes them as WAVs."""
     items = []
-    for c in range(num_classes):
+    for c in range(synth.num_classes):
         label = f"class{c:02d}"
-        for i in range(clips_per_class):
+        for i in range(synth.clips_per_class):
             inst = int(_rng(seed, c, i).integers(0, 2**31 - 1))
             ref = ClipRef(label=label, synth_class=c, synth_seed=inst)
-            items.append(DatasetItem(ref=ref, split="train" if i < train_per_class else "test"))
+            items.append(DatasetItem(ref=ref, split="train" if i < synth.train_per_class else "test"))
     return items
 
 
@@ -122,13 +122,12 @@ class SessionPlan:
         return out
 
 
-def make_splits(items: list[DatasetItem], num_incremental: int, base_classes: int,
-                inc_classes_per_session: int, seed: int, shots: int = 5) -> SessionPlan:
+def make_splits(items: list[DatasetItem], plan_cfg: PlanConfig, seed: int) -> SessionPlan:
     """Deterministically assign classes to sessions and index the items.
 
     Labels are shuffled once (seeded) and dealt out: the first
-    ``base_classes`` go to session 0, then ``inc_classes_per_session`` per
-    incremental session. Train/test membership follows the items' splits.
+    ``base_classes`` go to session 0, then ``inc_classes`` per incremental
+    session. Train/test membership follows the items' splits.
     """
     train_items: dict[str, list[ClipRef]] = {}
     test_items: dict[str, list[ClipRef]] = {}
@@ -136,34 +135,34 @@ def make_splits(items: list[DatasetItem], num_incremental: int, base_classes: in
         bucket = train_items if item.split == "train" else test_items
         bucket.setdefault(item.ref.label, []).append(item.ref)
     labels = sorted(set(train_items) | set(test_items))
-    needed = base_classes + num_incremental * inc_classes_per_session
+    needed = plan_cfg.base_classes + plan_cfg.sessions * plan_cfg.inc_classes
     if len(labels) < needed:
         raise PlanError(
-            f"plan needs {needed} classes ({base_classes} base + "
-            f"{num_incremental} x {inc_classes_per_session}), dataset has {len(labels)}"
+            f"plan needs {needed} classes ({plan_cfg.base_classes} base + "
+            f"{plan_cfg.sessions} x {plan_cfg.inc_classes}), dataset has {len(labels)}"
         )
     order = list(labels)
     _rng(seed, _TAG_PLAN).shuffle(order)
-    session_labels = [sorted(order[:base_classes])]
-    at = base_classes
-    for _ in range(num_incremental):
-        session_labels.append(sorted(order[at : at + inc_classes_per_session]))
-        at += inc_classes_per_session
+    session_labels = [sorted(order[: plan_cfg.base_classes])]
+    at = plan_cfg.base_classes
+    for _ in range(plan_cfg.sessions):
+        session_labels.append(sorted(order[at : at + plan_cfg.inc_classes]))
+        at += plan_cfg.inc_classes
 
     short = []
     for sess in session_labels:
         for label in sess:
             n_train = len(train_items.get(label, ()))
             n_test = len(test_items.get(label, ()))
-            if n_train < shots:
-                short.append(f"{label}: {n_train} train items < {shots} shots")
+            if n_train < plan_cfg.shots:
+                short.append(f"{label}: {n_train} train items < {plan_cfg.shots} shots")
             if n_test < 1:
                 short.append(f"{label}: no test items")
     if short:
         raise PlanError("plan infeasible — " + "; ".join(short))
     return SessionPlan(
         session_labels=session_labels,
-        shots=shots,
+        shots=plan_cfg.shots,
         train_items=train_items,
         test_items=test_items,
     )
@@ -173,6 +172,7 @@ def make_splits(items: list[DatasetItem], num_incremental: int, base_classes: in
 class Episode:
     labels: list[str]  # the session's classes, in the order of their columns
     pairs: list[ClipRef]  # exactly N_m * K refs, grouped by class in label order
+    targets: np.ndarray  # each pair's column: 0 (K times), 1 (K times), ...
 
 
 def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
@@ -188,7 +188,8 @@ def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
             raise SamplingError(f"class {label} has {len(pool)} train items, episode needs {k}")
         chosen = rng.choice(len(pool), size=k, replace=False)
         pairs.extend(pool[i] for i in sorted(chosen))
-    return Episode(labels=plan.session_labels[m], pairs=pairs)
+    labels = plan.session_labels[m]
+    return Episode(labels=labels, pairs=pairs, targets=np.repeat(np.arange(len(labels)), k))
 
 
 # ---------------------------------------------------------------------------
@@ -240,11 +241,6 @@ class BaseSessionResult:
     epoch_losses: list[float]
 
 
-def _targets(episode: Episode) -> np.ndarray:
-    """Each pair's column: the index of its label in ``episode.labels``."""
-    return np.array([episode.labels.index(ref.label) for ref in episode.pairs], dtype=np.int64)
-
-
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
                      seed: int) -> BaseSessionResult:
     """Finetune the extractor on the base episode under the scaled
@@ -253,7 +249,6 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     inf for pbc (the prototype limit), else the fixed or the CV λ."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
-    targets = _targets(episode)
 
     params = enc.init_mee_params(enc_cfg, int(_rng(seed, _TAG_INIT).integers(0, 2**31 - 1)))
     head = cls.init_cosine_head(
@@ -266,7 +261,7 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     losses: list[float] = []
     for epoch in range(cfg.train.epochs):
         # one graph per epoch: the whole episode runs as one batch
-        loss = cls.cosine_loss(enc.embed(batch, params, enc_cfg), targets, head)
+        loss = cls.cosine_loss(enc.embed(batch, params, enc_cfg), episode.targets, head)
         value = loss.values.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
@@ -277,12 +272,13 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
                     cfg.train.learning_rate, cfg.train.weight_decay)
 
     embeddings = pipeline.embed_batch(episode.pairs, params)
-    onehot = np.eye(len(labels))[targets]
+    onehot = np.eye(len(labels))[episode.targets]
     lam = np.inf if cfg.classifier.kind == "pbc" else cfg.classifier.fixed_lam()
     if lam is None:
         lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
                                    cfg.classifier.cv_folds, seed)
-    classifier = cls.RidgeState.empty(embeddings.shape[1], lam).update(embeddings, onehot, labels)
+    classifier = cls.update_incremental(cls.RidgeState.empty(embeddings.shape[1], lam),
+                                        embeddings, onehot, labels)
     return BaseSessionResult(params=params, classifier=classifier, epoch_losses=losses)
 
 
@@ -293,9 +289,9 @@ def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
     at full f64 precision before and after, so a change below f32
     resolution is caught too."""
     before = enc.params_checksum(params, "f64")
-    labels = episode.labels
     embeddings = pipeline.embed_batch(episode.pairs, params)
-    updated = classifier.update(embeddings, np.eye(len(labels))[_targets(episode)], labels)
+    onehot = np.eye(len(episode.labels))[episode.targets]
+    updated = cls.update_incremental(classifier, embeddings, onehot, episode.labels)
     after = enc.params_checksum(params, "f64")
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")
@@ -337,7 +333,7 @@ def evaluate(classifier, plan: SessionPlan, m: int, embedded: np.ndarray) -> Eva
         raise UsageError("no test items to evaluate")
     if embedded.shape[0] < len(refs):
         raise UsageError(f"{embedded.shape[0]} embedded test rows, session {m} needs {len(refs)}")
-    predicted, _ = cls.predict(classifier.weights(), classifier.registry, embedded[: len(refs)])
+    predicted, _ = cls.predict(cls.solve_weights(classifier), classifier.registry, embedded[: len(refs)])
     truth = np.array([ref.label for ref in refs], dtype=object)
     correct = int(np.sum(predicted == truth))
     return EvalResult(accuracy=correct / len(refs), correct=correct, total=len(refs))
@@ -403,10 +399,8 @@ def build_plan(cfg: ExperimentConfig) -> SessionPlan:
     if cfg.data.source == "manifest":
         items = dataset_from_manifest(cfg.data.manifest)
     else:
-        items = synthetic_dataset(cfg.synth.num_classes, cfg.synth.clips_per_class,
-                                  cfg.synth.train_per_class, cfg.run.seed)
-    return make_splits(items, cfg.plan.sessions, cfg.plan.base_classes,
-                       cfg.plan.inc_classes, cfg.run.seed, shots=cfg.plan.shots)
+        items = synthetic_dataset(cfg.synth, cfg.run.seed)
+    return make_splits(items, cfg.plan, cfg.run.seed)
 
 
 def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
@@ -452,59 +446,47 @@ def run_repeated(cfg: ExperimentConfig) -> tuple[ExperimentReport, BaseSessionRe
 # report rendering
 
 
+def _round6(value):
+    """Every float in a nested list or dict rounded to 6 places; ints and
+    other values as they are."""
+    if isinstance(value, dict):
+        return {k: _round6(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_round6(v) for v in value]
+    return round(float(value), 6) if isinstance(value, float) else value
+
+
 def report_to_json(report: ExperimentReport, cfg: ExperimentConfig) -> str:
-    """Deterministic JSON: fractions at 6 decimal places, keys in fixed
-    order, no timestamps."""
-
-    def r6(x):
-        return round(float(x), 6)
-
+    """Deterministic JSON: fractions at 6 decimal places, keys in the
+    dataclasses' field order, no timestamps."""
+    aggregate = _round6(asdict(report))
+    runs = aggregate.pop("runs")
     doc = {
         "sessions": len(report.mean_accuracies),
         "config": cfg.to_flat_dict(),
-        "aggregate": {
-            "mean_accuracies": [r6(a) for a in report.mean_accuracies],
-            "std_accuracies": [r6(a) for a in report.std_accuracies],
-            "mean_aa": r6(report.mean_aa),
-            "std_aa": r6(report.std_aa),
-            "mean_pd": r6(report.mean_pd),
-            "std_pd": r6(report.std_pd),
-        },
-        "runs": [
-            {
-                "seed": run.seed,
-                "accuracies": [r6(a) for a in run.accuracies],
-                "aa": r6(run.aa),
-                "pd": r6(run.pd),
-            }
-            for run in report.runs
-        ],
+        "aggregate": aggregate,
+        "runs": runs,
     }
     return json.dumps(doc, indent=2) + "\n"
 
 
-def report_to_csv(doc: dict) -> str:
-    """Per-session table of a parsed ``report_to_json`` document: one row
-    per run plus mean and std rows."""
-    agg = doc["aggregate"]
-    n_sessions = len(agg["mean_accuracies"])
-    header = ["run"] + [f"A_{m}" for m in range(n_sessions)] + ["AA", "PD"]
-    lines = [",".join(header)]
+def json_report_to_csv(json_text: str) -> str:
+    """Per-session table of a ``report_to_json`` document: one row per run
+    plus mean and std rows. Anything else raises IngestionError."""
 
     def fmt(tag, accs, aa, pd):
         return ",".join([tag] + [f"{a:.6f}" for a in accs] + [f"{aa:.6f}", f"{pd:.6f}"])
 
-    for i, run in enumerate(doc["runs"]):
-        lines.append(fmt(str(i), run["accuracies"], run["aa"], run["pd"]))
-    lines.append(fmt("mean", agg["mean_accuracies"], agg["mean_aa"], agg["mean_pd"]))
-    lines.append(fmt("std", agg["std_accuracies"], agg["std_aa"], agg["std_pd"]))
-    return "\n".join(lines) + "\n"
-
-
-def json_report_to_csv(json_text: str) -> str:
-    """Render a ``report_to_json`` document; anything else raises
-    IngestionError."""
     try:
-        return report_to_csv(json.loads(json_text))
-    except (ValueError, KeyError, TypeError, RecursionError) as e:  # ValueError covers bad JSON
+        doc = json.loads(json_text)
+        agg = doc["aggregate"]
+        header = ["run"] + [f"A_{m}" for m in range(len(agg["mean_accuracies"]))] + ["AA", "PD"]
+        lines = [",".join(header)]
+        for i, run in enumerate(doc["runs"]):
+            lines.append(fmt(str(i), run["accuracies"], run["aa"], run["pd"]))
+        lines.append(fmt("mean", agg["mean_accuracies"], agg["mean_aa"], agg["mean_pd"]))
+        lines.append(fmt("std", agg["std_accuracies"], agg["std_aa"], agg["std_pd"]))
+    # ValueError covers bad JSON; OverflowError an int too large for :.6f
+    except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as e:
         raise IngestionError(f"not an ffcac report: {type(e).__name__}: {e}") from e
+    return "\n".join(lines) + "\n"

@@ -8,6 +8,7 @@ import importlib
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from ffcac import audio, sessions
 from ffcac import classifiers as cls
@@ -121,5 +122,32 @@ def test_ridge_wide_protocol_runs_through_the_public_classifier_calls(tmp_path, 
     bench.setup(tmp_path)
     rec = workloads.Recorder()
     bench.iterate(importlib.import_module("tracing").Tracer(), rec)
+    assert rec.failed == 0, rec.failures
+    assert rec.attempted > 0 and len(rec.samples["aa"]) == 1
+
+
+# perfbench's tiny sizes for the two workloads that run `ffcac run`
+_TINY_PROTOCOLS = {
+    "desk-train": {"config": {"train.epochs": "1"}},
+    "session-stream": {"classes": 10, "per_class": 8,
+                       "config": {"train.epochs": "1", "plan.sessions": "1"}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TINY_PROTOCOLS))
+def test_protocol_workload_runs_and_checks_its_outputs(name, tmp_path, monkeypatch):
+    """desk-train and session-stream check the outputs of `ffcac run`
+    (report.csv against the report renderer, both weight files reloaded);
+    one small protocol run must fail no operation."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    workloads = importlib.import_module("workloads")
+    bench = workloads.make(name, 3, _TINY_PROTOCOLS[name])
+    bench.setup(tmp_path)
+    tracer, rec = importlib.import_module("tracing").Tracer(), workloads.Recorder()
+    try:
+        workloads.install(tracer, full=False)
+        bench.iterate(tracer, rec)
+    finally:
+        tracer.restore()
     assert rec.failed == 0, rec.failures
     assert rec.attempted > 0 and len(rec.samples["aa"]) == 1

@@ -163,7 +163,7 @@ def _ridge_ab():
 
 def _prototypes(dim, e, y, labels):
     """The prototype baseline: the memory at lam = inf, where W = C (class sums)."""
-    return cls.RidgeState.empty(dim, np.inf).update(e, y, labels)
+    return cls.update_incremental(cls.RidgeState.empty(dim, np.inf), e, y, labels)
 
 
 def _prototypes_ab():
@@ -191,7 +191,7 @@ def test_repeated_label_rejected(case):
         if classifier is None:
             cls.fit_base(np.eye(2), np.eye(2), 0.1, labels)
         else:
-            classifier.update(np.eye(2), np.eye(2), labels)
+            cls.update_incremental(classifier, np.eye(2), np.eye(2), labels)
     assert classifier is None or classifier.registry == ("a", "b")  # left as it was
 
 
@@ -216,11 +216,12 @@ _MALFORMED_SESSIONS = [
     ("width-5-rows", np.ones((3, 5)), np.ones((3, 1)), ["x"]),
 ]
 
+# the update of a ridge memory, of the prototype memory (lam = inf) and the base fit
 _SESSION_TARGETS = {
-    "RidgeState.update": lambda e, y, labels: cls.fit_base(
-        np.eye(4), np.eye(4), 0.1, list("abcd")).update(e, y, labels),
-    "Prototypes.update": lambda e, y, labels: _prototypes(
-        4, np.eye(4), np.eye(4), list("abcd")).update(e, y, labels),
+    "RidgeState.update": lambda e, y, labels: cls.update_incremental(cls.fit_base(
+        np.eye(4), np.eye(4), 0.1, list("abcd")), e, y, labels),
+    "Prototypes.update": lambda e, y, labels: cls.update_incremental(_prototypes(
+        4, np.eye(4), np.eye(4), list("abcd")), e, y, labels),
     "fit_base": lambda e, y, labels: cls.fit_base(e, y, 0.1, labels),
 }
 
@@ -434,7 +435,8 @@ def test_solve_weights_matches_the_f_ordered_copy_bit_for_bit(tmp_path, monkeypa
 def test_empty_memory_solves_to_no_columns_that_predict_refuses(tmp_path):
     empty = cls.RidgeState.empty(2, 0.1)
     saved = cls.load_state(_saved_state(tmp_path, GOOD_GRAM, np.zeros((2, 0)), [0.1], []))
-    for weights in (empty.weights(), saved.weights(), cls.RidgeState.empty(2, np.inf).weights()):
+    for memory in (empty, saved, cls.RidgeState.empty(2, np.inf)):
+        weights = cls.solve_weights(memory)
         assert weights.shape == (2, 0)
         for query in (np.ones(2), np.ones((3, 2))):
             with pytest.raises(ProtocolViolationError, match="no classes registered"):
@@ -711,8 +713,14 @@ def test_cv_deterministic():
 def test_cv_rejects_underfilled_class():
     e = np.eye(4)
     y = np.array([[1, 0], [1, 0], [1, 0], [0, 1]], dtype=float)
-    with pytest.raises(StratificationError):
-        cls.select_lambda_cv(e, y, [0.1], k_folds=3, seed=0)
+    for k_folds in (3, 5):  # 5 > n = 4: too many folds is the same error
+        with pytest.raises(StratificationError):
+            cls.select_lambda_cv(e, y, [0.1], k_folds=k_folds, seed=0)
+
+
+def test_cv_rejects_no_samples():
+    with pytest.raises(UsageError, match="n >= 1"):
+        cls.select_lambda_cv(np.zeros((0, 4)), np.zeros((0, 2)), [0.1], k_folds=2, seed=0)
 
 
 def test_cv_rejects_empty_grid():
@@ -811,21 +819,21 @@ def test_cv_checks_the_residual_bound(monkeypatch, dim):
 def test_prototype_single_sample_is_itself():
     e = np.array([[1.0, 2.0], [3.0, 4.0]])
     protos = _prototypes(2, e, np.eye(2), ["a", "b"])
-    assert np.array_equal(protos.weights(), e.T)
+    assert np.array_equal(cls.solve_weights(protos), e.T)
 
 
 def test_prototype_mean():
     e = np.array([[1.0, 0.0], [0.0, 1.0]])
     protos = _prototypes(2, e, np.ones((2, 1)), ["only"])
-    assert np.array_equal(protos.weights(), 2 * np.array([[0.5], [0.5]]))  # n times the mean
+    assert np.array_equal(cls.solve_weights(protos), 2 * np.array([[0.5], [0.5]]))  # n times the mean
 
 
 def test_prototype_empty_class_scores_zero():
     # a class with no samples gets a zero column, as at every finite lam
     protos = _prototypes(2, np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]]), ["a", "b"])
-    assert np.all(protos.weights()[:, 1] == 0.0)
+    assert np.all(cls.solve_weights(protos)[:, 1] == 0.0)
     for q in (np.array([0.5, 1.0]), np.array([[0.5, 1.0], [1.0, -1.0]])):
-        label, scores = cls.predict(protos.weights(), protos.registry, q)
+        label, scores = cls.predict(cls.solve_weights(protos), protos.registry, q)
         assert np.all(scores[..., 1] == 0.0)
         assert np.all(np.asarray(label) == "a")
 
@@ -834,16 +842,17 @@ def test_prototype_predict_scale_invariant():
     rng = np.random.default_rng(37)
     protos = _prototypes(4, rng.normal(size=(6, 4)), np.eye(3)[rng.integers(0, 3, 6)], range(3))
     e = rng.normal(size=4)
-    w = protos.weights()
+    w = cls.solve_weights(protos)
     assert w.shape == (4, 3)
     assert cls.predict(w, protos.registry, e)[0] == cls.predict(w, protos.registry, 9.0 * e)[0]
 
 
 def test_prototype_update_appends():
     protos = _prototypes(2, np.eye(2), np.eye(2), ["a", "b"])
-    grown = protos.update(np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
+    grown = cls.update_incremental(protos, np.array([[2.0, 2.0]]), np.ones((1, 1)), ["c"])
     assert grown.registry == ("a", "b", "c")
-    assert np.array_equal(grown.weights()[:, :2], protos.weights())  # old columns untouched
+    # old columns untouched
+    assert np.array_equal(cls.solve_weights(grown)[:, :2], cls.solve_weights(protos))
     assert protos.registry == ("a", "b")  # the old classifier is untouched
 
 
@@ -856,10 +865,10 @@ def _two_sessions(rng, dim):
 def test_inf_lam_scores_as_cosine_against_the_class_means():
     rng = np.random.default_rng(59)
     sessions = _two_sessions(rng, 8)
-    state = _prototypes(8, *sessions[0]).update(*sessions[1])
+    state = cls.update_incremental(_prototypes(8, *sessions[0]), *sessions[1])
     means = np.hstack([(y.T @ e / y.sum(axis=0)[:, None]).T for e, y, _ in sessions])
     for q in _queries(rng, 8):
-        scores, oracle = cls.cosine_scores(state.weights(), q), _norm_cosine_scores(means, q)
+        scores, oracle = cls.cosine_scores(cls.solve_weights(state), q), _norm_cosine_scores(means, q)
         assert np.max(np.abs(scores - oracle)) <= 1e-15
         assert np.array_equal(np.argmax(scores, axis=-1), np.argmax(oracle, axis=-1))
 
@@ -867,9 +876,9 @@ def test_inf_lam_scores_as_cosine_against_the_class_means():
 def test_ridge_scores_approach_the_inf_scores_as_lam_grows():
     rng = np.random.default_rng(61)
     base, session = _two_sessions(rng, 8)
-    state = _prototypes(8, *base).update(*session)
+    state = cls.update_incremental(_prototypes(8, *base), *session)
     queries = rng.normal(size=(50, 8))
-    limit = cls.cosine_scores(state.weights(), queries)
+    limit = cls.cosine_scores(cls.solve_weights(state), queries)
     top = np.linalg.eigvalsh(state.gram)[-1]
     gaps = [np.max(np.abs(cls.cosine_scores(cls.solve_weights(cls.RidgeState(
                 state.gram, state.cross, k * top, state.registry)), queries) - limit))
@@ -885,20 +894,22 @@ def test_inf_memory_reloaded_and_updated_matches_the_in_process_weights(tmp_path
     cls.save_state(path, state)
     loaded = cls.load_state(path)
     assert loaded.lam == np.inf and cls.state_checksum(loaded) == cls.state_checksum(state)
-    in_process, reloaded = state.update(*session), loaded.update(*session)
-    assert np.array_equal(reloaded.weights(), in_process.weights())
+    in_process = cls.update_incremental(state, *session)
+    reloaded = cls.update_incremental(loaded, *session)
+    assert np.array_equal(cls.solve_weights(reloaded), cls.solve_weights(in_process))
     assert reloaded.registry == in_process.registry == tuple("abcdef")
 
 
 def test_ridge_interface_is_solve_and_update_incremental():
+    """The memory is read and grown only through the module functions."""
+    assert not hasattr(cls.RidgeState, "weights") and not hasattr(cls.RidgeState, "update")
     rng = np.random.default_rng(43)
     state = cls.fit_base(rng.normal(size=(6, 3)), np.eye(2)[[0, 1, 0, 1, 0, 1]], 0.5, ["a", "b"])
-    assert state.weights() is cls.solve_weights(state)
+    assert cls.solve_weights(state) is cls.solve_weights(state)  # cached on the state
     e, y = rng.normal(size=(2, 3)), np.eye(1)[[0, 0]]
-    grown = state.update(e, y, ["c"])
-    direct = cls.update_incremental(state, e, y, ["c"])
-    assert grown.registry == ("a", "b", "c")
-    assert np.array_equal(grown.gram, direct.gram) and np.array_equal(grown.cross, direct.cross)
+    grown = cls.update_incremental(state, e, y, ["c"])
+    assert grown.registry == ("a", "b", "c") and state.registry == ("a", "b")
+    assert np.array_equal(grown.gram, state.gram + e.T @ e)
 
 
 # ---------------------------------------------------------------------------

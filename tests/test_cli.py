@@ -12,7 +12,7 @@ from ffcac import cli, sessions
 from ffcac import encoder as enc
 from ffcac import weights_io as wio
 from ffcac.audio import FrontendConfig, SynthConfig, load_wav, read_manifest, synth_class_waveform
-from ffcac.config import ast_base_config, default_config, load_config, parse_config_text
+from ffcac.config import ExperimentConfig, ast_base_config, load_config, parse_config_text
 from ffcac.errors import ConfigError, IngestionError
 
 TOY_CONFIG = """\
@@ -76,7 +76,7 @@ def test_synth_data_writes_the_synthetic_dataset(tmp_path):
     assert cli.main(["synth-data", "--classes", "3", "--per-class", "5", "--out", str(out),
                      "--seed", "11", "--train-fraction", "0.4"]) == 0
     synth, frontend = SynthConfig(num_classes=3, clips_per_class=5, train_per_class=2), FrontendConfig()
-    items = sessions.synthetic_dataset(3, 5, 2, 11)
+    items = sessions.synthetic_dataset(synth, 11)
     rows = read_manifest(out / "manifest.csv")
     assert [(r.label, r.split) for r in rows] == [(i.ref.label, i.split) for i in items]
     for row, item in zip(rows, items, strict=True):
@@ -253,7 +253,7 @@ _CONFIG_VALUES = st.one_of(
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.one_of(
-    st.tuples(st.sampled_from(sorted(default_config().to_flat_dict())), _CONFIG_VALUES)
+    st.tuples(st.sampled_from(sorted(ExperimentConfig().to_flat_dict())), _CONFIG_VALUES)
     .map(lambda kv: f"{kv[0]} = {kv[1]}"),
     st.text(max_size=30),
 ), max_size=4))
@@ -330,6 +330,7 @@ def test_count_complexity_json(toy_config, capsys):
     expected = enc.count_params_macs(cfg.encoder_config(), cfg.synth.num_classes)
     assert doc["num_params"] == expected.num_params
     assert doc["macs"] == expected.macs
+    assert list(doc) == ["num_params", "num_params_extractor", "num_params_classifier", "macs"]
 
 
 def test_count_complexity_preset_and_config_are_exclusive(tmp_path, capsys):
@@ -352,8 +353,6 @@ def test_count_complexity_full_scale_preset(capsys):
 
 def test_default_config_is_the_fusion_rrc_case():
     # the best ablation cell is exactly what `run` uses out of the box
-    from ffcac.config import ExperimentConfig
-
     cfg = ExperimentConfig()
     assert cfg.encoder.use_fusion is True
     assert cfg.classifier.kind == "rrc"
@@ -446,6 +445,12 @@ MALFORMED = {
     "report-not-json": (lambda d: ["report", _write(d / "r.json", b"{")], 3),
     "report-wrong-types": (lambda d: ["report", _write(
         d / "r.json", b'{"aggregate": {"mean_accuracies": 1}, "runs": [{"seed": 1}]}')], 3),
+    "report-huge-integer": (lambda d: ["report", _write(
+        d / "r.json", b'{"aggregate": {"mean_accuracies": [], "std_accuracies": [], "mean_aa": 1'
+        + b"0" * 400 + b', "std_aa": 0, "mean_pd": 0, "std_pd": 0}, "runs": []}')], 3),
+    # 26 folds for 25 base clips, 5 per class: as any fold count above 5, a config error
+    "run-too-many-folds": (lambda d: ["run", "--config", _write(d / "c.cfg", b"classifier.cv_folds = 26\n"
+                                      b"train.epochs = 1\nrun.repeats = 1\n"), "--out", str(d / "o")], 2),
 }
 
 

@@ -27,7 +27,8 @@ def desk_config(**kw) -> ExperimentConfig:
 
 
 def tiny_items(num_classes=10, clips=12, train=7, seed=7):
-    return sessions.synthetic_dataset(num_classes, clips, train, seed)
+    synth = SynthConfig(num_classes=num_classes, clips_per_class=clips, train_per_class=train)
+    return sessions.synthetic_dataset(synth, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -35,33 +36,33 @@ def tiny_items(num_classes=10, clips=12, train=7, seed=7):
 
 
 def test_make_splits_disjoint_sessions():
-    plan = sessions.make_splits(tiny_items(), 1, 5, 5, seed=3, shots=5)
+    plan = sessions.make_splits(tiny_items(), PlanConfig(), seed=3)
     y0, y1 = map(set, plan.session_labels)
     assert len(y0) == 5 and len(y1) == 5
     assert y0.isdisjoint(y1)
 
 
 def test_make_splits_deterministic():
-    a = sessions.make_splits(tiny_items(), 1, 5, 5, seed=3, shots=5)
-    b = sessions.make_splits(tiny_items(), 1, 5, 5, seed=3, shots=5)
+    a = sessions.make_splits(tiny_items(), PlanConfig(), seed=3)
+    b = sessions.make_splits(tiny_items(), PlanConfig(), seed=3)
     assert a.session_labels == b.session_labels
     assert a.train_items == b.train_items
 
 
 def test_make_splits_insufficient_classes():
     with pytest.raises(PlanError, match="13"):
-        sessions.make_splits(tiny_items(), 1, 8, 5, seed=3, shots=5)
+        sessions.make_splits(tiny_items(), PlanConfig(base_classes=8), seed=3)
 
 
 def test_make_splits_insufficient_shots():
     with pytest.raises(PlanError, match="train items"):
-        sessions.make_splits(tiny_items(train=3), 1, 5, 5, seed=3, shots=5)
+        sessions.make_splits(tiny_items(train=3), PlanConfig(), seed=3)
 
 
 def test_make_splits_requires_test_items():
     items = [i for i in tiny_items() if not (i.split == "test" and i.ref.label == "class04")]
     with pytest.raises(PlanError, match="class04"):
-        sessions.make_splits(items, 1, 5, 5, seed=3, shots=5)
+        sessions.make_splits(items, PlanConfig(), seed=3)
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +70,7 @@ def test_make_splits_requires_test_items():
 
 
 def test_episode_shape_five_way_five_shot():
-    plan = sessions.make_splits(tiny_items(), 1, 5, 5, seed=3, shots=5)
+    plan = sessions.make_splits(tiny_items(), PlanConfig(), seed=3)
     ep = sessions.sample_episode(plan, 0, seed=11)
     assert len(ep.pairs) == 25
     per_class = {}
@@ -78,26 +79,28 @@ def test_episode_shape_five_way_five_shot():
     assert set(per_class.values()) == {5}
     assert set(per_class) == set(plan.session_labels[0])
     assert ep.labels == plan.session_labels[0]
-    assert [ep.labels.index(ref.label) for ref in ep.pairs] == [i for i in range(5) for _ in range(5)]
+    assert ([ep.labels.index(ref.label) for ref in ep.pairs] == ep.targets.tolist()
+            == [i for i in range(5) for _ in range(5)])
     assert len(set(ep.pairs)) == 25  # without replacement
 
 
 def test_episode_single_item_classes():
     items = tiny_items(num_classes=3, clips=2, train=1)
-    plan = sessions.make_splits(items, 0, 3, 0, seed=5, shots=1)
+    plan = sessions.make_splits(items, PlanConfig(base_classes=3, inc_classes=0, sessions=0, shots=1),
+                                seed=5)
     ep = sessions.sample_episode(plan, 0, seed=1)
     assert sorted(r.label for r in ep.pairs) == ["class00", "class01", "class02"]
 
 
 def test_episode_deterministic():
-    plan = sessions.make_splits(tiny_items(), 1, 5, 5, seed=3, shots=5)
+    plan = sessions.make_splits(tiny_items(), PlanConfig(), seed=3)
     a = sessions.sample_episode(plan, 1, seed=42)
     b = sessions.sample_episode(plan, 1, seed=42)
     assert a.pairs == b.pairs
 
 
 def test_episode_underfilled_class():
-    plan = sessions.make_splits(tiny_items(), 1, 5, 5, seed=3, shots=5)
+    plan = sessions.make_splits(tiny_items(), PlanConfig(), seed=3)
     plan.train_items[plan.session_labels[0][0]] = plan.train_items[plan.session_labels[0][0]][:2]
     with pytest.raises(SamplingError):
         sessions.sample_episode(plan, 0, seed=1)
@@ -251,7 +254,7 @@ def test_evaluate_scores_hand_made_embeddings():
     plan = _hand_plan()
     assert [r.label for r in sessions.union_test_refs(plan, 1)] == ["a", "a", "b", "c", "c"]
     # the prototype baseline, the memory at lam = inf: a = e0, b = e1
-    protos = cls.RidgeState.empty(3, np.inf).update(np.eye(3)[:2], np.eye(2), ["a", "b"])
+    protos = cls.update_incremental(cls.RidgeState.empty(3, np.inf), np.eye(3)[:2], np.eye(2), ["a", "b"])
     # rows: a0 right, a1 wrong (-> b), b0 right, c0 (-> c once registered), c1 wrong (-> a)
     embedded = np.array([[1.0, 0.1, 0.0], [0.2, 1.0, 0.0], [0.0, 1.0, 0.3],
                          [0.0, 0.2, 1.0], [1.0, 0.0, 0.5]])
@@ -259,7 +262,7 @@ def test_evaluate_scores_hand_made_embeddings():
     assert (r0.correct, r0.total, r0.accuracy) == (2, 3, 2 / 3)
     with pytest.raises(ProtocolViolationError, match="test class 'c' not yet registered"):
         sessions.evaluate(protos, plan, 1, embedded)
-    grown = protos.update(np.array([[0.0, 0.0, 1.0]]), np.ones((1, 1)), ["c"])
+    grown = cls.update_incremental(protos, np.array([[0.0, 0.0, 1.0]]), np.ones((1, 1)), ["c"])
     r1 = sessions.evaluate(grown, plan, 1, embedded)
     assert (r1.correct, r1.total, r1.accuracy) == (3, 5, 0.6)
     # the ridge classifier goes through the same interface
@@ -389,7 +392,6 @@ def test_report_json_deterministic_and_csv_consistent():
     j2 = sessions.report_to_json(sessions.run_repeated(cfg)[0], cfg)
     assert j1 == j2
     csv_text = sessions.json_report_to_csv(j1)
-    assert csv_text == sessions.report_to_csv(json.loads(j1))
     # header, one row per run, then the mean and std rows, at 6 decimals
     lines = csv_text.splitlines()
     assert lines[0] == "run,A_0,A_1,AA,PD"
@@ -400,3 +402,44 @@ def test_report_json_deterministic_and_csv_consistent():
     ]
     for line, values in zip(lines[1:], expected, strict=True):
         assert line.split(",")[1:] == [f"{v:.6f}" for v in values]
+
+
+def test_report_to_json_layout():
+    """Keys in the order sessions, config, aggregate, runs; each report's
+    fields in dataclass order; floats at 6 places; the seed an int."""
+    run = sessions.RunReport(seed=3, accuracies=[0.12345678, 1.0], aa=0.56172839, pd=-0.87654321)
+    report = sessions.ExperimentReport(runs=[run], mean_accuracies=[0.12345678, 1.0],
+                                       std_accuracies=[0.0, 0.25], mean_aa=0.56172839, std_aa=0.5,
+                                       mean_pd=-0.87654321, std_pd=0.125)
+    cfg = ExperimentConfig()
+    config = json.dumps(cfg.to_flat_dict(), indent=2).replace("\n", "\n  ")
+    assert sessions.report_to_json(report, cfg) == f"""{{
+  "sessions": 2,
+  "config": {config},
+  "aggregate": {{
+    "mean_accuracies": [
+      0.123457,
+      1.0
+    ],
+    "std_accuracies": [
+      0.0,
+      0.25
+    ],
+    "mean_aa": 0.561728,
+    "std_aa": 0.5,
+    "mean_pd": -0.876543,
+    "std_pd": 0.125
+  }},
+  "runs": [
+    {{
+      "seed": 3,
+      "accuracies": [
+        0.123457,
+        1.0
+      ],
+      "aa": 0.561728,
+      "pd": -0.876543
+    }}
+  ]
+}}
+"""
