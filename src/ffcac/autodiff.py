@@ -4,16 +4,16 @@ Each operation on tensors appends to an implicit computation record: the
 output keeps links to its inputs plus a closure computing input gradients
 from the output gradient. ``backward()`` on a scalar topologically sorts
 that record and sweeps it once in reverse, accumulating ``.grad`` on every
-``requires_grad`` leaf. The record is rebuilt on every forward pass.
+``requires_grad`` leaf. The record is rebuilt on every forward pass and
+released by the sweep. An op records only when an input requires a
+gradient, so a forward pass on frozen tensors keeps no record.
 
-Everything is double precision. Inference code should wrap calls in
-``no_grad()`` so no record is kept.
+Everything is double precision.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 
 import numpy as np
 
@@ -21,28 +21,6 @@ from .errors import DimensionError, UsageError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-
-# per-thread recording flag: forward-only evaluations may run concurrently
-# with a training thread without disabling its graph
-_state = threading.local()
-
-
-def recording() -> bool:
-    """Whether ops record their inputs (false inside ``no_grad``)."""
-    return getattr(_state, "grad_enabled", True)
-
-
-class no_grad:
-    """Context manager disabling graph recording (forward-only mode)."""
-
-    def __enter__(self):
-        self._prev = recording()
-        _state.grad_enabled = False
-        return self
-
-    def __exit__(self, *exc):
-        _state.grad_enabled = self._prev
-        return False
 
 
 class Tensor:
@@ -102,10 +80,10 @@ def _as_tensor(x) -> Tensor:
 
 
 def record(values, parents, backward) -> Tensor:
-    """Build an op output; record parents only when recording is on.
+    """Build an op output; record parents only when one requires a gradient.
     ``backward(g)`` returns one gradient per parent, in ``parents`` order."""
     out = Tensor(values)
-    if recording() and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -435,7 +413,9 @@ def backward(loss: Tensor) -> None:
     every leaf tensor with ``requires_grad`` (interior nodes keep none).
 
     Gradients add onto any existing ``.grad`` arrays, so zero them
-    (``p.grad = None``) between steps.
+    (``p.grad = None``) between steps. The sweep releases the record: each
+    node it passes drops its parents and its backward closure, and with
+    them the arrays they hold.
     """
     if loss.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {loss.shape}")
@@ -460,16 +440,18 @@ def backward(loss: Tensor) -> None:
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.values)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
+        parents, node_backward = node._parents, node._backward
+        node._parents, node._backward = (), None
         if g is None:
             continue
-        if node.requires_grad and node._backward is None:
+        if node.requires_grad and node_backward is None:
             # leaf parameter
             node.grad = g if node.grad is None else node.grad + g
             continue
-        if node._backward is None:
+        if node_backward is None:
             continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        parent_grads = node_backward(g)
+        for p, pg in zip(parents, parent_grads):
             if not p.requires_grad:
                 continue
             if id(p) in grads:

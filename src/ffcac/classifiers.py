@@ -22,7 +22,6 @@ graph, discarded once the extractor is frozen.
 
 from __future__ import annotations
 
-import hashlib
 import weakref
 from dataclasses import dataclass, field
 
@@ -125,16 +124,20 @@ class RidgeState:
 
 
 def _session(E, Y, labels, dim, registered=()):
-    """Check one session: E (n, D) embeddings, Y (n, N) one-hot targets and
-    N new labels, none of them in ``registered`` or given twice; returned
-    as float64 arrays and a tuple. ``labels`` None names the columns
-    0..N-1; ``dim`` None accepts any width."""
+    """Check one session: E (n, D) finite embeddings, Y (n, N) finite
+    one-hot targets and N new labels, none of them in ``registered`` or
+    given twice; returned as float64 arrays and a tuple. ``labels`` None
+    names the columns 0..N-1; ``dim`` None accepts any width. A NaN or inf
+    would stay in the gram for every later session, so it is refused."""
     E = np.asarray(E, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
     if E.ndim != 2 or Y.ndim != 2 or E.shape[0] != Y.shape[0]:
         raise UsageError(f"embeddings {E.shape} and targets {Y.shape} disagree")
     if dim is not None and E.shape[1] != dim:
         raise UsageError(f"embeddings of width {E.shape[1]} for a classifier of width {dim}")
+    for what, values in (("embeddings", E), ("targets", Y)):
+        if not np.isfinite(values).all():
+            raise NumericError(f"session {what} are not finite (NaN or inf)")
     labels = list(range(Y.shape[1]) if labels is None else labels)
     if len(labels) != Y.shape[1]:
         raise UsageError(f"{len(labels)} labels for {Y.shape[1]} target columns")
@@ -386,23 +389,16 @@ def _fold_weights(E: np.ndarray, Y: np.ndarray, grid):
 # serialization
 
 
-def state_parts(state: RidgeState) -> list:
-    """Ridge state in the weight-container format (f64: the accumulated
-    matrices are the learning memory and must survive round trips at the
-    tolerances of the incremental/batch equivalence), as buffers that view
-    the gram and cross; ``b"".join`` gives the container bytes."""
-    tensors = [
-        ("gram", state.gram),
-        ("cross", state.cross),
-        ("lambda", np.array([state.lam])),
-    ]
-    return weights_io.container_parts(tensors, labels=state.registry, dtype="f64")
+def _container_args(state: RidgeState) -> dict:
+    """Ridge state in the weight-container format: f64, since the
+    accumulated matrices are the learning memory and must survive round
+    trips at the tolerances of the incremental/batch equivalence."""
+    tensors = [("gram", state.gram), ("cross", state.cross), ("lambda", np.array([state.lam]))]
+    return dict(tensors=tensors, labels=state.registry, dtype="f64")
 
 
 def save_state(path, state: RidgeState) -> None:
-    parts = state_parts(state)  # before the open: a bad state leaves the file as it was
-    with open(path, "wb") as fh:
-        fh.writelines(parts)
+    weights_io.save_container(path, **_container_args(state))
 
 
 def load_state(path) -> RidgeState:
@@ -446,7 +442,4 @@ def _check_state(gram: np.ndarray, cross: np.ndarray, lam: np.ndarray, labels) -
 
 
 def state_checksum(state: RidgeState) -> str:
-    digest = hashlib.sha256()
-    for part in state_parts(state):
-        digest.update(part)
-    return digest.hexdigest()
+    return weights_io.container_digest(**_container_args(state))

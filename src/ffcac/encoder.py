@@ -11,10 +11,8 @@ final embedding is the weighted sum of the block features.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -308,14 +306,16 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     x = x.reshape(batch * t, d)
 
     first_tap = 0 if cfg.use_fusion else cfg.blocks - 1
-    caches = [[] if ad.recording() else None for _ in range(cfg.blocks)]  # one list per block
+    skipped = ("fusion.",) + tuple(f"block{i}.feature_norm." for i in range(first_tap))
+    names = [name for name in params if not name.startswith(skipped)]
+    # the layer caches serve only the backward of a node that will be recorded
+    recorded = any(params[name].requires_grad for name in names)
+    caches = [[] if recorded else None for _ in range(cfg.blocks)]  # one list per block
     feats = []
     for i in range(cfg.blocks):
         x, pooled = _block(x, p, f"block{i}", cfg, batch, i >= first_tap, caches[i])
         feats.append(pooled)
     stack = np.stack(feats[first_tap:], axis=1)  # (B, L or 1, D)
-    skipped = ("fusion.",) + tuple(f"block{i}.feature_norm." for i in range(first_tap))
-    names = [name for name in params if not name.startswith(skipped)]
 
     def backward(g_stack):
         grads: dict[str, np.ndarray] = {}
@@ -359,23 +359,24 @@ def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
 
 
 def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndarray:
-    """Forward-only (B, D) embedding of a (B, Z, P) batch of patch matrices."""
-    with ad.no_grad():
-        return embed(patches, params, cfg).values.copy()
+    """The (B, D) embedding of a (B, Z, P) batch of patch matrices, as an array."""
+    return embed(patches, params, cfg).values.copy()
+
+
+def freeze(params: MeeParams) -> None:
+    """Make the extractor a frozen artifact: no tensor requires a gradient
+    or keeps its last one, so a forward pass on it records nothing."""
+    for tensor in params.values():
+        tensor.requires_grad = False
+        tensor.grad = None
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def serialize_params(params: MeeParams, dtype: str = "f32") -> bytes:
-    return weights_io.serialize_container(
-        [(name, t.values) for name, t in params.items()], dtype=dtype
-    )
-
-
 def save_params(path, params: MeeParams, dtype: str = "f32") -> None:
-    Path(path).write_bytes(serialize_params(params, dtype))
+    weights_io.save_container(path, [(n, t.values) for n, t in params.items()], dtype=dtype)
 
 
 def load_params(path, cfg: EncoderConfig) -> MeeParams:
@@ -384,7 +385,8 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     Missing, unexpected, and wrongly-shaped tensors are all reported in one
     error so a mismatched config is diagnosable in a single pass. The map
     is built in param_shapes order, whatever order the container lists its
-    tensors in. A tensor holding NaN or inf is refused by name.
+    tensors in. A tensor holding NaN or inf is refused by name. The
+    tensors come back frozen.
     """
     tensors, _ = weights_io.load_container(path)
     expected = dict(param_shapes(cfg))
@@ -408,11 +410,11 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     if non_finite:
         raise WeightsFormatError("weight container holds non-finite values in: "
                                  + ", ".join(non_finite))
-    return {n: Tensor(tensors[n], requires_grad=True) for n in expected}
+    return {n: Tensor(tensors[n]) for n in expected}
 
 
 def params_checksum(params: MeeParams, dtype: str = "f32") -> str:
-    return hashlib.sha256(serialize_params(params, dtype)).hexdigest()
+    return weights_io.container_digest([(n, t.values) for n, t in params.items()], dtype=dtype)
 
 
 # ---------------------------------------------------------------------------

@@ -244,9 +244,10 @@ class BaseSessionResult:
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
                      seed: int) -> BaseSessionResult:
     """Finetune the extractor on the base episode under the scaled
-    cosine-softmax loss, then update an empty ridge memory with the final
-    embeddings, as every later session updates the current one. Its λ is
-    inf for pbc (the prototype limit), else the fixed or the CV λ."""
+    cosine-softmax loss and freeze it, then update an empty ridge memory
+    with the final embeddings, as every later session updates the current
+    one. Its λ is inf for pbc (the prototype limit), else the fixed or the
+    CV λ."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
 
@@ -270,6 +271,7 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
         ad.backward(loss)
         ad.sgd_step(trainable, [p.grad for p in trainable],
                     cfg.train.learning_rate, cfg.train.weight_decay)
+    enc.freeze(params)
 
     embeddings = pipeline.embed_batch(episode.pairs, params)
     onehot = np.eye(len(labels))[episode.targets]
@@ -424,7 +426,8 @@ def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
 def run_repeated(cfg: ExperimentConfig) -> tuple[ExperimentReport, BaseSessionResult]:
     """``cfg.run.repeats`` independent runs (seed = base_seed + r),
     aggregated, plus the last run's BaseSessionResult so callers can
-    persist the trained artifacts."""
+    persist the trained artifacts. Each run owns its tensors, so runs on
+    separate threads cannot touch each other's extractor."""
     plan = build_plan(cfg)
     pipeline = ClipPipeline(cfg)
 
@@ -434,12 +437,13 @@ def run_repeated(cfg: ExperimentConfig) -> tuple[ExperimentReport, BaseSessionRe
         except FfcacError as e:
             raise type(e)(f"run {r}: {e}") from e
 
-    if cfg.run.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.run.threads) as pool:
-            results = list(pool.map(one, range(cfg.run.repeats)))
-    else:
-        results = [one(r) for r in range(cfg.run.repeats)]
-    return aggregate_runs([r for r, _ in results]), results[-1][1]
+    reports = []
+    with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.run.threads) as pool:
+        # lazy: a failed serial run stops the rest, and each run's artifacts
+        # are released as the next returns, so only the last run's are kept
+        for report, last in (pool.map if cfg.run.threads > 1 else map)(one, range(cfg.run.repeats)):
+            reports.append(report)
+    return aggregate_runs(reports), last
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ disk; in-memory math stays f64.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import math
 import os
@@ -39,6 +40,22 @@ MAX_TEXT_BYTES = 0xFFFF  # a name or label has a u16 byte length
 def serialize_container(tensors, labels=(), dtype: str = "f32") -> bytes:
     """Encode named float arrays (+ optional label table) to bytes."""
     return b"".join(container_parts(tensors, labels, dtype))
+
+
+def save_container(path, tensors, labels=(), dtype: str = "f32") -> None:
+    """Write the container to ``path``. Its parts are built before the file
+    is opened, so an input that cannot be encoded leaves the file as it was."""
+    parts = container_parts(tensors, labels, dtype)
+    with open(path, "wb") as fh:
+        fh.writelines(parts)
+
+
+def container_digest(tensors, labels=(), dtype: str = "f32") -> str:
+    """The sha256 hex digest of the container's bytes, hashed part by part."""
+    digest = hashlib.sha256()
+    for part in container_parts(tensors, labels, dtype):
+        digest.update(part)
+    return digest.hexdigest()
 
 
 def container_parts(tensors, labels=(), dtype: str = "f32") -> list:

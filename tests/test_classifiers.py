@@ -131,11 +131,11 @@ def test_non_finite_lam_rejected(lam):
 
 
 @pytest.mark.parametrize("dim", [6, 40])  # both fold system sides
-def test_cv_nan_residual_fails_the_bound(dim):
+def test_cv_rejects_non_finite_embeddings(dim):
     rng = np.random.default_rng(5)
     E, Y = rng.normal(size=(20, dim)), np.eye(4)[np.arange(20) % 4]
     E[3, 2] = np.nan
-    with np.errstate(invalid="ignore"), pytest.raises(SolverError, match="residual"):
+    with pytest.raises(NumericError, match="embeddings are not finite"):
         cls.select_lambda_cv(E, Y, [1.0, 10.0], k_folds=5, seed=0)
 
 
@@ -214,6 +214,9 @@ _MALFORMED_SESSIONS = [
     ("more-labels-than-columns", np.ones((4, 4)), np.eye(2)[[0, 1, 0, 1]], ["x", "y", "z"]),
     ("fewer-labels-than-columns", np.ones((3, 4)), np.eye(3), ["x", "y"]),
     ("width-5-rows", np.ones((3, 5)), np.ones((3, 1)), ["x"]),
+    ("nan-embedding", np.array([[np.nan, 1.0, 2.0, 3.0]]), np.ones((1, 1)), ["x"]),
+    ("inf-embedding", np.array([[1.0, -np.inf, 2.0, 3.0]]), np.ones((1, 1)), ["x"]),
+    ("nan-target", np.ones((1, 4)), np.full((1, 1), np.nan), ["x"]),
 ]
 
 # the update of a ridge memory, of the prototype memory (lam = inf) and the base fit
@@ -232,7 +235,9 @@ _SESSION_TARGETS = {
     if not (target == "fit_base" and name == "width-5-rows")  # a valid base session
 ])
 def test_malformed_session_rejected(target, e, y, labels):
-    with pytest.raises(UsageError):
+    # a non-finite session is a numeric failure, the others are misuse
+    finite = np.isfinite(e).all() and np.isfinite(y).all()
+    with pytest.raises(UsageError if finite else NumericError, match=None if finite else "not finite"):
         _SESSION_TARGETS[target](e, y, labels)
 
 
@@ -916,6 +921,13 @@ def test_ridge_interface_is_solve_and_update_incremental():
 # serialization
 
 
+def _state_bytes(state) -> bytes:
+    """The ridge container built here from its layout: gram, cross and
+    lambda in f64, then the labels."""
+    tensors = [("gram", state.gram), ("cross", state.cross), ("lambda", [state.lam])]
+    return wio.serialize_container(tensors, labels=state.registry, dtype="f64")
+
+
 def test_state_round_trip(tmp_path):
     rng = np.random.default_rng(41)
     state = cls.fit_base(rng.normal(size=(9, 5)), np.eye(3)[rng.integers(0, 3, 9)], 0.25,
@@ -923,7 +935,7 @@ def test_state_round_trip(tmp_path):
     path = tmp_path / "clf.weights"
     cls.save_state(path, state)
     # saving and hashing go piece by piece, yet see the container bytes
-    data = b"".join(cls.state_parts(state))
+    data = _state_bytes(state)
     assert path.read_bytes() == data
     assert cls.state_checksum(state) == hashlib.sha256(data).hexdigest()
     loaded = cls.load_state(path)
@@ -1048,10 +1060,10 @@ def test_non_string_labels_are_refused_and_save_keeps_the_old_file(tmp_path):
         wio.container_parts([], labels=["a", b"a"])
 
 
-_FUZZ_STATE = b"".join(cls.state_parts(cls.fit_base(
+_FUZZ_STATE = _state_bytes(cls.fit_base(
     np.random.default_rng(59).normal(size=(8, 2)), np.eye(3)[[0, 1, 2, 0, 1, 2, 0, 1]], 0.25,
     labels=["a", "b", "é"],
-)))
+))
 
 
 @settings(max_examples=300, deadline=None)

@@ -451,14 +451,19 @@ MALFORMED = {
     # 26 folds for 25 base clips, 5 per class: as any fold count above 5, a config error
     "run-too-many-folds": (lambda d: ["run", "--config", _write(d / "c.cfg", b"classifier.cv_folds = 26\n"
                                       b"train.epochs = 1\nrun.repeats = 1\n"), "--out", str(d / "o")], 2),
+    # the parameters stay finite, the embeddings overflow: the memory refuses them
+    "run-non-finite-embeddings": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", b"train.learning_rate = 1e36\ntrain.epochs = 2\nrun.repeats = 1\n"),
+        "--out", str(d / "o")], 4, "embeddings are not finite"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_every_subcommand_exits_with_its_documented_code(case, tmp_path, capsys):
-    argv_for, code = MALFORMED[case]
+    argv_for, code, *message = MALFORMED[case]
     assert cli.main(argv_for(tmp_path)) == code
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and all(m in err for m in message)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import struct
 
 import numpy as np
@@ -117,6 +118,24 @@ def _loss_gradients(embed, patches, params, cfg):
     ad.zero_grads(tensors)
     ad.backward(cls.cosine_loss(rows, np.arange(rows.shape[0]) % 3, head))
     return e.values, [np.zeros_like(t.values) if t.grad is None else t.grad for t in tensors]
+
+
+def test_backward_releases_the_record():
+    params = enc.init_mee_params(TINY, seed=18)
+    patches = np.random.default_rng(38).normal(size=(4, 6, TINY.patch_dim))
+    head = cls.init_cosine_head(2, TINY.dim, eta=16.0, seed=5)
+    loss = cls.cosine_loss(enc.embed(patches, params, TINY), np.arange(4) % 2, head)
+    record, stack = {}, [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in record:
+            record[id(node)] = node
+            stack.extend(node._parents)
+    swept = [node for node in record.values() if node._parents]
+    assert len(swept) > 10  # the extractor node, the fusion MLP and the loss
+    ad.backward(loss)
+    assert all(node._parents == () and node._backward is None for node in swept)
+    assert all(t.grad is not None for t in params.values())
 
 
 @pytest.mark.parametrize("fusion", [True, False])
@@ -268,6 +287,15 @@ def test_save_load_round_trip_f32_idempotent(tmp_path):
     assert np.array_equal(a, b)
 
 
+def test_loaded_extractor_is_frozen(tmp_path):
+    path = tmp_path / "mee.weights"
+    enc.save_params(path, enc.init_mee_params(TINY, seed=8))
+    loaded = enc.load_params(path, TINY)
+    assert all(not t.requires_grad and t.grad is None for t in loaded.values())
+    patches = np.random.default_rng(20).normal(size=(2, 4, TINY.patch_dim))
+    assert enc.embed(patches, loaded, TINY)._parents == ()
+
+
 def test_save_load_f64_is_exact(tmp_path):
     params = enc.init_mee_params(TINY, seed=8)
     path = tmp_path / "full.weights"
@@ -279,13 +307,13 @@ def test_save_load_f64_is_exact(tmp_path):
 
 def test_load_reorders_a_reversed_container_to_param_shapes_order(tmp_path):
     params = enc.init_mee_params(TINY, seed=12)
-    canonical = enc.serialize_params(params)
+    canonical = wio.serialize_container([(n, t.values) for n, t in params.items()])
     path = tmp_path / "reversed.weights"
     path.write_bytes(wio.serialize_container([(n, t.values) for n, t in reversed(params.items())]))
     assert path.read_bytes() != canonical
     loaded = enc.load_params(path, TINY)
     assert list(loaded) == [name for name, _ in enc.param_shapes(TINY)]
-    assert enc.serialize_params(loaded) == canonical
+    assert wio.serialize_container([(n, t.values) for n, t in loaded.items()]) == canonical
     assert enc.params_checksum(loaded) == enc.params_checksum(params)
 
 
@@ -331,9 +359,10 @@ def test_overflowing_extents_rejected():
 
 
 @pytest.mark.parametrize("dtype, tag, code", [("f32", 0, "<f4"), ("f64", 1, "<f8")])
-def test_zero_size_and_0d_tensors_match_the_hand_built_layout(dtype, tag, code):
+def test_zero_size_and_0d_tensors_match_the_hand_built_layout(dtype, tag, code, tmp_path):
     empty, scalar = np.zeros((0, 3)), np.array(2.5)
-    data = wio.serialize_container([("e", empty), ("s", scalar)], labels=["k"], dtype=dtype)
+    tensors = [("e", empty), ("s", scalar)]
+    data = wio.serialize_container(tensors, labels=["k"], dtype=dtype)
     expected = (wio.MAGIC + struct.pack("<I", 2)
                 + struct.pack("<H", 1) + b"e" + struct.pack("<B", 2) + struct.pack("<2Q", 0, 3)
                 + struct.pack("<B", tag) + empty.astype(code).tobytes()
@@ -342,10 +371,15 @@ def test_zero_size_and_0d_tensors_match_the_hand_built_layout(dtype, tag, code):
                 + struct.pack("<B", tag) + scalar.astype(code).tobytes()
                 + struct.pack("<I", 1) + struct.pack("<H", 1) + b"k")
     assert data == expected
-    tensors, labels = wio.parse_container(data)
-    assert tensors["e"].shape == (0, 3) and tensors["e"].dtype == np.float64
-    assert tensors["s"].shape == (1,) and tensors["s"][0] == 2.5
-    assert tensors["s"].flags.writeable and labels == ["k"]
+    # the writer and the digest see the same bytes, part by part
+    wio.save_container(tmp_path / "c.weights", tensors, labels=["k"], dtype=dtype)
+    assert (tmp_path / "c.weights").read_bytes() == expected
+    digest = wio.container_digest(tensors, labels=["k"], dtype=dtype)
+    assert digest == hashlib.sha256(expected).hexdigest()
+    parsed, labels = wio.parse_container(data)
+    assert parsed["e"].shape == (0, 3) and parsed["e"].dtype == np.float64
+    assert parsed["s"].shape == (1,) and parsed["s"][0] == 2.5
+    assert parsed["s"].flags.writeable and labels == ["k"]
 
 
 def test_block_count_mismatch_lists_missing_names(tmp_path):
@@ -356,6 +390,19 @@ def test_block_count_mismatch_lists_missing_names(tmp_path):
                               z_max=6, patch_dim=10)
     with pytest.raises(WeightsShapeError, match="block2.attn.wq"):
         enc.load_params(path, three)
+
+
+def test_unwritable_params_leave_the_saved_file_unchanged(tmp_path):
+    path = tmp_path / "mee.weights"
+    params = enc.init_mee_params(TINY, seed=11)
+    enc.save_params(path, params)
+    saved = path.read_bytes()
+    overlong = {**params, "x" * (wio.MAX_TEXT_BYTES + 1): Tensor(np.ones(1))}
+    with pytest.raises(WeightsFormatError, match="exceeds 65535"):
+        enc.save_params(path, overlong)
+    with pytest.raises(WeightsFormatError, match="label 0 is not a string"):
+        wio.save_container(path, [], labels=[0])  # the writer save_params shares
+    assert path.read_bytes() == saved
 
 
 def test_checksum_tracks_values():
@@ -403,7 +450,7 @@ def test_toy_param_census_matches_hand_count():
 def test_param_census_equals_serialized_elements():
     params = enc.init_mee_params(TINY, seed=12)
     report = enc.count_params_macs(TINY, num_classes=0)
-    stored, _ = wio.parse_container(enc.serialize_params(params))
+    stored, _ = wio.parse_container(wio.serialize_container([(n, t.values) for n, t in params.items()]))
     assert report.num_params_extractor == sum(v.size for v in stored.values())
 
 

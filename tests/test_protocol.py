@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -141,6 +144,44 @@ def test_base_session_deterministic():
         states.append(out)
     assert cls.state_checksum(states[0].classifier) == cls.state_checksum(states[1].classifier)
     assert enc.params_checksum(states[0].params) == enc.params_checksum(states[1].params)
+
+
+def test_base_session_freezes_the_extractor():
+    cfg = desk_config(epochs=1)
+    plan, pipe, base = _trained(cfg)
+    assert all(not t.requires_grad and t.grad is None for t in base.params.values())
+    patches = np.stack([pipe.patches(ref) for ref in sessions.union_test_refs(plan, 1)[:3]])
+    assert enc.embed(patches, base.params, pipe.enc_cfg)._parents == ()
+
+
+def test_frozen_embedding_on_another_thread_leaves_training_unchanged():
+    """Frozen passes record nothing because their tensors require no
+    gradient, so they cannot change a run training on another thread."""
+    cfg = desk_config(epochs=3)
+    plan = sessions.build_plan(cfg)
+    episode = sessions.sample_episode(plan, 0, cfg.run.seed)
+    solo = sessions.run_base_session(episode, sessions.ClipPipeline(cfg), cfg, cfg.run.seed)
+    frozen_pipe, refs = sessions.ClipPipeline(cfg), sessions.union_test_refs(plan, 1)[:8]
+    expected = frozen_pipe.embed_batch(refs, solo.params)
+    stop, passes = threading.Event(), []
+
+    def embed_until_stopped():
+        while not stop.is_set():
+            passes.append(np.array_equal(frozen_pipe.embed_batch(refs, solo.params), expected))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    worker = threading.Thread(target=embed_until_stopped)
+    try:
+        worker.start()
+        trained = sessions.run_base_session(episode, sessions.ClipPipeline(cfg), cfg, cfg.run.seed)
+    finally:
+        stop.set()
+        worker.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not worker.is_alive() and passes and all(passes)
+    for name, tensor in solo.params.items():
+        assert np.array_equal(trained.params[name].values, tensor.values), name
 
 
 def test_base_session_cv_lambda_comes_from_grid():
@@ -383,6 +424,24 @@ def test_run_repeated_threads_match_serial():
         dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=2)))
     assert serial.mean_accuracies == threaded.mean_accuracies
     assert [r.accuracies for r in serial.runs] == [r.accuracies for r in threaded.runs]
+
+
+def test_run_repeated_releases_each_runs_artifacts(monkeypatch):
+    run_single = sessions.run_single
+    extractors = []  # weak references to each run's extractor arrays
+    released = []  # at the start of run r: are run r - 2's arrays gone?
+
+    def tracking(cfg, run_seed, plan, pipeline):
+        if len(extractors) >= 2:
+            released.append(all(ref() is None for ref in extractors[-2]))
+        report, base = run_single(cfg, run_seed, plan, pipeline)
+        extractors.append([weakref.ref(t.values) for t in base.params.values()])
+        return report, base
+
+    monkeypatch.setattr(sessions, "run_single", tracking)
+    report, last = sessions.run_repeated(desk_config(epochs=1, repeats=4))
+    assert len(report.runs) == 4 and released == [True, True]
+    assert all(ref() is not None for ref in extractors[-1])  # the last run's are returned
 
 
 def test_report_json_deterministic_and_csv_consistent():
