@@ -1,5 +1,6 @@
 """Audio frontend: WAV ingestion, log mel spectrograms, patch splitting,
-and synthetic class waveforms for desk-scale experiments.
+synthetic class waveforms for desk-scale experiments, and the clip records
+that manifests and synthetic datasets list.
 
 All functions are pure and deterministic; randomness enters only through
 explicit seeds.
@@ -262,20 +263,28 @@ def synth_class_waveform(class_id: int, instance_seed: int, cfg: SynthConfig,
 
 
 # ---------------------------------------------------------------------------
-# manifests
+# clip records and manifests
 
 MANIFEST_HEADER = ["path", "label", "split"]
 VALID_SPLITS = ("train", "test")
 
 
 @dataclass(frozen=True)
-class ManifestRow:
-    path: str
+class ClipRef:
+    """One clip of a dataset, in the train or test split: a WAV on disk or
+    a synthesizable (class, seed)."""
+
     label: str
-    split: str
+    split: str  # train | test
+    path: str | None = None
+    synth_class: int | None = None
+    synth_seed: int | None = None
 
 
-def read_manifest(path) -> list[ManifestRow]:
+def read_manifest(path) -> list[ClipRef]:
+    """The clips of a ``path,label,split`` CSV, each path resolved against
+    the manifest's directory; a clip listed twice, under any spelling of
+    its path, raises IngestionError."""
     path = Path(path)
     try:
         table = list(csv.reader(io.StringIO(read_text(path), newline="")))
@@ -286,8 +295,8 @@ def read_manifest(path) -> list[ManifestRow]:
     header = table[0]
     if header != MANIFEST_HEADER:
         raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
-    rows = []
-    listed: dict[str, int] = {}  # normalized clip path -> line listing it
+    refs = []
+    listed: dict[str, int] = {}  # resolved clip path -> line listing it
     for ln, row in enumerate(table[1:], start=2):
         if not row:
             continue
@@ -298,16 +307,19 @@ def read_manifest(path) -> list[ManifestRow]:
             raise IngestionError(f"{path}:{ln}: split must be train or test, got {split!r}")
         if len(label.encode("utf-8")) > MAX_TEXT_BYTES:  # the classifier container's limit
             raise IngestionError(f"{path}:{ln}: label longer than {MAX_TEXT_BYTES} UTF-8 bytes")
-        first = listed.setdefault(os.path.normpath(p), ln)
+        clip = os.path.normpath(os.path.join(path.parent, p))
+        first = listed.setdefault(clip, ln)
         if first != ln:
             raise IngestionError(f"{path}:{ln}: {p!r} is already listed on line {first}")
-        rows.append(ManifestRow(path=p, label=label, split=split))
-    return rows
+        refs.append(ClipRef(label=label, split=split, path=clip))
+    return refs
 
 
-def write_manifest(path, rows) -> None:
+def write_manifest(path, refs) -> None:
+    """Each ref's path, which is relative to the manifest's directory, with
+    its label and split."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(MANIFEST_HEADER)
-        for r in rows:
+        for r in refs:
             writer.writerow([r.path, r.label, r.split])

@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: synth-data, run, ablate, count-complexity, report.
-Exit codes: 0 ok, 2 config, 3 IO, 4 numeric, 5 protocol violation.
+Exit codes: 0 ok, 2 config or out of memory, 3 IO, 4 numeric, 5 protocol violation.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 from . import classifiers as cls
 from . import encoder as enc
 from . import sessions
-from .audio import FrontendConfig, ManifestRow, SynthConfig, synth_class_waveform, write_manifest, write_wav
+from .audio import ClipRef, FrontendConfig, SynthConfig, synth_class_waveform, write_manifest, write_wav
 from .config import ExperimentConfig, ast_base_config, fits_int64, load_config, validate_config
 from .errors import ConfigError, FfcacError, IngestionError
 from .weights_io import read_text
@@ -47,16 +47,14 @@ def cmd_synth_data(args) -> int:
     except OSError as e:
         raise IngestionError(f"cannot create output dir {out}: {e}") from e
     rows = []
-    items = sessions.synthetic_dataset(cfg, args.seed)
-    for k, item in enumerate(items):
-        ref = item.ref
-        name = f"{ref.label}_{k % cfg.clips_per_class:03d}.wav"  # items run class by class
+    for k, ref in enumerate(sessions.synthetic_dataset(cfg, args.seed)):
+        name = f"{ref.label}_{k % cfg.clips_per_class:03d}.wav"  # refs run class by class
         samples = synth_class_waveform(ref.synth_class, ref.synth_seed, cfg, frontend)
         try:
             write_wav(out / name, samples, frontend.sample_rate_hz)
         except OSError as e:
             raise IngestionError(f"cannot write {out / name}: {e}") from e
-        rows.append(ManifestRow(path=name, label=ref.label, split=item.split))
+        rows.append(ClipRef(label=ref.label, split=ref.split, path=name))
     try:
         write_manifest(out / "manifest.csv", rows)
     except OSError as e:
@@ -221,6 +219,9 @@ def main(argv=None) -> int:
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except MemoryError as e:  # a config whose arrays cannot be allocated, as a plan the inputs cannot fill
+        print(f"error: out of memory: {e}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -54,7 +54,8 @@ class SolverError(NumericError):
 
 
 class DivergenceError(NumericError):
-    """Training produced a non-finite loss."""
+    """Training diverged: a non-finite loss, or base-session embeddings
+    that are not finite after training."""
 
 
 class UsageError(NumericError):

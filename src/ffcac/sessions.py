@@ -16,7 +16,6 @@ from __future__ import annotations
 import concurrent.futures
 import json
 from dataclasses import asdict, dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +23,7 @@ from . import autodiff as ad
 from . import classifiers as cls
 from . import encoder as enc
 from .audio import (
+    ClipRef,
     SynthConfig,
     fit_to_length,
     load_wav,
@@ -59,45 +59,20 @@ def _rng(*entropy) -> np.random.Generator:
 
 
 # ---------------------------------------------------------------------------
-# clip references and datasets
+# synthetic datasets
 
 
-@dataclass(frozen=True)
-class ClipRef:
-    """One clip: either a WAV on disk or a synthesizable (class, seed)."""
-
-    label: str
-    path: str | None = None
-    synth_class: int | None = None
-    synth_seed: int | None = None
-
-
-@dataclass(frozen=True)
-class DatasetItem:
-    ref: ClipRef
-    split: str  # train | test
-
-
-def dataset_from_manifest(manifest_path) -> list[DatasetItem]:
-    root = Path(manifest_path).parent
-    items = []
-    for row in read_manifest(manifest_path):
-        ref = ClipRef(label=row.label, path=str(root / row.path))
-        items.append(DatasetItem(ref=ref, split=row.split))
-    return items
-
-
-def synthetic_dataset(synth: SynthConfig, seed: int) -> list[DatasetItem]:
+def synthetic_dataset(synth: SynthConfig, seed: int) -> list[ClipRef]:
     """Synthesizable clips, class by class, the first train_per_class of
     each class in the train split; ``ffcac synth-data`` writes them as WAVs."""
-    items = []
+    refs = []
     for c in range(synth.num_classes):
         label = f"class{c:02d}"
         for i in range(synth.clips_per_class):
             inst = int(_rng(seed, c, i).integers(0, 2**31 - 1))
-            ref = ClipRef(label=label, synth_class=c, synth_seed=inst)
-            items.append(DatasetItem(ref=ref, split="train" if i < synth.train_per_class else "test"))
-    return items
+            split = "train" if i < synth.train_per_class else "test"
+            refs.append(ClipRef(label=label, split=split, synth_class=c, synth_seed=inst))
+    return refs
 
 
 # ---------------------------------------------------------------------------
@@ -122,18 +97,18 @@ class SessionPlan:
         return out
 
 
-def make_splits(items: list[DatasetItem], plan_cfg: PlanConfig, seed: int) -> SessionPlan:
-    """Deterministically assign classes to sessions and index the items.
+def make_splits(refs: list[ClipRef], plan_cfg: PlanConfig, seed: int) -> SessionPlan:
+    """Deterministically assign classes to sessions and index the clips.
 
     Labels are shuffled once (seeded) and dealt out: the first
     ``base_classes`` go to session 0, then ``inc_classes`` per incremental
-    session. Train/test membership follows the items' splits.
+    session. Train/test membership follows the clips' splits.
     """
     train_items: dict[str, list[ClipRef]] = {}
     test_items: dict[str, list[ClipRef]] = {}
-    for item in items:
-        bucket = train_items if item.split == "train" else test_items
-        bucket.setdefault(item.ref.label, []).append(item.ref)
+    for ref in refs:
+        bucket = train_items if ref.split == "train" else test_items
+        bucket.setdefault(ref.label, []).append(ref)
     labels = sorted(set(train_items) | set(test_items))
     needed = plan_cfg.base_classes + plan_cfg.sessions * plan_cfg.inc_classes
     if len(labels) < needed:
@@ -274,6 +249,9 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     enc.freeze(params)
 
     embeddings = pipeline.embed_batch(episode.pairs, params)
+    if not np.isfinite(embeddings).all():  # a finite loss does not rule out overflowed weights
+        raise DivergenceError("base-session embeddings are not finite after training at "
+                              f"train.learning_rate = {cfg.train.learning_rate}")
     onehot = np.eye(len(labels))[episode.targets]
     lam = np.inf if cfg.classifier.kind == "pbc" else cfg.classifier.fixed_lam()
     if lam is None:
@@ -399,10 +377,10 @@ def aggregate_runs(runs: list[RunReport]) -> ExperimentReport:
 
 def build_plan(cfg: ExperimentConfig) -> SessionPlan:
     if cfg.data.source == "manifest":
-        items = dataset_from_manifest(cfg.data.manifest)
+        refs = read_manifest(cfg.data.manifest)
     else:
-        items = synthetic_dataset(cfg.synth, cfg.run.seed)
-    return make_splits(items, cfg.plan, cfg.run.seed)
+        refs = synthetic_dataset(cfg.synth, cfg.run.seed)
+    return make_splits(refs, cfg.plan, cfg.run.seed)
 
 
 def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,

@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffcac.audio import (
+    ClipRef,
     FrontendConfig,
     _frontend_tables,
-    ManifestRow,
     SynthConfig,
     fit_to_length,
     load_wav,
@@ -332,13 +332,17 @@ def test_synth_class_out_of_range():
 
 
 def test_manifest_round_trip(tmp_path):
-    rows = [
-        ManifestRow("a.wav", "cat", "train"),
-        ManifestRow("b.wav", "dog", "test"),
+    refs = [
+        ClipRef("cat", "train", path="a.wav"),
+        ClipRef("dog", "test", path="b.wav"),
     ]
     path = tmp_path / "manifest.csv"
-    write_manifest(path, rows)
-    assert read_manifest(path) == rows
+    write_manifest(path, refs)
+    # written relative to the manifest's directory, read back resolved against it
+    assert read_manifest(path) == [
+        ClipRef("cat", "train", path=str(tmp_path / "a.wav")),
+        ClipRef("dog", "test", path=str(tmp_path / "b.wav")),
+    ]
     raw = path.read_bytes()
     assert raw.startswith(b"path,label,split\n")
     assert b"\r" not in raw  # LF line endings
@@ -365,10 +369,13 @@ def test_manifest_undecodable_utf8(tmp_path):
         read_manifest(path)
 
 
-@pytest.mark.parametrize("again", ["a.wav,cat,test", "./a.wav,dog,train", "sub/../a.wav,cat,train"])
+@pytest.mark.parametrize("again", ["a.wav,cat,test", "./a.wav,dog,train", "sub/../a.wav,cat,train",
+                                   "{tmp}/a.wav,cat,test", "../{dir}/a.wav,dog,train"])
 def test_manifest_path_listed_twice_rejected(tmp_path, again):
-    # one clip under two labels or in both splits would leak train into test
+    # one clip under two labels or in both splits would leak train into test;
+    # paths are compared once resolved against the manifest's directory
     path = tmp_path / "m.csv"
+    again = again.format(tmp=tmp_path, dir=tmp_path.name)
     path.write_text(f"path,label,split\na.wav,cat,train\nb.wav,cat,test\n{again}\n")
     with pytest.raises(IngestionError, match=r"m\.csv:4: .* already listed on line 2"):
         read_manifest(path)

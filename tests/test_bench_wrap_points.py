@@ -40,8 +40,8 @@ def test_frontend_wrap_points_record_one_span_per_stage(tmp_path, monkeypatch):
     tracer = _installed(monkeypatch)
     try:
         tracer.recording = True
-        pipeline.patches(sessions.ClipRef(label="a", synth_class=0, synth_seed=3))
-        pipeline.patches(sessions.ClipRef(label="b", path=str(wav)))
+        pipeline.patches(sessions.ClipRef(label="a", split="train", synth_class=0, synth_seed=3))
+        pipeline.patches(sessions.ClipRef(label="b", split="train", path=str(wav)))
         tracer.recording = False
     finally:
         tracer.restore()

@@ -69,18 +69,18 @@ def test_synth_data_rerun_identical(tmp_path):
 
 
 def test_synth_data_writes_the_synthetic_dataset(tmp_path):
-    """One manifest row per item of sessions.synthetic_dataset, in order,
-    with its label and split; each WAV holds that item's clip rounded to
-    16 bits."""
+    """One manifest row per clip of sessions.synthetic_dataset, in order,
+    with its label and split; each WAV holds that clip rounded to 16
+    bits."""
     out = tmp_path / "data"
     assert cli.main(["synth-data", "--classes", "3", "--per-class", "5", "--out", str(out),
                      "--seed", "11", "--train-fraction", "0.4"]) == 0
     synth, frontend = SynthConfig(num_classes=3, clips_per_class=5, train_per_class=2), FrontendConfig()
-    items = sessions.synthetic_dataset(synth, 11)
+    refs = sessions.synthetic_dataset(synth, 11)
     rows = read_manifest(out / "manifest.csv")
-    assert [(r.label, r.split) for r in rows] == [(i.ref.label, i.split) for i in items]
-    for row, item in zip(rows, items, strict=True):
-        clip = synth_class_waveform(item.ref.synth_class, item.ref.synth_seed, synth, frontend)
+    assert [(r.label, r.split) for r in rows] == [(ref.label, ref.split) for ref in refs]
+    for row, ref in zip(rows, refs, strict=True):
+        clip = synth_class_waveform(ref.synth_class, ref.synth_seed, synth, frontend)
         expected = np.clip(np.rint(clip * 32768), -32768, 32767) / 32768
         assert np.array_equal(load_wav(out / row.path), expected)
 
@@ -232,7 +232,7 @@ def test_crlf_config_and_manifest_read_as_their_lf_text(tmp_path):
     manifest = tmp_path / "crlf.csv"
     manifest.write_bytes(b"path,label,split\r\na.wav,cat,train\r\n\r\nb.wav,dog,test\r\n")
     assert [(r.path, r.label, r.split) for r in read_manifest(manifest)] \
-        == [("a.wav", "cat", "train"), ("b.wav", "dog", "test")]
+        == [(str(tmp_path / "a.wav"), "cat", "train"), (str(tmp_path / "b.wav"), "dog", "test")]
 
 
 def test_run_undecodable_config_is_io_error(tmp_path, capsys):
@@ -451,10 +451,14 @@ MALFORMED = {
     # 26 folds for 25 base clips, 5 per class: as any fold count above 5, a config error
     "run-too-many-folds": (lambda d: ["run", "--config", _write(d / "c.cfg", b"classifier.cv_folds = 26\n"
                                       b"train.epochs = 1\nrun.repeats = 1\n"), "--out", str(d / "o")], 2),
-    # the parameters stay finite, the embeddings overflow: the memory refuses them
+    # the loss stays finite, the embeddings overflow: the base session names the learning rate
     "run-non-finite-embeddings": (lambda d: ["run", "--config", _write(
         d / "c.cfg", b"train.learning_rate = 1e36\ntrain.epochs = 2\nrun.repeats = 1\n"),
-        "--out", str(d / "o")], 4, "embeddings are not finite"),
+        "--out", str(d / "o")], 4, "embeddings are not finite", "train.learning_rate"),
+    # a 3.47 EiB filterbank: refused by the allocator, so nothing is allocated
+    "run-unallocatable-frontend": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", b"frontend.fft_size = 1000000000000000000\nrun.repeats = 1\n"),
+        "--out", str(d / "o")], 2, "out of memory"),
 }
 
 

@@ -63,7 +63,7 @@ def test_make_splits_insufficient_shots():
 
 
 def test_make_splits_requires_test_items():
-    items = [i for i in tiny_items() if not (i.split == "test" and i.ref.label == "class04")]
+    items = [r for r in tiny_items() if not (r.split == "test" and r.label == "class04")]
     with pytest.raises(PlanError, match="class04"):
         sessions.make_splits(items, PlanConfig(), seed=3)
 
@@ -269,7 +269,7 @@ def test_incremental_equals_batch_refit_on_same_embeddings():
 def test_embed_batch_across_chunks_equals_per_clip_embedding():
     pipe = sessions.ClipPipeline(desk_config())
     params = enc.init_mee_params(pipe.enc_cfg, seed=3)
-    refs = [item.ref for item in tiny_items(clips=13)][: sessions.EMBED_CHUNK + 1]
+    refs = tiny_items(clips=13)[: sessions.EMBED_CHUNK + 1]
     assert len(refs) == sessions.EMBED_CHUNK + 1
     batched = pipe.embed_batch(refs, params)
     one_by_one = np.stack([enc.extract_embedding(pipe.patches(ref)[None], params, pipe.enc_cfg)[0]
@@ -285,7 +285,7 @@ def test_embed_batch_across_chunks_equals_per_clip_embedding():
 def _hand_plan():
     """Session 0: classes a, b; session 1: class c. Test refs in plan order:
     a0 a1 b0 | c0 c1."""
-    test = {label: [sessions.ClipRef(label=label, synth_seed=i) for i in range(n)]
+    test = {label: [sessions.ClipRef(label=label, split="test", synth_seed=i) for i in range(n)]
             for label, n in (("a", 2), ("b", 1), ("c", 2))}
     return sessions.SessionPlan(session_labels=[["a", "b"], ["c"]], shots=1,
                                 train_items={}, test_items=test)
