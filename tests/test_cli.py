@@ -1,6 +1,7 @@
 import argparse
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
@@ -409,6 +410,13 @@ def _write(path, data: bytes):
 _LISTED_TWICE = (b"path,label,split\nclass00_000.wav,class00,train\n"
                  b"class00_000.wav,class00,test\nclass00_000.wav,class01,train\n")
 
+def _symlinked_manifest(d) -> str:
+    """A manifest listing one WAV as train and a symbolic link to it as test."""
+    _write(d / "a.wav", b"")
+    os.symlink("a.wav", d / "b.wav")
+    return _write(d / "m.csv", b"path,label,split\na.wav,cat,train\nb.wav,cat,test\n")
+
+
 # one label past the classifier container's 65,535-byte limit
 _LONG_LABEL = b"path,label,split\na.wav,a,train\nb.wav," + b"x" * 70_000 + b",train\n"
 
@@ -426,6 +434,9 @@ MALFORMED = {
     "run-manifest-lists-a-clip-twice": (lambda d: ["run", "--config", _write(
         d / "c.cfg", f"data.source = manifest\ndata.manifest = {_write(d / 'm.csv', _LISTED_TWICE)}\n".encode()),
         "--out", str(d / "o")], 3),
+    "run-manifest-lists-a-clip-through-a-symlink": (lambda d: ["run", "--config", _write(
+        d / "c.cfg", f"data.source = manifest\ndata.manifest = {_symlinked_manifest(d)}\n".encode()),
+        "--out", str(d / "o")], 3, "already listed on line 2"),
     "run-missing-manifest": (lambda d: ["run", "--config", _write(
         d / "c.cfg", f"data.source = manifest\ndata.manifest = {d / 'none.csv'}\n".encode()),
         "--out", str(d / "o")], 3),

@@ -1,8 +1,10 @@
 import dataclasses
+import gc
 import json
 import sys
 import threading
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +13,12 @@ from ffcac import classifiers as cls
 from ffcac import encoder as enc
 from ffcac import sessions
 from ffcac.audio import SynthConfig
-from ffcac.config import ClassifierConfig, ExperimentConfig, PlanConfig, RunConfig, TrainConfig
+from ffcac.config import (ClassifierConfig, ExperimentConfig, PlanConfig, RunConfig, TrainConfig,
+                          ast_base_config, load_config)
 from ffcac.errors import PlanError, ProtocolViolationError, SamplingError, UsageError
+
+
+DESK_CFG = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 
 
 def desk_config(**kw) -> ExperimentConfig:
@@ -278,6 +284,49 @@ def test_embed_batch_across_chunks_equals_per_clip_embedding():
     assert np.max(np.abs(batched - one_by_one)) <= 1e-12
 
 
+def test_frozen_chunk_keeps_the_attention_scores_within_the_budget():
+    # T = 33 tokens and 4 heads: 34,848 bytes of scores per clip, so the cap binds
+    for enc_cfg in (ExperimentConfig().encoder_config(), load_config(DESK_CFG).encoder_config()):
+        assert (enc_cfg.z_max + 1, enc_cfg.heads) == (33, 4)
+        assert sessions.embed_chunk(enc_cfg) == sessions.EMBED_CHUNK == 64
+    # ast-base: T = 1213 and 12 heads, ~141 MB of scores per clip
+    ast = ast_base_config()
+    per_clip = ast.heads * (ast.z_max + 1) ** 2 * 8
+    assert per_clip <= sessions.SCORE_BUDGET < 2 * per_clip
+    assert sessions.embed_chunk(ast) == 1
+    # one clip past the budget still runs, one clip per pass
+    assert sessions.embed_chunk(dataclasses.replace(ast, heads=24)) == 1
+
+
+def test_base_session_embeds_the_batch_it_trained_on_in_embed_batch_chunks(monkeypatch):
+    """The base session runs each clip's frontend once, and its frozen
+    embeddings are embed_batch's bit for bit, here across seven chunks."""
+    monkeypatch.setattr(sessions, "EMBED_CHUNK", 4)
+    cfg = desk_config(epochs=1)
+    plan, pipe = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
+    episode = sessions.sample_episode(plan, 0, cfg.run.seed)
+    fetched, chunks = [], []
+    patches, extract = sessions.ClipPipeline.patches, enc.extract_embedding
+
+    def fetching(self, ref):
+        fetched.append(ref)
+        return patches(self, ref)
+
+    def chunking(batch, params, enc_cfg):
+        chunks.append(len(batch))
+        return extract(batch, params, enc_cfg)
+
+    monkeypatch.setattr(sessions.ClipPipeline, "patches", fetching)
+    monkeypatch.setattr(enc, "extract_embedding", chunking)
+    base = sessions.run_base_session(episode, pipe, cfg, cfg.run.seed)
+    assert fetched == episode.pairs and chunks == [4] * 6 + [1]
+    expected = cls.update_incremental(cls.RidgeState.empty(pipe.enc_cfg.dim, base.classifier.lam),
+                                      pipe.embed_batch(episode.pairs, base.params),
+                                      np.eye(len(episode.labels))[episode.targets], episode.labels)
+    assert np.array_equal(base.classifier.gram, expected.gram)
+    assert np.array_equal(base.classifier.cross, expected.cross)
+
+
 # ---------------------------------------------------------------------------
 # evaluation and metrics
 
@@ -350,6 +399,55 @@ def test_run_single_embeds_each_distinct_clip_once(monkeypatch):
     clips.update(sessions.union_test_refs(plan, 1))
     assert len(clips) == 150  # 50 episode clips + 100 test clips
     assert len(seen) == len(set(seen)) == len(clips)
+
+
+def _count_frontend(monkeypatch):
+    """Call counts of ClipPipeline.patches and of the log-mel stage, and a
+    weak reference to each patch matrix handed out."""
+    counts, made = {"patches": 0, "log_mel": 0}, []
+    patches, log_mel = sessions.ClipPipeline.patches, sessions.log_mel_spectrogram
+
+    def counting_patches(self, ref):
+        counts["patches"] += 1
+        out = patches(self, ref)
+        made.append(weakref.ref(out))
+        return out
+
+    def counting_log_mel(samples, frontend):
+        counts["log_mel"] += 1
+        return log_mel(samples, frontend)
+
+    monkeypatch.setattr(sessions.ClipPipeline, "patches", counting_patches)
+    monkeypatch.setattr(sessions, "log_mel_spectrogram", counting_log_mel)
+    return counts, made
+
+
+def test_one_run_makes_each_clips_patches_once_and_keeps_none(monkeypatch):
+    cfg = desk_config(epochs=1, clips_per_class=25, train_per_class=15)  # configs/desk.cfg
+    counts, made = _count_frontend(monkeypatch)
+    extract, held = enc.extract_embedding, []  # patch matrices alive at each frozen forward
+
+    def watching(batch, params, enc_cfg):
+        gc.collect()
+        held.append(sum(ref() is not None for ref in made))
+        return extract(batch, params, enc_cfg)
+
+    monkeypatch.setattr(enc, "extract_embedding", watching)
+    sessions.run_repeated(cfg)
+    assert counts == {"patches": 150, "log_mel": 150}  # 50 episode clips + 100 test clips
+    assert held and max(held) == 0
+
+
+def test_repeated_runs_make_each_clips_patches_once(monkeypatch):
+    cfg = desk_config(epochs=1, repeats=2)
+    counts, _ = _count_frontend(monkeypatch)
+    sessions.run_repeated(cfg)
+    plan = sessions.build_plan(cfg)
+    clips = set(sessions.union_test_refs(plan, plan.num_incremental))
+    for seed in (cfg.run.seed, cfg.run.seed + 1):
+        for m in range(plan.num_incremental + 1):
+            clips.update(sessions.sample_episode(plan, m, seed).pairs)
+    assert counts["log_mel"] == len(clips) < counts["patches"]
 
 
 def test_aa_permutation_invariant_pd_endpoints_only():
