@@ -281,18 +281,6 @@ class ClipRef:
     synth_seed: int | None = None
 
 
-def _real_path(clip: str, real_dirs: dict[str, str]) -> str:
-    """``os.path.realpath(clip)``, with the directory's real path taken from
-    ``real_dirs`` (and stored there): realpath costs an lstat per path
-    component, so a manifest of many clips in one directory resolves that
-    directory once and checks only each clip's own name for a link."""
-    head, name = os.path.split(clip)
-    if head not in real_dirs:
-        real_dirs[head] = os.path.realpath(head)
-    real = os.path.normpath(os.path.join(real_dirs[head], name))  # name may be ".."
-    return os.path.realpath(real) if os.path.islink(real) else real
-
-
 def read_manifest(path) -> list[ClipRef]:
     """The clips of a ``path,label,split`` CSV, each path resolved against
     the manifest's directory; a clip listed twice, under any spelling of
@@ -310,7 +298,6 @@ def read_manifest(path) -> list[ClipRef]:
         raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
     refs = []
     listed: dict[str, int] = {}  # real path of the clip -> line listing it
-    real_dirs: dict[str, str] = {}  # each directory's real path, resolved once
     for ln, row in enumerate(table[1:], start=2):
         if not row:
             continue
@@ -322,7 +309,7 @@ def read_manifest(path) -> list[ClipRef]:
         if len(label.encode("utf-8")) > MAX_TEXT_BYTES:  # the classifier container's limit
             raise IngestionError(f"{path}:{ln}: label longer than {MAX_TEXT_BYTES} UTF-8 bytes")
         clip = os.path.normpath(os.path.join(path.parent, p))
-        first = listed.setdefault(_real_path(clip, real_dirs), ln)
+        first = listed.setdefault(os.path.realpath(clip), ln)
         if first != ln:
             raise IngestionError(f"{path}:{ln}: {p!r} is already listed on line {first}")
         refs.append(ClipRef(label=label, split=split, path=clip))

@@ -181,6 +181,15 @@ def embed_chunk(enc_cfg: enc.EncoderConfig) -> int:
     return max(1, min(EMBED_CHUNK, SCORE_BUDGET // (enc_cfg.heads * t * t * 8)))
 
 
+def embed_chunks(n: int, chunk, params: enc.MeeParams, enc_cfg: enc.EncoderConfig) -> np.ndarray:
+    """(n, D) frozen embeddings of n clips, ``embed_chunk`` clips per
+    forward pass; ``chunk(i, j)`` gives clips i..j-1's (j - i, Z, P)
+    patch matrices."""
+    step = embed_chunk(enc_cfg)
+    out = [enc.extract_embedding(chunk(i, min(i + step, n)), params, enc_cfg) for i in range(0, n, step)]
+    return np.concatenate(out) if out else np.zeros((0, enc_cfg.dim))
+
+
 class ClipPipeline:
     """The deterministic clip -> log-mel -> patch-matrix stage, and frozen
     embeddings a chunk at a time.
@@ -213,20 +222,20 @@ class ClipPipeline:
         return cached
 
     def embed_batch(self, refs, params: enc.MeeParams) -> np.ndarray:
-        """(len(refs), D) embeddings, ``embed_chunk`` clips per forward pass.
-        Each chunk's patch matrices are made just before its pass and copied
-        into one buffer that every chunk reuses: a fresh stack per chunk made
-        the allocator return memory to the system and fault it in again
+        """(len(refs), D) embeddings through ``embed_chunks``. Each chunk's
+        patch matrices are made just before its pass and copied into one
+        buffer that every chunk reuses: a fresh stack per chunk made the
+        allocator return memory to the system and fault it in again
         (~17,000 page faults per session-stream run against ~7,000)."""
-        refs, step = list(refs), embed_chunk(self.enc_cfg)
-        buf = np.empty((min(step, len(refs)), self.enc_cfg.z_max, self.enc_cfg.patch_dim))
-        chunks = []
-        for i in range(0, len(refs), step):
-            chunk = refs[i : i + step]
-            for j, ref in enumerate(chunk):
-                buf[j] = self.patches(ref)
-            chunks.append(enc.extract_embedding(buf[: len(chunk)], params, self.enc_cfg))
-        return np.concatenate(chunks) if chunks else np.zeros((0, self.enc_cfg.dim))
+        refs, e = list(refs), self.enc_cfg
+        buf = np.empty((min(embed_chunk(e), len(refs)), e.z_max, e.patch_dim))
+
+        def fill(i, j):
+            for k, ref in enumerate(refs[i:j]):
+                buf[k] = self.patches(ref)
+            return buf[: j - i]
+
+        return embed_chunks(len(refs), fill, params, e)
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +281,8 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
                     cfg.train.learning_rate, cfg.train.weight_decay)
     enc.freeze(params)
 
-    # the frozen embeddings of the batch it trained on, in embed_batch's chunks
-    step = embed_chunk(enc_cfg)
-    embeddings = np.concatenate([enc.extract_embedding(batch[i : i + step], params, enc_cfg)
-                                 for i in range(0, len(batch), step)])
+    # the frozen embeddings of the batch it trained on, chunked as embed_batch's
+    embeddings = embed_chunks(len(batch), lambda i, j: batch[i:j], params, enc_cfg)
     if not np.isfinite(embeddings).all():  # a finite loss does not rule out overflowed weights
         raise DivergenceError("base-session embeddings are not finite after training at "
                               f"train.learning_rate = {cfg.train.learning_rate}")

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ffcac.audio import _real_path as audio_real_path
 from ffcac.audio import (
     ClipRef,
     FrontendConfig,
@@ -397,20 +396,6 @@ def test_manifest_clip_reached_through_a_symlink_rejected(tmp_path, again):
         read_manifest(path)
     path.write_text("path,label,split\na.wav,cat,train\nc.wav,cat,test\n")
     assert [r.path for r in read_manifest(path)] == [str(tmp_path / "a.wav"), str(tmp_path / "c.wav")]
-
-
-def test_manifest_real_path_matches_os_realpath(tmp_path, monkeypatch):
-    (tmp_path / "d").mkdir()
-    (tmp_path / "d" / "a.wav").write_bytes(b"")
-    os.symlink("d", tmp_path / "to_d")
-    os.symlink("to_d/a.wav", tmp_path / "d" / "chain.wav")  # a link through a linked directory
-    os.symlink("missing.wav", tmp_path / "dangling.wav")
-    monkeypatch.chdir(tmp_path / "d")
-    real_dirs = {}
-    for clip in ("a.wav", "chain.wav", "../to_d/a.wav", "../to_d/chain.wav", "../dangling.wav",
-                 "../none/x.wav", "..", str(tmp_path / "to_d" / "a.wav")):
-        clip = os.path.normpath(clip)
-        assert audio_real_path(clip, real_dirs) == os.path.realpath(clip), clip
 
 
 def test_manifest_label_too_long_for_the_container_rejected(tmp_path):
