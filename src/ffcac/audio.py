@@ -283,9 +283,10 @@ class ClipRef:
 
 def read_manifest(path) -> list[ClipRef]:
     """The clips of a ``path,label,split`` CSV, each path resolved against
-    the manifest's directory; a clip listed twice, under any spelling of
-    its path or through a symbolic link, raises IngestionError. A hard
-    link or a byte-identical copy is another file and passes."""
+    the manifest's directory. Every clip must exist when the manifest is
+    read; one listed twice, under any spelling of its path, through a
+    symbolic link or a hard link, raises IngestionError. A byte-identical
+    copy is another file and passes."""
     path = Path(path)
     try:
         table = list(csv.reader(io.StringIO(read_text(path), newline="")))
@@ -297,7 +298,7 @@ def read_manifest(path) -> list[ClipRef]:
     if header != MANIFEST_HEADER:
         raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
     refs = []
-    listed: dict[str, int] = {}  # real path of the clip -> line listing it
+    listed: dict[tuple[int, int], int] = {}  # (device, inode) of the clip -> line listing it
     for ln, row in enumerate(table[1:], start=2):
         if not row:
             continue
@@ -309,7 +310,12 @@ def read_manifest(path) -> list[ClipRef]:
         if len(label.encode("utf-8")) > MAX_TEXT_BYTES:  # the classifier container's limit
             raise IngestionError(f"{path}:{ln}: label longer than {MAX_TEXT_BYTES} UTF-8 bytes")
         clip = os.path.normpath(os.path.join(path.parent, p))
-        first = listed.setdefault(os.path.realpath(clip), ln)
+        try:
+            st = os.stat(clip)
+        except (OSError, ValueError) as e:  # missing, unreadable, or a NUL byte in the path
+            reason = e.strerror if isinstance(e, OSError) else e
+            raise IngestionError(f"{path}:{ln}: cannot read clip {p!r} ({reason})") from None
+        first = listed.setdefault((st.st_dev, st.st_ino), ln)
         if first != ln:
             raise IngestionError(f"{path}:{ln}: {p!r} is already listed on line {first}")
         refs.append(ClipRef(label=label, split=split, path=clip))

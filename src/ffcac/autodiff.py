@@ -48,31 +48,13 @@ class Tensor:
 
     # operator sugar; scalars and ndarrays are promoted to constant tensors
     def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
+        return add(self, other)
 
     def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
+        return mul(self, other)
 
     def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+        return div(self, other)
 
 
 def _as_tensor(x) -> Tensor:

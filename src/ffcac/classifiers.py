@@ -15,9 +15,9 @@ returns a new memory with the new labels appended. It is the only way
 classes enter: the base session is the update of ``RidgeState.empty(...)``,
 a memory with no classes.
 
-CosineHead exists only to finetune the extractor in the base session:
-scaled cosine-softmax cross entropy, differentiable through the autodiff
-graph, discarded once the extractor is frozen.
+The cosine head, one trainable weight tensor, exists only to finetune the
+extractor in the base session under scaled cosine-softmax cross entropy,
+and is discarded once the extractor is frozen.
 """
 
 from __future__ import annotations
@@ -52,20 +52,10 @@ _SINGULAR_AT_ZERO = (
 # cosine-softmax training head
 
 
-@dataclass
-class CosineHead:
-    weight: Tensor  # (num_classes, D)
-    eta: float  # logit scale
-
-    def __post_init__(self):
-        if self.eta <= 0:
-            raise UsageError(f"cosine head scale must be > 0, got {self.eta}")
-
-
-def init_cosine_head(num_classes: int, dim: int, eta: float, seed: int) -> CosineHead:
+def init_cosine_head(num_classes: int, dim: int, seed: int) -> Tensor:
+    """The head's trainable (num_classes, D) weight."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA0))))
-    w = rng.normal(0.0, 1.0 / np.sqrt(dim), (num_classes, dim))
-    return CosineHead(weight=Tensor(w, requires_grad=True), eta=float(eta))
+    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), (num_classes, dim)), requires_grad=True)
 
 
 def _row_normalize(t: Tensor) -> Tensor:
@@ -76,17 +66,19 @@ def _row_normalize(t: Tensor) -> Tensor:
     return t / ad.power(sq, 0.5)
 
 
-def cosine_loss(e_batch: Tensor, labels, head: CosineHead) -> Tensor:
+def cosine_loss(e_batch: Tensor, labels, head: Tensor, eta: float) -> Tensor:
     """Mean over the batch of -log softmax(eta * cos(e, W_y)) at the true
-    class. Differentiable w.r.t. both the embeddings and the head."""
+    class, W the head. Differentiable w.r.t. both embeddings and head."""
+    if eta <= 0:
+        raise UsageError(f"cosine head scale must be > 0, got {eta}")
     labels = np.asarray(labels, dtype=np.int64)
-    n, num_classes = e_batch.shape[0], head.weight.shape[0]
+    n, num_classes = e_batch.shape[0], head.shape[0]
     if labels.shape != (n,):
         raise UsageError(f"expected {n} labels, got shape {labels.shape}")
     if labels.min() < 0 or labels.max() >= num_classes:
         raise UsageError("label index outside head range")
-    cos = ad.matmul(_row_normalize(e_batch), ad.transpose(_row_normalize(head.weight)))
-    probs = ad.softmax(ad.scale(cos, head.eta), axis=1)
+    cos = ad.matmul(_row_normalize(e_batch), ad.transpose(_row_normalize(head)))
+    probs = ad.softmax(ad.scale(cos, eta), axis=1)
     onehot = np.zeros((n, num_classes))
     onehot[np.arange(n), labels] = 1.0
     picked = ad.sum_(Tensor(onehot) * ad.log(probs))

@@ -132,7 +132,7 @@ def fits_int64(v: int) -> bool:
 
 
 def _parse_value(key: str, raw: str, f: dataclasses.Field):
-    kind = f.type if isinstance(f.type, str) else f.type.__name__
+    # f.type is the annotation's text: every config module postpones annotations
     if key == "classifier.lambda":
         if raw == "cv":
             return "cv"
@@ -140,28 +140,28 @@ def _parse_value(key: str, raw: str, f: dataclasses.Field):
         if v < 0:
             raise ValueError("lambda must be >= 0 or 'cv'")
         return repr(v)  # stored as str; fixed_lam() parses it back
-    if kind == "int":
+    if f.type == "int":
         v = int(raw)
         if not fits_int64(v):
             raise ValueError(f"must fit in 64 bits, got {raw!r}")
         return v
-    if kind == "float":
+    if f.type == "float":
         return _finite(raw)
-    if kind == "bool":
+    if f.type == "bool":
         low = raw.lower()
         if low in _TRUE:
             return True
         if low in _FALSE:
             return False
         raise ValueError(f"not a boolean: {raw!r}")
-    if kind == "tuple":
+    if f.type == "tuple":
         return tuple(_finite(x) for x in raw.split(",") if x.strip())
     return raw
 
 
-def parse_config_text(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse flat key=value lines over the defaults (or ``base``)."""
-    base = base or ExperimentConfig()
+def parse_config_text(text: str) -> ExperimentConfig:
+    """Parse flat key=value lines over the defaults."""
+    base = ExperimentConfig()
     overrides: dict[str, dict[str, object]] = {}
     problems: list[str] = []
     set_on: dict[str, int] = {}  # key -> line setting it

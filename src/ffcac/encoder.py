@@ -61,14 +61,6 @@ class EncoderConfig:
 MeeParams = dict[str, Tensor]
 
 
-@dataclass
-class EmbeddingOutput:
-    """Embedding plus the fusion weights that produced it."""
-
-    e: Tensor  # (B, D)
-    fusion_weights: Tensor | None = None  # (B, L), convex
-
-
 def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     """Canonical (name, shape) list; the single source for init, container
     validation, and parameter counting."""
@@ -336,17 +328,17 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     return ad.record(stack, [params[n] for n in names], backward)
 
 
-def fuse(stack: Tensor, params: MeeParams) -> EmbeddingOutput:
+def fuse(stack: Tensor, params: MeeParams) -> tuple[Tensor, Tensor]:
     """Convex combination of block features, weighted by an MLP + softmax
-    over the concatenated features, for encoder_forward's (B, L, D) stack.
-    """
+    over the concatenated features of encoder_forward's (B, L, D) stack:
+    the (B, D) embedding and its (B, L) weights."""
     batch, n_blocks, dim = stack.shape
     eprime = ad.reshape(stack, (batch, n_blocks * dim))
     hidden = ad.relu(ad.matmul(eprime, params["fusion.w1"]) + params["fusion.b1"])
     logits = ad.matmul(hidden, params["fusion.w2"]) + params["fusion.b2"]
     weights = ad.softmax(logits, axis=1)  # (B, L)
     e = ad.matmul(ad.reshape(weights, (batch, 1, n_blocks)), stack)  # (B, 1, D)
-    return EmbeddingOutput(e=ad.reshape(e, (batch, dim)), fusion_weights=weights)
+    return ad.reshape(e, (batch, dim)), weights
 
 
 def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
@@ -354,7 +346,7 @@ def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
     features, or the last block's features when fusion is off."""
     stack = encoder_forward(patches, params, cfg)
     if cfg.use_fusion:
-        return fuse(stack, params).e
+        return fuse(stack, params)[0]
     return ad.reshape(stack, (stack.shape[0], cfg.dim))
 
 

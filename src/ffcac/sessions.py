@@ -260,17 +260,16 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     labels = episode.labels
 
     params = enc.init_mee_params(enc_cfg, int(_rng(seed, _TAG_INIT).integers(0, 2**31 - 1)))
-    head = cls.init_cosine_head(
-        len(labels), enc_cfg.dim, cfg.train.eta,
-        int(_rng(seed, _TAG_HEAD).integers(0, 2**31 - 1)),
-    )
-    trainable = list(params.values()) + [head.weight]
+    head = cls.init_cosine_head(len(labels), enc_cfg.dim,
+                                int(_rng(seed, _TAG_HEAD).integers(0, 2**31 - 1)))
+    trainable = list(params.values()) + [head]
     batch = np.stack([pipeline.patches(ref) for ref in episode.pairs])  # (B, Z, P)
 
     losses: list[float] = []
     for epoch in range(cfg.train.epochs):
         # one graph per epoch: the whole episode runs as one batch
-        loss = cls.cosine_loss(enc.embed(batch, params, enc_cfg), episode.targets, head)
+        loss = cls.cosine_loss(enc.embed(batch, params, enc_cfg), episode.targets, head,
+                               cfg.train.eta)
         value = loss.values.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")

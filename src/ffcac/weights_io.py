@@ -163,13 +163,15 @@ def _read_container(fh, size: int) -> tuple[dict[str, np.ndarray], list[str]]:
 
 def open_input(path) -> BinaryIO:
     """Open an input file for binary reading; a path that cannot be opened
-    (missing, a directory, unreadable) raises IngestionError."""
+    (missing, a directory, unreadable, a NUL byte) raises IngestionError."""
     try:
         return open(path, "rb")
     except FileNotFoundError:
         raise IngestionError(f"{path}: no such file") from None
     except OSError as e:
         raise IngestionError(f"{path}: cannot open ({e.strerror})") from e
+    except ValueError as e:  # "embedded null byte"
+        raise IngestionError(f"{str(path)!r}: cannot open ({e})") from e
 
 
 def read_text(path) -> str:

@@ -160,4 +160,4 @@ def tape_embed(patches: np.ndarray, params, cfg):
     if not cfg.use_fusion:
         return feats[-1]
     stack = ad.concat([ad.reshape(f, f.shape[:-1] + (1, cfg.dim)) for f in feats], axis=-2)
-    return enc.fuse(stack, params).e
+    return enc.fuse(stack, params)[0]

@@ -136,15 +136,15 @@ def test_gradient_correctness_through_toy_extractor():
         for draw in range(20):
             rng = np.random.default_rng(9000 + draw)
             params = enc.init_mee_params(cfg, seed=1000 + draw)
-            head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=2000 + draw)
+            head = cls.init_cosine_head(3, cfg.dim, seed=2000 + draw)
             clips = [rng.normal(size=(int(rng.integers(2, 7)), 64)) for _ in range(3)]
             labels = np.array([0, 1, 2])
-            tensors = list(params.values()) + [head.weight]
+            tensors = list(params.values()) + [head]
 
             def make_loss():
-                rows = [enc.fuse(enc.encoder_forward(c[None], params, cfg), params).e
+                rows = [enc.fuse(enc.encoder_forward(c[None], params, cfg), params)[0]
                         for c in clips]
-                return cls.cosine_loss(ad.concat(rows, axis=0), labels, head)
+                return cls.cosine_loss(ad.concat(rows, axis=0), labels, head, 16.0)
 
             err = grad_check(make_loss, tensors, max_coords_per_tensor=3, rng=rng)
             worst = max(worst, err)
@@ -164,14 +164,14 @@ def test_batched_gradient_correctness_through_toy_extractor():
         for draw in range(5):
             rng = np.random.default_rng(9500 + draw)
             params = enc.init_mee_params(cfg, seed=1500 + draw)
-            head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=2500 + draw)
+            head = cls.init_cosine_head(3, cfg.dim, seed=2500 + draw)
             batch = rng.normal(size=(3, int(rng.integers(2, 7)), 64))
             labels = np.array([0, 1, 2])
-            tensors = list(params.values()) + [head.weight]
+            tensors = list(params.values()) + [head]
 
             def make_loss():
-                e = enc.fuse(enc.encoder_forward(batch, params, cfg), params).e
-                return cls.cosine_loss(e, labels, head)
+                e = enc.fuse(enc.encoder_forward(batch, params, cfg), params)[0]
+                return cls.cosine_loss(e, labels, head, 16.0)
 
             worst = max(worst, grad_check(make_loss, tensors, max_coords_per_tensor=3, rng=rng))
         assert worst <= 1e-4, f"worst rel err {worst:.3e}"

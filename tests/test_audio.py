@@ -333,6 +333,8 @@ def test_synth_class_out_of_range():
 
 
 def test_manifest_round_trip(tmp_path):
+    for name in ("a.wav", "b.wav"):
+        (tmp_path / name).touch()
     refs = [
         ClipRef("cat", "train", path="a.wav"),
         ClipRef("dog", "test", path="b.wav"),
@@ -375,6 +377,8 @@ def test_manifest_undecodable_utf8(tmp_path):
 def test_manifest_path_listed_twice_rejected(tmp_path, again):
     # one clip under two labels or in both splits would leak train into test;
     # paths are compared once resolved against the manifest's directory
+    for name in ("a.wav", "b.wav"):
+        (tmp_path / name).touch()
     path = tmp_path / "m.csv"
     again = again.format(tmp=tmp_path, dir=tmp_path.name)
     path.write_text(f"path,label,split\na.wav,cat,train\nb.wav,cat,test\n{again}\n")
@@ -384,21 +388,42 @@ def test_manifest_path_listed_twice_rejected(tmp_path, again):
 
 @pytest.mark.parametrize("again", ["b.wav", "linked/a.wav", "linked/b.wav"])
 def test_manifest_clip_reached_through_a_symlink_rejected(tmp_path, again):
-    # the duplicate check compares real paths; a hard link is another
-    # directory entry for the same inode and still passes, as would a copy
+    # the duplicate check compares the (device, inode) pair of each clip
     write_wav(tmp_path / "a.wav", np.zeros(160), 16000)
     os.symlink("a.wav", tmp_path / "b.wav")
     os.symlink(".", tmp_path / "linked")
-    os.link(tmp_path / "a.wav", tmp_path / "c.wav")
     path = tmp_path / "m.csv"
-    path.write_text(f"path,label,split\na.wav,cat,train\nc.wav,cat,test\n{again},cat,test\n")
-    with pytest.raises(IngestionError, match=rf"m\.csv:4: '{again}' is already listed on line 2"):
+    path.write_text(f"path,label,split\na.wav,cat,train\n{again},cat,test\n")
+    with pytest.raises(IngestionError, match=rf"m\.csv:3: '{again}' is already listed on line 2"):
         read_manifest(path)
+
+
+def test_manifest_clip_reached_through_a_hard_link_rejected(tmp_path):
+    # a hard link is another directory entry for the same inode; a copy is another file
+    write_wav(tmp_path / "a.wav", np.zeros(160), 16000)
+    os.link(tmp_path / "a.wav", tmp_path / "c.wav")
+    (tmp_path / "d.wav").write_bytes((tmp_path / "a.wav").read_bytes())
+    path = tmp_path / "m.csv"
     path.write_text("path,label,split\na.wav,cat,train\nc.wav,cat,test\n")
-    assert [r.path for r in read_manifest(path)] == [str(tmp_path / "a.wav"), str(tmp_path / "c.wav")]
+    with pytest.raises(IngestionError, match=r"m\.csv:3: 'c.wav' is already listed on line 2"):
+        read_manifest(path)
+    path.write_text("path,label,split\na.wav,cat,train\nd.wav,cat,test\n")
+    assert [r.path for r in read_manifest(path)] == [str(tmp_path / "a.wav"), str(tmp_path / "d.wav")]
+
+
+@pytest.mark.parametrize("clip", ["ghost.wav", "a\0b.wav"])
+def test_manifest_clip_that_cannot_be_read_rejected(tmp_path, clip):
+    # every listed clip is looked up when the manifest is read, so a missing
+    # one is named with its line before any audio loads
+    (tmp_path / "a.wav").touch()
+    path = tmp_path / "m.csv"
+    path.write_text(f"path,label,split\na.wav,cat,train\n{clip},cat,test\n")
+    with pytest.raises(IngestionError, match=r"m\.csv:3: cannot read clip"):
+        read_manifest(path)
 
 
 def test_manifest_label_too_long_for_the_container_rejected(tmp_path):
+    (tmp_path / "a.wav").touch()
     path = tmp_path / "m.csv"
     fits = "é" * (65_535 // 2)  # 65,534 UTF-8 bytes
     path.write_text(f"path,label,split\na.wav,{fits},train\nb.wav,{fits}é,test\n", encoding="utf-8")

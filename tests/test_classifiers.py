@@ -34,50 +34,57 @@ def test_equal_cosines_give_log_n():
     # embedding orthogonal to every weight row -> all cosines 0 -> uniform
     w = np.zeros((5, 8))
     w[:, :5] = np.eye(5)
-    head = cls.CosineHead(weight=Tensor(w, requires_grad=True), eta=16.0)
+    head = Tensor(w, requires_grad=True)
     e = np.zeros((1, 8))
     e[0, 7] = 1.0
-    loss = cls.cosine_loss(Tensor(e), [2], head)
+    loss = cls.cosine_loss(Tensor(e), [2], head, 16.0)
     assert abs(loss.values.item() - np.log(5.0)) <= 1e-12
 
 
 def test_confident_two_class_loss():
     w = np.array([[1.0, 0.0], [0.0, 1.0]])
-    head = cls.CosineHead(weight=Tensor(w, requires_grad=True), eta=16.0)
+    head = Tensor(w, requires_grad=True)
     e = np.array([[2.5, 0.0]])  # cos with true row = 1, other = 0
-    loss = cls.cosine_loss(Tensor(e), [0], head)
+    loss = cls.cosine_loss(Tensor(e), [0], head, 16.0)
     assert abs(loss.values.item() - np.log(1.0 + np.exp(-16.0))) <= 1e-12
 
 
 def test_loss_scale_invariant_in_embeddings():
     rng = np.random.default_rng(0)
-    head = cls.init_cosine_head(4, 6, eta=16.0, seed=1)
+    head = cls.init_cosine_head(4, 6, seed=1)
     e = rng.normal(size=(3, 6))
     labels = [0, 1, 3]
-    a = cls.cosine_loss(Tensor(e), labels, head).values.item()
-    b = cls.cosine_loss(Tensor(5.0 * e), labels, head).values.item()
+    a = cls.cosine_loss(Tensor(e), labels, head, 16.0).values.item()
+    b = cls.cosine_loss(Tensor(5.0 * e), labels, head, 16.0).values.item()
     assert abs(a - b) <= 1e-12
 
 
 def test_zero_norm_embedding_rejected():
-    head = cls.init_cosine_head(3, 4, eta=16.0, seed=2)
+    head = cls.init_cosine_head(3, 4, seed=2)
     with pytest.raises(NumericError, match="zero-norm"):
-        cls.cosine_loss(Tensor(np.zeros((1, 4))), [0], head)
+        cls.cosine_loss(Tensor(np.zeros((1, 4))), [0], head, 16.0)
 
 
 def test_zero_norm_weight_row_rejected():
-    head = cls.CosineHead(weight=Tensor(np.zeros((2, 4)), requires_grad=True), eta=16.0)
+    head = Tensor(np.zeros((2, 4)), requires_grad=True)
     with pytest.raises(NumericError, match="zero-norm"):
-        cls.cosine_loss(Tensor(np.ones((1, 4))), [0], head)
+        cls.cosine_loss(Tensor(np.ones((1, 4))), [0], head, 16.0)
+
+
+@pytest.mark.parametrize("eta", [0.0, -16.0])
+def test_cosine_loss_refuses_a_nonpositive_scale(eta):
+    head = cls.init_cosine_head(3, 4, seed=2)
+    with pytest.raises(UsageError, match="cosine head scale must be > 0"):
+        cls.cosine_loss(Tensor(np.ones((1, 4))), [0], head, eta)
 
 
 def test_cosine_loss_gradients():
     rng = np.random.default_rng(3)
-    head = cls.init_cosine_head(4, 6, eta=16.0, seed=4)
+    head = cls.init_cosine_head(4, 6, seed=4)
     e = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     labels = np.array([0, 1, 2, 3, 1])
 
-    err = grad_check(lambda: cls.cosine_loss(e, labels, head), [e, head.weight])
+    err = grad_check(lambda: cls.cosine_loss(e, labels, head, 16.0), [e, head])
     assert err <= 1e-4, f"rel err {err}"
 
 

@@ -231,6 +231,8 @@ def test_crlf_config_and_manifest_read_as_their_lf_text(tmp_path):
     config.write_bytes(TOY_CONFIG.replace("\n", "\r\n").encode())
     assert load_config(config) == parse_config_text(TOY_CONFIG)
     manifest = tmp_path / "crlf.csv"
+    for name in ("a.wav", "b.wav"):
+        (tmp_path / name).touch()
     manifest.write_bytes(b"path,label,split\r\na.wav,cat,train\r\n\r\nb.wav,dog,test\r\n")
     assert [(r.path, r.label, r.split) for r in read_manifest(manifest)] \
         == [(str(tmp_path / "a.wav"), "cat", "train"), (str(tmp_path / "b.wav"), "dog", "test")]
@@ -406,19 +408,33 @@ def _write(path, data: bytes):
     return str(path)
 
 
+def _manifest(d, rows: bytes, *clips: str) -> str:
+    """A manifest with ``rows`` under its header; each of ``clips`` is made
+    as an empty file beside it."""
+    for name in clips:
+        _write(d / name, b"")
+    return _write(d / "m.csv", b"path,label,split\n" + rows)
+
+
+def _linked_manifest(d, link) -> str:
+    """A manifest listing one WAV as train and a link to it as test."""
+    _write(d / "a.wav", b"")
+    link(d / "a.wav", d / "b.wav")
+    return _manifest(d, b"a.wav,cat,train\nb.wav,cat,test\n")
+
+
+def _run_on(d, manifest) -> list[str]:
+    """``ffcac run`` argv for a config that reads ``manifest``."""
+    return ["run", "--config", _write(d / "c.cfg", f"data.source = manifest\ndata.manifest = {manifest}\n"
+                                      .encode()), "--out", str(d / "o")]
+
+
 # one training clip listed again under the test split and under another label
-_LISTED_TWICE = (b"path,label,split\nclass00_000.wav,class00,train\n"
+_LISTED_TWICE = (b"class00_000.wav,class00,train\n"
                  b"class00_000.wav,class00,test\nclass00_000.wav,class01,train\n")
 
-def _symlinked_manifest(d) -> str:
-    """A manifest listing one WAV as train and a symbolic link to it as test."""
-    _write(d / "a.wav", b"")
-    os.symlink("a.wav", d / "b.wav")
-    return _write(d / "m.csv", b"path,label,split\na.wav,cat,train\nb.wav,cat,test\n")
-
-
 # one label past the classifier container's 65,535-byte limit
-_LONG_LABEL = b"path,label,split\na.wav,a,train\nb.wav," + b"x" * 70_000 + b",train\n"
+_LONG_LABEL = b"a.wav,a,train\nb.wav," + b"x" * 70_000 + b",train\n"
 
 # subcommand -> (argv builder over a tmp dir, documented exit code)
 MALFORMED = {
@@ -428,18 +444,19 @@ MALFORMED = {
                                 "--out", str(d / "o")], 3),
     "run-key-set-twice": (lambda d: ["run", "--config", _write(
         d / "c.cfg", b"train.epochs = 1\ntrain.epochs = 7\n"), "--out", str(d / "o")], 2),
-    "run-manifest-label-too-long": (lambda d: ["run", "--config", _write(
-        d / "c.cfg", f"data.source = manifest\ndata.manifest = {_write(d / 'm.csv', _LONG_LABEL)}\n".encode()),
-        "--out", str(d / "o")], 3),
-    "run-manifest-lists-a-clip-twice": (lambda d: ["run", "--config", _write(
-        d / "c.cfg", f"data.source = manifest\ndata.manifest = {_write(d / 'm.csv', _LISTED_TWICE)}\n".encode()),
-        "--out", str(d / "o")], 3),
-    "run-manifest-lists-a-clip-through-a-symlink": (lambda d: ["run", "--config", _write(
-        d / "c.cfg", f"data.source = manifest\ndata.manifest = {_symlinked_manifest(d)}\n".encode()),
-        "--out", str(d / "o")], 3, "already listed on line 2"),
-    "run-missing-manifest": (lambda d: ["run", "--config", _write(
-        d / "c.cfg", f"data.source = manifest\ndata.manifest = {d / 'none.csv'}\n".encode()),
-        "--out", str(d / "o")], 3),
+    "run-manifest-label-too-long": (lambda d: _run_on(d, _manifest(d, _LONG_LABEL, "a.wav")), 3),
+    "run-manifest-lists-a-clip-twice": (lambda d: _run_on(d, _manifest(d, _LISTED_TWICE, "class00_000.wav")),
+                                        3, "already listed on line 2"),
+    "run-manifest-lists-a-clip-through-a-symlink": (lambda d: _run_on(d, _linked_manifest(d, os.symlink)),
+                                                    3, "already listed on line 2"),
+    "run-manifest-lists-a-clip-through-a-hard-link": (lambda d: _run_on(d, _linked_manifest(d, os.link)),
+                                                      3, "already listed on line 2"),
+    "run-manifest-lists-a-missing-clip": (lambda d: _run_on(d, _manifest(d, b"a.wav,cat,train\n")),
+                                          3, "m.csv:2: cannot read clip 'a.wav'"),
+    "run-manifest-lists-a-nul-byte-path": (lambda d: _run_on(d, _manifest(d, b"a\0b.wav,cat,train\n")),
+                                           3, "m.csv:2: cannot read clip"),
+    "run-missing-manifest": (lambda d: _run_on(d, d / "none.csv"), 3),
+    "run-manifest-path-with-a-nul-byte": (lambda d: _run_on(d, f"{d}/m\0.csv"), 3, "cannot open"),
     "ablate-bad-value": (lambda d: ["ablate", "--config", _write(d / "c.cfg", b"train.epochs = x\n")], 2),
     "ablate-missing-config": (lambda d: ["ablate", "--config", str(d / "none.cfg")], 3),
     "synth-data-no-classes": (lambda d: ["synth-data", "--classes", "0", "--per-class", "4",

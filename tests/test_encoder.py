@@ -92,11 +92,11 @@ def test_batched_fuse_keeps_the_batch_axis():
     rng = np.random.default_rng(31)
     stack = Tensor(rng.normal(size=(3, TINY.blocks, TINY.dim)))
     out = enc.fuse(stack, params)
-    assert out.e.shape == (3, TINY.dim)
-    assert out.fusion_weights.shape == (3, TINY.blocks)
+    assert out[0].shape == (3, TINY.dim)
+    assert out[1].shape == (3, TINY.blocks)
     for i in range(3):
         one = enc.fuse(Tensor(stack.values[i][None]), params)
-        assert np.max(np.abs(out.e.values[i] - one.e.values[0])) <= 1e-12
+        assert np.max(np.abs(out[0].values[i] - one[0].values[0])) <= 1e-12
 
 
 def _desk_episode() -> tuple[enc.EncoderConfig, np.ndarray]:
@@ -113,18 +113,18 @@ def _loss_gradients(embed, patches, params, cfg):
     head tensor (zeros where backward leaves none) under the cosine loss."""
     e = embed(patches, params, cfg)
     rows = ad.reshape(e, (-1, cfg.dim))
-    head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=5)
-    tensors = list(params.values()) + [head.weight]
+    head = cls.init_cosine_head(3, cfg.dim, seed=5)
+    tensors = list(params.values()) + [head]
     ad.zero_grads(tensors)
-    ad.backward(cls.cosine_loss(rows, np.arange(rows.shape[0]) % 3, head))
+    ad.backward(cls.cosine_loss(rows, np.arange(rows.shape[0]) % 3, head, 16.0))
     return e.values, [np.zeros_like(t.values) if t.grad is None else t.grad for t in tensors]
 
 
 def test_backward_releases_the_record():
     params = enc.init_mee_params(TINY, seed=18)
     patches = np.random.default_rng(38).normal(size=(4, 6, TINY.patch_dim))
-    head = cls.init_cosine_head(2, TINY.dim, eta=16.0, seed=5)
-    loss = cls.cosine_loss(enc.embed(patches, params, TINY), np.arange(4) % 2, head)
+    head = cls.init_cosine_head(2, TINY.dim, seed=5)
+    loss = cls.cosine_loss(enc.embed(patches, params, TINY), np.arange(4) % 2, head, 16.0)
     record, stack = {}, [loss]
     while stack:
         node = stack.pop()
@@ -212,8 +212,8 @@ def test_fuse_hand_case():
                             z_max=4, patch_dim=4)
     params = _constant_logit_params(cfg, [np.log(3.0), 0.0])
     out = enc.fuse(Tensor([[[1.0, 0.0], [0.0, 1.0]]]), params)
-    assert np.allclose(out.fusion_weights.values[0], [0.75, 0.25], atol=1e-12)
-    assert np.allclose(out.e.values[0], [0.75, 0.25], atol=1e-12)
+    assert np.allclose(out[1].values[0], [0.75, 0.25], atol=1e-12)
+    assert np.allclose(out[0].values[0], [0.75, 0.25], atol=1e-12)
 
 
 def test_fuse_uniform_logits_takes_mean():
@@ -223,7 +223,7 @@ def test_fuse_uniform_logits_takes_mean():
     rng = np.random.default_rng(11)
     stack = Tensor(rng.normal(size=(1, 3, 4)))
     out = enc.fuse(stack, params)
-    assert np.allclose(out.e.values[0], stack.values[0].mean(axis=0))
+    assert np.allclose(out[0].values[0], stack.values[0].mean(axis=0))
 
 
 def test_fuse_single_block_ignores_mlp():
@@ -232,8 +232,8 @@ def test_fuse_single_block_ignores_mlp():
     params = enc.init_mee_params(cfg, seed=4)  # arbitrary MLP weights
     feat = np.array([1.0, -2.0, 3.0, 0.5])
     out = enc.fuse(Tensor(feat[None, None]), params)
-    assert np.allclose(out.fusion_weights.values[0], [1.0])
-    assert np.allclose(out.e.values[0], feat)
+    assert np.allclose(out[1].values[0], [1.0])
+    assert np.allclose(out[0].values[0], feat)
 
 
 def test_fusion_logit_shift_invariance():
@@ -242,9 +242,9 @@ def test_fusion_logit_shift_invariance():
     rng = np.random.default_rng(13)
     params = enc.init_mee_params(cfg, seed=5)
     stack = Tensor(rng.normal(size=(1, 2, 4)))
-    base = enc.fuse(stack, params).e.values
+    base = enc.fuse(stack, params)[0].values
     params["fusion.b2"].values += 17.3  # uniform additive shift of all logits
-    shifted = enc.fuse(stack, params).e.values
+    shifted = enc.fuse(stack, params)[0].values
     assert np.allclose(base, shifted, atol=1e-12)
 
 
@@ -259,11 +259,11 @@ def test_fusion_weights_convex_for_arbitrary_mlps(seed):
         t.values[...] = rng.normal(scale=3.0, size=t.values.shape)
     stack = rng.normal(size=(3, 5))
     out = enc.fuse(Tensor(stack[None]), params)
-    w = out.fusion_weights.values[0]
+    w = out[1].values[0]
     assert np.all(w >= 0.0)
     assert abs(w.sum() - 1.0) <= 1e-12
-    assert np.all(out.e.values[0] >= stack.min(axis=0) - 1e-12)
-    assert np.all(out.e.values[0] <= stack.max(axis=0) + 1e-12)
+    assert np.all(out[0].values[0] >= stack.min(axis=0) - 1e-12)
+    assert np.all(out[0].values[0] <= stack.max(axis=0) + 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +485,14 @@ def test_end_to_end_gradient_through_loss():
                             z_max=6, patch_dim=64)
     rng = np.random.default_rng(23)
     params = enc.init_mee_params(cfg, seed=21)
-    head = cls.init_cosine_head(3, cfg.dim, eta=16.0, seed=22)
+    head = cls.init_cosine_head(3, cfg.dim, seed=22)
     clips = [rng.normal(size=(5, 64)) for _ in range(3)]
     labels = np.array([0, 1, 2])
-    tensors = list(params.values()) + [head.weight]
+    tensors = list(params.values()) + [head]
 
     def make_loss():
-        rows = [enc.fuse(enc.encoder_forward(c[None], params, cfg), params).e for c in clips]
-        return cls.cosine_loss(ad.concat(rows, axis=0), labels, head)
+        rows = [enc.fuse(enc.encoder_forward(c[None], params, cfg), params)[0] for c in clips]
+        return cls.cosine_loss(ad.concat(rows, axis=0), labels, head, 16.0)
 
     err = grad_check(make_loss, tensors, max_coords_per_tensor=4, rng=rng)
     assert err <= 1e-4, f"rel err {err}"
