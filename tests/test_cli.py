@@ -444,7 +444,8 @@ MALFORMED = {
                                 "--out", str(d / "o")], 3),
     "run-key-set-twice": (lambda d: ["run", "--config", _write(
         d / "c.cfg", b"train.epochs = 1\ntrain.epochs = 7\n"), "--out", str(d / "o")], 2),
-    "run-manifest-label-too-long": (lambda d: _run_on(d, _manifest(d, _LONG_LABEL, "a.wav")), 3),
+    "run-manifest-label-too-long": (lambda d: _run_on(d, _manifest(d, _LONG_LABEL, "a.wav")),
+                                    3, "m.csv:3: label longer than 65535 UTF-8 bytes"),
     "run-manifest-lists-a-clip-twice": (lambda d: _run_on(d, _manifest(d, _LISTED_TWICE, "class00_000.wav")),
                                         3, "already listed on line 2"),
     "run-manifest-lists-a-clip-through-a-symlink": (lambda d: _run_on(d, _linked_manifest(d, os.symlink)),
