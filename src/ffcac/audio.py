@@ -13,6 +13,7 @@ import functools
 import io
 import math
 import os
+import stat
 import wave
 from dataclasses import dataclass
 from pathlib import Path
@@ -283,10 +284,10 @@ class ClipRef:
 
 def read_manifest(path) -> list[ClipRef]:
     """The clips of a ``path,label,split`` CSV, each path resolved against
-    the manifest's directory. Every clip must exist when the manifest is
-    read; one listed twice, under any spelling of its path, through a
-    symbolic link or a hard link, raises IngestionError. A byte-identical
-    copy is another file and passes."""
+    the manifest's directory. Every clip must be a regular file when the
+    manifest is read; one listed twice, under any spelling of its path,
+    through a symbolic link or a hard link, raises IngestionError. A
+    byte-identical copy is another file and passes."""
     path = Path(path)
     try:
         table = list(csv.reader(io.StringIO(read_text(path), newline="")))
@@ -315,6 +316,8 @@ def read_manifest(path) -> list[ClipRef]:
         except (OSError, ValueError) as e:  # missing, unreadable, or a NUL byte in the path
             reason = e.strerror if isinstance(e, OSError) else e
             raise IngestionError(f"{path}:{ln}: cannot read clip {p!r} ({reason})") from None
+        if not stat.S_ISREG(st.st_mode):  # a directory fails later; a FIFO would block in open
+            raise IngestionError(f"{path}:{ln}: {p!r} is not a regular file")
         first = listed.setdefault((st.st_dev, st.st_ino), ln)
         if first != ln:
             raise IngestionError(f"{path}:{ln}: {p!r} is already listed on line {first}")

@@ -6,7 +6,8 @@ from the output gradient. ``backward()`` on a scalar topologically sorts
 that record and sweeps it once in reverse, accumulating ``.grad`` on every
 ``requires_grad`` leaf. The record is rebuilt on every forward pass and
 released by the sweep. An op records only when an input requires a
-gradient, so a forward pass on frozen tensors keeps no record.
+gradient, so a forward pass on plain arrays, which ops take as constants,
+keeps no record; a training step wraps its arrays in fresh leaf tensors.
 
 Everything is double precision.
 """
@@ -394,10 +395,10 @@ def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar loss; accumulates into the ``.grad`` of
     every leaf tensor with ``requires_grad`` (interior nodes keep none).
 
-    Gradients add onto any existing ``.grad`` arrays, so zero them
-    (``p.grad = None``) between steps. The sweep releases the record: each
-    node it passes drops its parents and its backward closure, and with
-    them the arrays they hold.
+    Gradients add onto any existing ``.grad`` arrays, so a second sweep
+    over the same leaves sums the two; a training step uses fresh leaves.
+    The sweep releases the record: each node it passes drops its parents
+    and its backward closure, and with them the arrays they hold.
     """
     if loss.values.size != 1:
         raise UsageError(f"backward root must be scalar, got shape {loss.shape}")
@@ -442,19 +443,14 @@ def backward(loss: Tensor) -> None:
                 grads[id(p)] = pg
 
 
-def sgd_step(params, grads, lr: float, weight_decay: float = 0.0) -> None:
-    """In-place SGD: p <- p - lr*(g + wd*p)."""
+def sgd_step(arrays, grads, lr: float, weight_decay: float = 0.0) -> None:
+    """In-place SGD on arrays: p <- p - lr*(g + wd*p); a None gradient is zero."""
     if lr <= 0:
         raise UsageError(f"learning rate must be > 0, got {lr}")
-    for p, g in zip(params, grads):
+    for p, g in zip(arrays, grads):
         if g is None:
-            g = np.zeros_like(p.values)
+            g = np.zeros_like(p)
         g = np.asarray(g, dtype=np.float64)
-        if g.shape != p.values.shape:
-            raise DimensionError(f"sgd_step: param shape {p.values.shape} vs grad shape {g.shape}")
-        p.values -= lr * (g + weight_decay * p.values)
-
-
-def zero_grads(params) -> None:
-    for p in params:
-        p.grad = None
+        if g.shape != p.shape:
+            raise DimensionError(f"sgd_step: param shape {p.shape} vs grad shape {g.shape}")
+        p -= lr * (g + weight_decay * p)

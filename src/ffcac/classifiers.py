@@ -52,10 +52,10 @@ _SINGULAR_AT_ZERO = (
 # cosine-softmax training head
 
 
-def init_cosine_head(num_classes: int, dim: int, seed: int) -> Tensor:
+def init_cosine_head(num_classes: int, dim: int, seed: int) -> np.ndarray:
     """The head's trainable (num_classes, D) weight."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA0))))
-    return Tensor(rng.normal(0.0, 1.0 / np.sqrt(dim), (num_classes, dim)), requires_grad=True)
+    return rng.normal(0.0, 1.0 / np.sqrt(dim), (num_classes, dim))
 
 
 def _row_normalize(t: Tensor) -> Tensor:

@@ -34,6 +34,8 @@ def cmd_synth_data(args) -> int:
     for flag, count in (("--classes", args.classes), ("--per-class", args.per_class)):
         if not fits_int64(count):  # as the synth.* keys; round() below needs a float-sized count
             raise ConfigError(f"{flag} must fit in 64 bits, got {count}")
+    if not (args.seed >= 0 and fits_int64(args.seed)):  # run.seed's rule
+        raise ConfigError(f"--seed: must be >= 0 and fit in 64 bits, got {args.seed}")
     cfg = SynthConfig(num_classes=args.classes, clips_per_class=args.per_class,
                       train_per_class=min(max(1, round(fraction * args.per_class)), args.per_class - 1),
                       noise_amplitude=args.noise)

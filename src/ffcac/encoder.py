@@ -56,9 +56,9 @@ class EncoderConfig:
                               + "\n  ".join(f"encoder.{name}: {why}" for name, why in bad))
 
 
-# One name -> tensor map in param_shapes order: the container order, the
-# order training hands the tensors to the optimizer, and the census order.
-MeeParams = dict[str, Tensor]
+# One name -> array map in param_shapes order: the container order, the
+# order training hands the arrays to the optimizer, and the census order.
+MeeParams = dict[str, np.ndarray]
 
 
 def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -103,23 +103,20 @@ def param_shapes(cfg: EncoderConfig) -> list[tuple[str, tuple[int, ...]]]:
     return shapes
 
 
-def _init_tensor(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
+def _init_array(name: str, shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     if name.endswith(".gain"):
-        values = np.ones(shape)
-    elif name.endswith((".bias", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
-        values = np.zeros(shape)
-    elif name in ("cls_token", "pos_table"):
-        values = rng.normal(0.0, PARAM_INIT_POS_STD, shape)
-    else:
-        fan_in = shape[0]
-        values = rng.normal(0.0, 1.0 / math.sqrt(fan_in), shape)
-    return Tensor(values, requires_grad=True)
+        return np.ones(shape)
+    if name.endswith((".bias", ".b1", ".b2", ".bq", ".bk", ".bv", ".bo")):
+        return np.zeros(shape)
+    if name in ("cls_token", "pos_table"):
+        return rng.normal(0.0, PARAM_INIT_POS_STD, shape)
+    return rng.normal(0.0, 1.0 / math.sqrt(shape[0]), shape)
 
 
 def init_mee_params(cfg: EncoderConfig, seed: int) -> MeeParams:
     cfg.validate()
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xC0DE))))
-    return {name: _init_tensor(name, shape, rng) for name, shape in param_shapes(cfg)}
+    return {name: _init_array(name, shape, rng) for name, shape in param_shapes(cfg)}
 
 
 # ---------------------------------------------------------------------------
@@ -271,14 +268,16 @@ def _block_backward(g_pooled, g_next, caches, p: dict, block: str,
     return g_attended, _affine_norm_backward(g_h1, ln1, p, f"{block}.ln1", grads)
 
 
-def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
+def encoder_forward(patches: np.ndarray, params, cfg: EncoderConfig) -> Tensor:
     """Run the block stack on a (B, Z, P) batch of equally long clips;
     return the (B, L, D) pooled features of every block, or the (B, 1, D)
     features of the last block when fusion is off.
 
     Affine maps run as one 2-D product over all B*T tokens. The stack is
     one tape node whose parents are the extractor parameters it read: all
-    but ``fusion.*`` and the feature norms of untapped blocks.
+    but ``fusion.*`` and the feature norms of untapped blocks. An array in
+    ``params`` is a constant, so the node is recorded only when one of
+    these is a tensor that requires a gradient.
     """
     mat = np.asarray(patches)
     if mat.ndim != 3:
@@ -289,7 +288,8 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     if pd != cfg.patch_dim:
         raise DimensionError(f"patch dim {pd} != configured {cfg.patch_dim}")
     t, d = z + 1, cfg.dim
-    p = {name: tensor.values for name, tensor in params.items()}
+    tensors = {name: ad._as_tensor(v) for name, v in params.items()}
+    p = {name: tensor.values for name, tensor in tensors.items()}
     flat = mat.reshape(batch * z, pd)
     x = _linear(flat, p, "patch_embed.weight", "patch_embed.bias")
     # one class token per clip: broadcast it over the batch by adding zeros
@@ -301,7 +301,7 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
     skipped = ("fusion.",) + tuple(f"block{i}.feature_norm." for i in range(first_tap))
     names = [name for name in params if not name.startswith(skipped)]
     # the layer caches serve only the backward of a node that will be recorded
-    recorded = any(params[name].requires_grad for name in names)
+    recorded = any(tensors[name].requires_grad for name in names)
     caches = [[] if recorded else None for _ in range(cfg.blocks)]  # one list per block
     feats = []
     for i in range(cfg.blocks):
@@ -325,10 +325,10 @@ def encoder_forward(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) 
         grads["patch_embed.bias"] = g.sum(axis=0)
         return tuple(grads[name] for name in names)
 
-    return ad.record(stack, [params[n] for n in names], backward)
+    return ad.record(stack, [tensors[n] for n in names], backward)
 
 
-def fuse(stack: Tensor, params: MeeParams) -> tuple[Tensor, Tensor]:
+def fuse(stack: Tensor, params) -> tuple[Tensor, Tensor]:
     """Convex combination of block features, weighted by an MLP + softmax
     over the concatenated features of encoder_forward's (B, L, D) stack:
     the (B, D) embedding and its (B, L) weights."""
@@ -341,7 +341,7 @@ def fuse(stack: Tensor, params: MeeParams) -> tuple[Tensor, Tensor]:
     return ad.reshape(e, (batch, dim)), weights
 
 
-def embed(patches: np.ndarray, params: MeeParams, cfg: EncoderConfig) -> Tensor:
+def embed(patches: np.ndarray, params, cfg: EncoderConfig) -> Tensor:
     """The extractor's (B, D) embedding of a (B, Z, P) batch: fused block
     features, or the last block's features when fusion is off."""
     stack = encoder_forward(patches, params, cfg)
@@ -355,20 +355,12 @@ def extract_embedding(patches, params: MeeParams, cfg: EncoderConfig) -> np.ndar
     return embed(patches, params, cfg).values.copy()
 
 
-def freeze(params: MeeParams) -> None:
-    """Make the extractor a frozen artifact: no tensor requires a gradient
-    or keeps its last one, so a forward pass on it records nothing."""
-    for tensor in params.values():
-        tensor.requires_grad = False
-        tensor.grad = None
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
 def save_params(path, params: MeeParams, dtype: str = "f32") -> None:
-    weights_io.save_container(path, [(n, t.values) for n, t in params.items()], dtype=dtype)
+    weights_io.save_container(path, list(params.items()), dtype=dtype)
 
 
 def load_params(path, cfg: EncoderConfig) -> MeeParams:
@@ -377,8 +369,7 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     Missing, unexpected, and wrongly-shaped tensors are all reported in one
     error so a mismatched config is diagnosable in a single pass. The map
     is built in param_shapes order, whatever order the container lists its
-    tensors in. A tensor holding NaN or inf is refused by name. The
-    tensors come back frozen.
+    tensors in. A tensor holding NaN or inf is refused by name.
     """
     tensors, _ = weights_io.load_container(path)
     expected = dict(param_shapes(cfg))
@@ -402,11 +393,12 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     if non_finite:
         raise WeightsFormatError("weight container holds non-finite values in: "
                                  + ", ".join(non_finite))
-    return {n: Tensor(tensors[n]) for n in expected}
+    return {n: tensors[n] for n in expected}
 
 
-def params_checksum(params: MeeParams, dtype: str = "f32") -> str:
-    return weights_io.container_digest([(n, t.values) for n, t in params.items()], dtype=dtype)
+def params_checksum(params: MeeParams) -> str:
+    """The extractor's digest at full f64 precision."""
+    return weights_io.container_digest(list(params.items()), dtype="f64")
 
 
 # ---------------------------------------------------------------------------

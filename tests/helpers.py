@@ -35,6 +35,12 @@ def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def leaves(params: dict) -> dict:
+    """A ``requires_grad`` leaf tensor per array, sharing its memory, as a
+    training step wraps the parameters."""
+    return {name: Tensor(a, requires_grad=True) for name, a in params.items()}
+
+
 def grad_check(make_loss, params, h: float = 1e-5, floor: float = 1e-2,
                max_coords_per_tensor: int | None = None,
                rng: np.random.Generator | None = None) -> float:
@@ -46,7 +52,8 @@ def grad_check(make_loss, params, h: float = 1e-5, floor: float = 1e-2,
     subset of each tensor is probed (every tensor is still touched).
     """
     loss = make_loss()
-    ad.zero_grads(params)
+    for p in params:
+        p.grad = None
     ad.backward(loss)
     analytic = [p.grad if p.grad is not None else np.zeros_like(p.values) for p in params]
 

@@ -18,6 +18,7 @@ from ffcac import cli
 from ffcac import encoder as enc
 from ffcac import sessions
 from ffcac.audio import SynthConfig, fit_to_length, log_mel_spectrogram, patch_counts
+from ffcac.autodiff import Tensor
 from ffcac.config import (
     ClassifierConfig,
     ExperimentConfig,
@@ -26,7 +27,7 @@ from ffcac.config import (
     ast_base_config,
 )
 
-from tests.helpers import enumerate_patch_count, grad_check, lstsq_weights
+from tests.helpers import enumerate_patch_count, grad_check, leaves, lstsq_weights
 
 
 @contextmanager
@@ -135,8 +136,8 @@ def test_gradient_correctness_through_toy_extractor():
         worst = 0.0
         for draw in range(20):
             rng = np.random.default_rng(9000 + draw)
-            params = enc.init_mee_params(cfg, seed=1000 + draw)
-            head = cls.init_cosine_head(3, cfg.dim, seed=2000 + draw)
+            params = leaves(enc.init_mee_params(cfg, seed=1000 + draw))
+            head = Tensor(cls.init_cosine_head(3, cfg.dim, seed=2000 + draw), requires_grad=True)
             clips = [rng.normal(size=(int(rng.integers(2, 7)), 64)) for _ in range(3)]
             labels = np.array([0, 1, 2])
             tensors = list(params.values()) + [head]
@@ -163,8 +164,8 @@ def test_batched_gradient_correctness_through_toy_extractor():
         worst = 0.0
         for draw in range(5):
             rng = np.random.default_rng(9500 + draw)
-            params = enc.init_mee_params(cfg, seed=1500 + draw)
-            head = cls.init_cosine_head(3, cfg.dim, seed=2500 + draw)
+            params = leaves(enc.init_mee_params(cfg, seed=1500 + draw))
+            head = Tensor(cls.init_cosine_head(3, cfg.dim, seed=2500 + draw), requires_grad=True)
             batch = rng.normal(size=(3, int(rng.integers(2, 7)), 64))
             labels = np.array([0, 1, 2])
             tensors = list(params.values()) + [head]

@@ -1,4 +1,5 @@
 import os
+import re
 import wave
 
 import numpy as np
@@ -411,14 +412,20 @@ def test_manifest_clip_reached_through_a_hard_link_rejected(tmp_path):
     assert [r.path for r in read_manifest(path)] == [str(tmp_path / "a.wav"), str(tmp_path / "d.wav")]
 
 
-@pytest.mark.parametrize("clip", ["ghost.wav", "a\0b.wav"])
+# listed clip -> why read_manifest refuses it
+_UNREADABLE = {"ghost.wav": "cannot read clip", "a\0b.wav": "cannot read clip",
+               "folder.wav": "'folder.wav' is not a regular file"}
+
+
+@pytest.mark.parametrize("clip", list(_UNREADABLE))
 def test_manifest_clip_that_cannot_be_read_rejected(tmp_path, clip):
     # every listed clip is looked up when the manifest is read, so a missing
-    # one is named with its line before any audio loads
+    # one, or a directory, is named with its line before any audio loads
     (tmp_path / "a.wav").touch()
+    (tmp_path / "folder.wav").mkdir()
     path = tmp_path / "m.csv"
     path.write_text(f"path,label,split\na.wav,cat,train\n{clip},cat,test\n")
-    with pytest.raises(IngestionError, match=r"m\.csv:3: cannot read clip"):
+    with pytest.raises(IngestionError, match=r"m\.csv:3: " + re.escape(_UNREADABLE[clip])):
         read_manifest(path)
 
 

@@ -251,31 +251,31 @@ def test_two_layer_mlp_gradient():
 
 
 def test_sgd_no_gradient_no_decay_keeps_param():
-    p = Tensor([1.0], requires_grad=True)
+    p = np.array([1.0])
     ad.sgd_step([p], [np.array([0.0])], lr=0.5, weight_decay=0.0)
-    assert np.array_equal(p.values, [1.0])
+    assert np.array_equal(p, [1.0])
 
 
 def test_sgd_basic_step():
-    p = Tensor([0.0], requires_grad=True)
+    p = np.array([0.0])
     ad.sgd_step([p], [np.array([1.0])], lr=0.001, weight_decay=0.0)
-    assert np.allclose(p.values, [-0.001])
+    assert np.allclose(p, [-0.001])
 
 
 def test_sgd_weight_decay():
-    p = Tensor([1.0], requires_grad=True)
+    p = np.array([1.0])
     ad.sgd_step([p], [np.array([0.0])], lr=0.1, weight_decay=0.5)
-    assert np.allclose(p.values, [0.95])
+    assert np.allclose(p, [0.95])
 
 
 def test_sgd_shape_mismatch():
-    p = Tensor([1.0, 2.0], requires_grad=True)
+    p = np.array([1.0, 2.0])
     with pytest.raises(DimensionError):
         ad.sgd_step([p], [np.zeros(3)], lr=0.1)
 
 
 def test_sgd_rejects_nonpositive_lr():
-    p = Tensor([1.0], requires_grad=True)
+    p = np.array([1.0])
     with pytest.raises(UsageError):
         ad.sgd_step([p], [np.zeros(1)], lr=0.0)
 

@@ -88,8 +88,8 @@ def test_classifier_wrap_points_record_every_update(monkeypatch):
 
 
 def test_training_wrap_points_record_one_span_each_per_epoch(monkeypatch):
-    """perfbench reads the base session's forward and backward time from
-    these spans, outside the frozen embeddings that follow training."""
+    """perfbench reads the base session's forward, backward and SGD time
+    from these spans, outside the frozen embeddings that follow training."""
     cfg = ExperimentConfig(train=TrainConfig(epochs=2))  # configs/desk.cfg geometry
     plan, pipeline = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
     episode = sessions.sample_episode(plan, 0, cfg.run.seed)
@@ -107,7 +107,7 @@ def test_training_wrap_points_record_one_span_each_per_epoch(monkeypatch):
     frozen = tracing.under(tracer.spans, "encoder.extract_embedding")
     training = [s[1] for s in tracer.spans if s[0] in base and s[0] not in frozen]
     for name in ("encoder.encoder_forward", "encoder.fuse", "classifiers.cosine_loss",
-                 "autodiff.backward"):
+                 "autodiff.backward", "autodiff.sgd_step"):
         assert training.count(name) == cfg.train.epochs, name
 
 

@@ -51,7 +51,7 @@ def test_confident_two_class_loss():
 
 def test_loss_scale_invariant_in_embeddings():
     rng = np.random.default_rng(0)
-    head = cls.init_cosine_head(4, 6, seed=1)
+    head = Tensor(cls.init_cosine_head(4, 6, seed=1))
     e = rng.normal(size=(3, 6))
     labels = [0, 1, 3]
     a = cls.cosine_loss(Tensor(e), labels, head, 16.0).values.item()
@@ -60,7 +60,7 @@ def test_loss_scale_invariant_in_embeddings():
 
 
 def test_zero_norm_embedding_rejected():
-    head = cls.init_cosine_head(3, 4, seed=2)
+    head = Tensor(cls.init_cosine_head(3, 4, seed=2))
     with pytest.raises(NumericError, match="zero-norm"):
         cls.cosine_loss(Tensor(np.zeros((1, 4))), [0], head, 16.0)
 
@@ -73,14 +73,14 @@ def test_zero_norm_weight_row_rejected():
 
 @pytest.mark.parametrize("eta", [0.0, -16.0])
 def test_cosine_loss_refuses_a_nonpositive_scale(eta):
-    head = cls.init_cosine_head(3, 4, seed=2)
+    head = Tensor(cls.init_cosine_head(3, 4, seed=2))
     with pytest.raises(UsageError, match="cosine head scale must be > 0"):
         cls.cosine_loss(Tensor(np.ones((1, 4))), [0], head, eta)
 
 
 def test_cosine_loss_gradients():
     rng = np.random.default_rng(3)
-    head = cls.init_cosine_head(4, 6, seed=4)
+    head = Tensor(cls.init_cosine_head(4, 6, seed=4), requires_grad=True)
     e = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
     labels = np.array([0, 1, 2, 3, 1])
 

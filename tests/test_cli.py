@@ -122,7 +122,7 @@ def test_run_emits_reports_and_weights(toy_config, tmp_path, capsys):
     # weights readable under the config used for the run
     cfg = load_config(toy_config)
     params = enc.load_params(out / "mee.weights", cfg.encoder_config())
-    assert params["patch_embed.weight"].values.shape == (256, cfg.encoder.dim)
+    assert params["patch_embed.weight"].shape == (256, cfg.encoder.dim)
 
 
 def test_pbc_run_writes_a_memory_at_infinite_lam(tmp_path):
@@ -436,6 +436,9 @@ _LISTED_TWICE = (b"class00_000.wav,class00,train\n"
 # one label past the classifier container's 65,535-byte limit
 _LONG_LABEL = b"a.wav,a,train\nb.wav," + b"x" * 70_000 + b",train\n"
 
+# a clip, then the manifest's own directory
+_LISTS_ITS_DIRECTORY = b"a.wav,cat,train\n.,cat,test\n"
+
 # subcommand -> (argv builder over a tmp dir, documented exit code)
 MALFORMED = {
     "run-unknown-key": (lambda d: ["run", "--config", _write(d / "c.cfg", b"no.such = 1\n"),
@@ -456,6 +459,8 @@ MALFORMED = {
                                           3, "m.csv:2: cannot read clip 'a.wav'"),
     "run-manifest-lists-a-nul-byte-path": (lambda d: _run_on(d, _manifest(d, b"a\0b.wav,cat,train\n")),
                                            3, "m.csv:2: cannot read clip"),
+    "run-manifest-lists-a-directory": (lambda d: _run_on(d, _manifest(d, _LISTS_ITS_DIRECTORY, "a.wav")),
+                                       3, "m.csv:3: '.' is not a regular file"),
     "run-missing-manifest": (lambda d: _run_on(d, d / "none.csv"), 3),
     "run-manifest-path-with-a-nul-byte": (lambda d: _run_on(d, f"{d}/m\0.csv"), 3, "cannot open"),
     "ablate-bad-value": (lambda d: ["ablate", "--config", _write(d / "c.cfg", b"train.epochs = x\n")], 2),
@@ -468,6 +473,9 @@ MALFORMED = {
                                         "--out", str(d / "o"), "--noise", "nan"], 2),
     "synth-data-huge-count": (lambda d: ["synth-data", "--classes", "1", "--per-class",
                                          "1" + "0" * 400, "--out", str(d / "o")], 2),
+    "synth-data-negative-seed": (lambda d: ["synth-data", "--classes", "2", "--per-class", "3",
+                                            "--out", str(d / "o"), "--seed", "-1"],
+                                 2, "--seed: must be >= 0"),
     "count-complexity-bad-encoder": (lambda d: ["count-complexity", "--config", _write(
         d / "c.cfg", b"encoder.heads = 3\n")], 2),
     "count-complexity-missing-config": (lambda d: ["count-complexity", "--config", str(d / "none.cfg")], 3),

@@ -16,7 +16,7 @@ from ffcac.autodiff import Tensor
 from ffcac.config import ExperimentConfig, ast_base_config
 from ffcac.errors import DimensionError, WeightsFormatError, WeightsShapeError
 
-from tests.helpers import grad_check, tape_embed
+from tests.helpers import grad_check, leaves, tape_embed
 
 TINY = enc.EncoderConfig(blocks=2, dim=8, heads=2, mlp_hidden=12, fusion_hidden=8,
                          z_max=6, patch_dim=10)
@@ -26,9 +26,9 @@ def _zero_mixing_params(cfg: enc.EncoderConfig, seed: int = 0) -> enc.MeeParams:
     """Random embedding/positions, but all attention and feed-forward
     weights and biases zeroed: every block is an exact identity."""
     params = enc.init_mee_params(cfg, seed)
-    for name, t in params.items():
+    for name, a in params.items():
         if ".attn." in name or ".ffn." in name:
-            t.values[...] = 0.0
+            a[...] = 0.0
     return params
 
 
@@ -47,8 +47,8 @@ def test_identity_blocks_pool_layer_normed_embedded_tokens():
     stack = enc.encoder_forward(patches[None], params, cfg)
 
     # independent trace of the residual path
-    embedded = patches @ params["patch_embed.weight"].values + params["patch_embed.bias"].values
-    tokens = np.vstack([params["cls_token"].values, embedded]) + params["pos_table"].values[:5]
+    embedded = patches @ params["patch_embed.weight"] + params["patch_embed.bias"]
+    tokens = np.vstack([params["cls_token"], embedded]) + params["pos_table"][:5]
     expected = _np_layer_norm(tokens).mean(axis=0)
     assert stack.shape == (1, 1, cfg.dim)
     assert np.allclose(stack.values[0][0], expected, atol=1e-12)
@@ -56,7 +56,7 @@ def test_identity_blocks_pool_layer_normed_embedded_tokens():
 
 def test_patch_permutation_invariance_without_positions():
     params = enc.init_mee_params(TINY, seed=1)
-    params["pos_table"].values[...] = 0.0
+    params["pos_table"][...] = 0.0
     rng = np.random.default_rng(7)
     patches = rng.normal(size=(5, 10))
     base = enc.encoder_forward(patches[None], params, TINY).values
@@ -113,17 +113,18 @@ def _loss_gradients(embed, patches, params, cfg):
     head tensor (zeros where backward leaves none) under the cosine loss."""
     e = embed(patches, params, cfg)
     rows = ad.reshape(e, (-1, cfg.dim))
-    head = cls.init_cosine_head(3, cfg.dim, seed=5)
+    head = Tensor(cls.init_cosine_head(3, cfg.dim, seed=5), requires_grad=True)
     tensors = list(params.values()) + [head]
-    ad.zero_grads(tensors)
+    for t in tensors:
+        t.grad = None
     ad.backward(cls.cosine_loss(rows, np.arange(rows.shape[0]) % 3, head, 16.0))
     return e.values, [np.zeros_like(t.values) if t.grad is None else t.grad for t in tensors]
 
 
 def test_backward_releases_the_record():
-    params = enc.init_mee_params(TINY, seed=18)
+    params = leaves(enc.init_mee_params(TINY, seed=18))
     patches = np.random.default_rng(38).normal(size=(4, 6, TINY.patch_dim))
-    head = cls.init_cosine_head(2, TINY.dim, seed=5)
+    head = Tensor(cls.init_cosine_head(2, TINY.dim, seed=5), requires_grad=True)
     loss = cls.cosine_loss(enc.embed(patches, params, TINY), np.arange(4) % 2, head, 16.0)
     record, stack = {}, [loss]
     while stack:
@@ -149,7 +150,7 @@ def test_layer_backward_matches_the_tape_bit_for_bit(geometry, fusion, batched):
     cfg = dataclasses.replace(cfg, use_fusion=fusion)
     if not batched:  # a batch of one
         patches = patches[2:3]
-    params = enc.init_mee_params(cfg, seed=17)
+    params = leaves(enc.init_mee_params(cfg, seed=17))
     tape_e, tape_grads = _loss_gradients(tape_embed, patches, params, cfg)
     e, grads = _loss_gradients(enc.embed, patches, params, cfg)
     assert np.array_equal(e, tape_e)
@@ -162,7 +163,7 @@ def test_layer_backward_matches_the_tape_bit_for_bit(geometry, fusion, batched):
 def test_fusion_off_leaves_the_untapped_feature_norms_without_a_gradient():
     cfg, patches = _desk_episode()
     cfg = dataclasses.replace(cfg, use_fusion=False)
-    params = enc.init_mee_params(cfg, seed=17)
+    params = leaves(enc.init_mee_params(cfg, seed=17))
     _loss_gradients(enc.embed, patches, params, cfg)
     last = f"block{cfg.blocks - 1}.feature_norm"
     assert params[f"{last}.gain"].grad is not None and params[f"{last}.bias"].grad is not None
@@ -189,7 +190,7 @@ def test_too_many_patches_rejected():
 def test_init_matches_declared_shapes():
     params = enc.init_mee_params(TINY, seed=0)
     declared = dict(enc.param_shapes(TINY))
-    actual = {name: t.values.shape for name, t in params.items()}
+    actual = {name: a.shape for name, a in params.items()}
     assert actual == declared
 
 
@@ -200,10 +201,10 @@ def test_init_matches_declared_shapes():
 def _constant_logit_params(cfg, logits):
     """Fusion MLP that ignores its input: weights zero, output bias = logits."""
     params = enc.init_mee_params(cfg, seed=0)
-    params["fusion.w1"].values[...] = 0.0
-    params["fusion.b1"].values[...] = 0.0
-    params["fusion.w2"].values[...] = 0.0
-    params["fusion.b2"].values[...] = np.asarray(logits)
+    params["fusion.w1"][...] = 0.0
+    params["fusion.b1"][...] = 0.0
+    params["fusion.w2"][...] = 0.0
+    params["fusion.b2"][...] = np.asarray(logits)
     return params
 
 
@@ -243,7 +244,7 @@ def test_fusion_logit_shift_invariance():
     params = enc.init_mee_params(cfg, seed=5)
     stack = Tensor(rng.normal(size=(1, 2, 4)))
     base = enc.fuse(stack, params)[0].values
-    params["fusion.b2"].values += 17.3  # uniform additive shift of all logits
+    params["fusion.b2"] += 17.3  # uniform additive shift of all logits
     shifted = enc.fuse(stack, params)[0].values
     assert np.allclose(base, shifted, atol=1e-12)
 
@@ -255,8 +256,8 @@ def test_fusion_weights_convex_for_arbitrary_mlps(seed):
                             z_max=4, patch_dim=4)
     rng = np.random.default_rng(seed)
     params = enc.init_mee_params(cfg, seed=int(rng.integers(0, 2**31)))
-    for t in (params["fusion.w1"], params["fusion.b1"], params["fusion.w2"], params["fusion.b2"]):
-        t.values[...] = rng.normal(scale=3.0, size=t.values.shape)
+    for a in (params["fusion.w1"], params["fusion.b1"], params["fusion.w2"], params["fusion.b2"]):
+        a[...] = rng.normal(scale=3.0, size=a.shape)
     stack = rng.normal(size=(3, 5))
     out = enc.fuse(Tensor(stack[None]), params)
     w = out[1].values[0]
@@ -291,8 +292,12 @@ def test_loaded_extractor_is_frozen(tmp_path):
     path = tmp_path / "mee.weights"
     enc.save_params(path, enc.init_mee_params(TINY, seed=8))
     loaded = enc.load_params(path, TINY)
-    assert all(not t.requires_grad and t.grad is None for t in loaded.values())
+    assert list(loaded) == [name for name, _ in enc.param_shapes(TINY)]
+    assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in loaded.values())
+    before = enc.params_checksum(loaded)
     patches = np.random.default_rng(20).normal(size=(2, 4, TINY.patch_dim))
+    enc.extract_embedding(patches, loaded, TINY)
+    assert enc.params_checksum(loaded) == before
     assert enc.embed(patches, loaded, TINY)._parents == ()
 
 
@@ -302,25 +307,26 @@ def test_save_load_f64_is_exact(tmp_path):
     enc.save_params(path, params, dtype="f64")
     loaded = enc.load_params(path, TINY)
     for a, b in zip(params.values(), loaded.values()):
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
 
 def test_load_reorders_a_reversed_container_to_param_shapes_order(tmp_path):
     params = enc.init_mee_params(TINY, seed=12)
-    canonical = wio.serialize_container([(n, t.values) for n, t in params.items()])
+    canonical = wio.serialize_container(list(params.items()))
     path = tmp_path / "reversed.weights"
-    path.write_bytes(wio.serialize_container([(n, t.values) for n, t in reversed(params.items())]))
+    path.write_bytes(wio.serialize_container(list(reversed(params.items()))))
     assert path.read_bytes() != canonical
     loaded = enc.load_params(path, TINY)
     assert list(loaded) == [name for name, _ in enc.param_shapes(TINY)]
-    assert wio.serialize_container([(n, t.values) for n, t in loaded.items()]) == canonical
-    assert enc.params_checksum(loaded) == enc.params_checksum(params)
+    assert wio.serialize_container(list(loaded.items())) == canonical
+    f32_rounded = {n: a.astype(np.float32).astype(np.float64) for n, a in params.items()}
+    assert enc.params_checksum(loaded) == enc.params_checksum(f32_rounded)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_weights_rejected_by_name(tmp_path, bad):
     params = enc.init_mee_params(TINY, seed=9)
-    params["block0.ln1.gain"].values[3] = bad
+    params["block0.ln1.gain"][3] = bad
     path = tmp_path / "bad.weights"
     enc.save_params(path, params)
     with pytest.raises(WeightsFormatError, match=r"non-finite values in: block0\.ln1\.gain$"):
@@ -397,7 +403,7 @@ def test_unwritable_params_leave_the_saved_file_unchanged(tmp_path):
     params = enc.init_mee_params(TINY, seed=11)
     enc.save_params(path, params)
     saved = path.read_bytes()
-    overlong = {**params, "x" * (wio.MAX_TEXT_BYTES + 1): Tensor(np.ones(1))}
+    overlong = {**params, "x" * (wio.MAX_TEXT_BYTES + 1): np.ones(1)}
     with pytest.raises(WeightsFormatError, match="exceeds 65535"):
         enc.save_params(path, overlong)
     with pytest.raises(WeightsFormatError, match="label 0 is not a string"):
@@ -409,7 +415,7 @@ def test_checksum_tracks_values():
     params = enc.init_mee_params(TINY, seed=11)
     before = enc.params_checksum(params)
     assert before == enc.params_checksum(params)
-    params["block0.attn.wq"].values[0, 0] += 1.0
+    params["block0.attn.wq"][0, 0] += 1.0
     assert enc.params_checksum(params) != before
 
 
@@ -450,7 +456,7 @@ def test_toy_param_census_matches_hand_count():
 def test_param_census_equals_serialized_elements():
     params = enc.init_mee_params(TINY, seed=12)
     report = enc.count_params_macs(TINY, num_classes=0)
-    stored, _ = wio.parse_container(wio.serialize_container([(n, t.values) for n, t in params.items()]))
+    stored, _ = wio.parse_container(wio.serialize_container(list(params.items())))
     assert report.num_params_extractor == sum(v.size for v in stored.values())
 
 
@@ -484,8 +490,8 @@ def test_end_to_end_gradient_through_loss():
     cfg = enc.EncoderConfig(blocks=2, dim=16, heads=2, mlp_hidden=32, fusion_hidden=16,
                             z_max=6, patch_dim=64)
     rng = np.random.default_rng(23)
-    params = enc.init_mee_params(cfg, seed=21)
-    head = cls.init_cosine_head(3, cfg.dim, seed=22)
+    params = leaves(enc.init_mee_params(cfg, seed=21))
+    head = Tensor(cls.init_cosine_head(3, cfg.dim, seed=22), requires_grad=True)
     clips = [rng.normal(size=(5, 64)) for _ in range(3)]
     labels = np.array([0, 1, 2])
     tensors = list(params.values()) + [head]

@@ -12,6 +12,7 @@ import pytest
 from ffcac import classifiers as cls
 from ffcac import encoder as enc
 from ffcac import sessions
+from ffcac import weights_io as wio
 from ffcac.audio import SynthConfig
 from ffcac.config import (ClassifierConfig, ExperimentConfig, PlanConfig, RunConfig, TrainConfig,
                           ast_base_config, load_config)
@@ -153,16 +154,21 @@ def test_base_session_deterministic():
 
 
 def test_base_session_freezes_the_extractor():
-    cfg = desk_config(epochs=1)
-    plan, pipe, base = _trained(cfg)
-    assert all(not t.requires_grad and t.grad is None for t in base.params.values())
+    plan, pipe, base = _trained(desk_config(epochs=1))
+    _, _, untrained = _trained(desk_config(epochs=0))
+    assert list(base.params) == [name for name, _ in enc.param_shapes(pipe.enc_cfg)]
+    assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in base.params.values())
+    assert all(not np.array_equal(a, untrained.params[name]) for name, a in base.params.items())
+    before = enc.params_checksum(base.params)
     patches = np.stack([pipe.patches(ref) for ref in sessions.union_test_refs(plan, 1)[:3]])
+    enc.extract_embedding(patches, base.params, pipe.enc_cfg)
+    assert enc.params_checksum(base.params) == before
     assert enc.embed(patches, base.params, pipe.enc_cfg)._parents == ()
 
 
 def test_frozen_embedding_on_another_thread_leaves_training_unchanged():
-    """Frozen passes record nothing because their tensors require no
-    gradient, so they cannot change a run training on another thread."""
+    """Frozen passes record nothing because the extractor's arrays are
+    constants, so they cannot change a run training on another thread."""
     cfg = desk_config(epochs=3)
     plan = sessions.build_plan(cfg)
     episode = sessions.sample_episode(plan, 0, cfg.run.seed)
@@ -186,8 +192,8 @@ def test_frozen_embedding_on_another_thread_leaves_training_unchanged():
         worker.join(timeout=60)
         sys.setswitchinterval(interval)
     assert not worker.is_alive() and passes and all(passes)
-    for name, tensor in solo.params.items():
-        assert np.array_equal(trained.params[name].values, tensor.values), name
+    for name, a in solo.params.items():
+        assert np.array_equal(trained.params[name], a), name
 
 
 def test_base_session_cv_lambda_comes_from_grid():
@@ -225,15 +231,15 @@ def test_incremental_session_catches_a_change_below_f32_resolution(monkeypatch):
     embed_batch = pipe.embed_batch
 
     def nudging(refs, params):
-        gain.values *= 1.0 + 1e-9  # the f32 rounding of every weight stays the same
+        gain[...] *= 1.0 + 1e-9  # the f32 rounding of every weight stays the same
         return embed_batch(refs, params)
 
-    before = enc.params_checksum(base.params)
+    before = wio.container_digest(list(base.params.items()), dtype="f32")
     monkeypatch.setattr(pipe, "embed_batch", nudging)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
     with pytest.raises(ProtocolViolationError, match="extractor weights changed"):
         sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
-    assert enc.params_checksum(base.params) == before
+    assert wio.container_digest(list(base.params.items()), dtype="f32") == before
 
 
 def test_incremental_grows_registry_by_session_ways():
@@ -533,7 +539,7 @@ def test_run_repeated_releases_each_runs_artifacts(monkeypatch):
         if len(extractors) >= 2:
             released.append(all(ref() is None for ref in extractors[-2]))
         report, base = run_single(cfg, run_seed, plan, pipeline)
-        extractors.append([weakref.ref(t.values) for t in base.params.values()])
+        extractors.append([weakref.ref(a) for a in base.params.values()])
         return report, base
 
     monkeypatch.setattr(sessions, "run_single", tracking)
