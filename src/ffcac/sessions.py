@@ -272,10 +272,9 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
         step = [ad.Tensor(a, requires_grad=True) for a in arrays]  # the head's is last
         loss = cls.cosine_loss(enc.embed(batch, dict(zip(params, step)), enc_cfg),
                                episode.targets, step[-1], cfg.train.eta)
-        # the last epoch's leaves go only now: their gradients pin the top of
-        # the heap, and freeing them before the forward let the allocator hand
-        # memory back that the forward then faulted in again (~1.4x the page
-        # faults of a desk training run)
+        # the last epoch's leaves are freed only now: freeing their gradients
+        # before the forward made a desk training run take ~1.4x the page
+        # faults, as the allocator returned memory the forward then refetched
         leaves = step
         value = loss.values.item()
         if not np.isfinite(value):
