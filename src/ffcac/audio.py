@@ -287,20 +287,26 @@ def read_manifest(path) -> list[ClipRef]:
     the manifest's directory. Every clip must be a regular file when the
     manifest is read; one listed twice, under any spelling of its path,
     through a symbolic link or a hard link, raises IngestionError. A
-    byte-identical copy is another file and passes."""
+    byte-identical copy is another file and passes. A label with leading
+    or trailing whitespace is refused, not stripped. Errors name the
+    physical line on which the record starts."""
     path = Path(path)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    table, start = [], 1  # (physical line the record starts on, its fields)
     try:
-        table = list(csv.reader(io.StringIO(read_text(path), newline="")))
+        for row in reader:  # a quoted field may span lines
+            table.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as e:  # e.g. a field past csv.field_size_limit()
         raise IngestionError(f"{path}: not a readable CSV manifest ({e})") from e
     if not table:
         raise IngestionError(f"{path}: empty manifest")
-    header = table[0]
+    header = table[0][1]
     if header != MANIFEST_HEADER:
         raise IngestionError(f"{path}: header must be {','.join(MANIFEST_HEADER)}, got {','.join(header)}")
     refs = []
     listed: dict[tuple[int, int], int] = {}  # (device, inode) of the clip -> line listing it
-    for ln, row in enumerate(table[1:], start=2):
+    for ln, row in table[1:]:
         if not row:
             continue
         if len(row) != 3:
@@ -308,6 +314,8 @@ def read_manifest(path) -> list[ClipRef]:
         p, label, split = row
         if split not in VALID_SPLITS:
             raise IngestionError(f"{path}:{ln}: split must be train or test, got {split!r}")
+        if label != label.strip():  # ' c0' would load as a class beside 'c0'
+            raise IngestionError(f"{path}:{ln}: label {label!r} has leading or trailing whitespace")
         if len(label.encode("utf-8")) > MAX_TEXT_BYTES:  # the classifier container's limit
             raise IngestionError(f"{path}:{ln}: label longer than {MAX_TEXT_BYTES} UTF-8 bytes")
         clip = os.path.normpath(os.path.join(path.parent, p))

@@ -26,7 +26,6 @@ import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import autodiff as ad
 from . import weights_io
@@ -43,6 +42,13 @@ from .errors import (
 
 RESIDUAL_RTOL = 1e-8  # solve residual bound: ||(G+lam I)W - C||_inf <= rtol*(1+||C||_inf)
 _SYMMETRY_BLOCK = 128  # rows per slab of the loaded gram's symmetry check
+# Largest system solved with numpy's LAPACK. numpy's Cholesky path is the
+# slower one at every order (one BLAS thread, 2-vCPU x86-64: 78 against
+# 38 us per solve at n = 32, 3.2x at n = 65, 6.4x at n = 768), but loading
+# scipy.linalg costs ~0.2 s and ~22 MB per process. At the shipped width
+# (D = 32) no system is wider, so a run never loads scipy; ridge-wide's
+# 160 x 160 folds and 768 x 768 solves, and ast-base, stay on scipy.
+NUMPY_MAX_ORDER = 64
 _SINGULAR_AT_ZERO = (
     "gram matrix is singular at lam = 0; use lam > 0 (required whenever E^T E is singular)"
 )
@@ -59,6 +65,7 @@ def init_cosine_head(num_classes: int, dim: int, seed: int) -> np.ndarray:
 
 
 def _row_normalize(t: Tensor) -> Tensor:
+    t = ad._as_tensor(t)  # an array is a constant, as in the ops
     sq = ad.sum_(t * t, axis=1, keepdims=True)
     norms = np.sqrt(sq.values)
     if np.any(norms <= 0.0):
@@ -68,7 +75,8 @@ def _row_normalize(t: Tensor) -> Tensor:
 
 def cosine_loss(e_batch: Tensor, labels, head: Tensor, eta: float) -> Tensor:
     """Mean over the batch of -log softmax(eta * cos(e, W_y)) at the true
-    class, W the head. Differentiable w.r.t. both embeddings and head."""
+    class, W the head. Differentiable w.r.t. both embeddings and head; an
+    array for either is taken as a constant."""
     if eta <= 0:
         raise UsageError(f"cosine head scale must be > 0, got {eta}")
     labels = np.asarray(labels, dtype=np.int64)
@@ -198,10 +206,7 @@ def _solve_shifted(system: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarra
     for retry in (False, True):
         shifts = (lam, 1e-10 * np.trace(system) / len(system)) if retry else (lam,)
         try:
-            factor = scipy.linalg.cho_factor(
-                _shifted(system, *shifts), lower=True, overwrite_a=True, check_finite=False
-            )
-            return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
+            return _cholesky_solve(_shifted(system, *shifts), rhs)
         except np.linalg.LinAlgError:
             # with lam > 0 the system is PD in exact arithmetic, so a failure
             # is numerical: retry once with a tiny diagonal jitter
@@ -210,6 +215,19 @@ def _solve_shifted(system: np.ndarray, rhs: np.ndarray, lam: float) -> np.ndarra
     raise SolverError(
         f"gram + lam*I is not positive definite at lam = {lam} even after jitter; increase lam"
     )
+
+
+def _cholesky_solve(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a X = rhs by a Cholesky factor of ``a``, which it may overwrite;
+    raises LinAlgError when ``a`` is not numerically positive definite.
+    Orders up to NUMPY_MAX_ORDER use numpy, wider ones scipy."""
+    if len(a) <= NUMPY_MAX_ORDER:
+        low = np.linalg.cholesky(a)
+        return np.linalg.solve(low.T, np.linalg.solve(low, rhs))
+    import scipy.linalg  # deferred: only wide systems pay for loading it
+
+    factor = scipy.linalg.cho_factor(a, lower=True, overwrite_a=True, check_finite=False)
+    return scipy.linalg.cho_solve(factor, rhs, check_finite=False)
 
 
 def _check_residual(residual: np.ndarray, cross: np.ndarray, lam: float) -> None:
@@ -226,7 +244,8 @@ def _check_residual(residual: np.ndarray, cross: np.ndarray, lam: float) -> None
 
 def _shifted(system: np.ndarray, *shifts: float) -> np.ndarray:
     """system + s*I for each shift s in turn, as a Fortran-ordered copy that
-    cho_factor factors in place (no eye(n) temporary, no second copy).
+    ``_cholesky_solve`` may factor in place (no eye(n) temporary, no second
+    copy).
 
     ``system`` must be exactly symmetric, as every caller's is (syrk
     products, sums of them, or a gram that passed ``_check_state``): the

@@ -436,3 +436,24 @@ def test_manifest_label_too_long_for_the_container_rejected(tmp_path):
     path.write_text(f"path,label,split\na.wav,{fits},train\nb.wav,{fits}é,test\n", encoding="utf-8")
     with pytest.raises(IngestionError, match=r"m\.csv:3: label longer than 65535 UTF-8 bytes"):
         read_manifest(path)
+
+
+def test_manifest_error_names_the_physical_line_after_a_quoted_newline(tmp_path):
+    # the second record spans lines 3-4, so the bad split is on line 5, not record 4
+    for name in ("a.wav", "b\nc.wav"):
+        (tmp_path / name).touch()
+    path = tmp_path / "m.csv"
+    path.write_text('path,label,split\na.wav,c0,train\n"b\nc.wav",c0,train\nd.wav,c1,bogus\n')
+    with pytest.raises(IngestionError, match=r"m\.csv:5: split must be train or test"):
+        read_manifest(path)
+
+
+@pytest.mark.parametrize("label", [" c0", "c0 ", "c0\t", "\u00a0c0"])
+def test_manifest_label_with_surrounding_whitespace_rejected(tmp_path, label):
+    # read verbatim, ' c0' would load as a second class beside 'c0'
+    for name in ("a.wav", "b.wav"):
+        (tmp_path / name).touch()
+    path = tmp_path / "m.csv"
+    path.write_text(f"path,label,split\na.wav,c0,train\nb.wav,{label},train\n", encoding="utf-8")
+    with pytest.raises(IngestionError, match=r"m\.csv:3: label .* has leading or trailing whitespace"):
+        read_manifest(path)

@@ -1,7 +1,11 @@
 import concurrent.futures
 import hashlib
+import itertools
+import os
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -47,6 +51,15 @@ def test_confident_two_class_loss():
     e = np.array([[2.5, 0.0]])  # cos with true row = 1, other = 0
     loss = cls.cosine_loss(Tensor(e), [0], head, 16.0)
     assert abs(loss.values.item() - np.log(1.0 + np.exp(-16.0))) <= 1e-12
+
+
+def test_array_head_and_embeddings_are_constants():
+    rng = np.random.default_rng(2)
+    head, e, labels = cls.init_cosine_head(4, 6, seed=1), rng.normal(size=(3, 6)), [0, 1, 3]
+    expected = cls.cosine_loss(Tensor(e), labels, Tensor(head), 16.0)
+    for pair in ((e, head), (Tensor(e), head), (e, Tensor(head))):
+        loss = cls.cosine_loss(pair[0], labels, pair[1], 16.0)
+        assert loss.values == expected.values and not loss.requires_grad
 
 
 def test_loss_scale_invariant_in_embeddings():
@@ -344,49 +357,54 @@ def test_normal_equation_residual_bound(seed):
     assert residual <= 1e-8 * (1.0 + np.max(np.abs(state.cross)))
 
 
-def _flaky_cho_factor(monkeypatch, failures):
-    """Make the first ``failures`` calls of scipy's cho_factor raise
+def _flaky_factor(monkeypatch, failures):
+    """Make the first ``failures`` calls of the Cholesky seam raise
     LinAlgError; returns a copy of the system each call was handed."""
-    real, seen = scipy.linalg.cho_factor, []
+    real, seen = cls._cholesky_solve, []
 
-    def flaky(a, *args, **kwargs):
+    def flaky(a, rhs):
         seen.append(np.array(a))
         if len(seen) <= failures:
             raise np.linalg.LinAlgError("forced failure")
-        return real(a, *args, **kwargs)
+        return real(a, rhs)
 
-    monkeypatch.setattr(scipy.linalg, "cho_factor", flaky)
+    monkeypatch.setattr(cls, "_cholesky_solve", flaky)
     return seen
 
 
-def _state(lam, dim=12, seed=61):
+def _state(lam, dim=12, rows=40, seed=61):
     rng = np.random.default_rng(seed)
-    e, y = rng.normal(size=(40, dim)), np.eye(3)[np.arange(40) % 3]
+    e, y = rng.normal(size=(rows, dim)), np.eye(3)[np.arange(rows) % 3]
     return cls.RidgeState(gram=e.T @ e, cross=e.T @ y, lam=lam, registry=tuple(range(3)))
 
 
-def _cv_data(dim, seed=61):
+def _cv_data(dim, rows=36, seed=61):
     rng = np.random.default_rng(seed)
-    return rng.normal(size=(36, dim)), np.eye(3)[np.arange(36) % 3]
+    return rng.normal(size=(rows, dim)), np.eye(3)[np.arange(rows) % 3]
 
 
-# each Cholesky path at lam: the session solve and lam-CV, whose 2 folds
-# train on 18 rows, so D = 30 factors the 18 x 18 kernel, D = 12 the gram
+# each Cholesky path at lam and width factor k: the session solve on 40k
+# rows and lam-CV, whose 2 folds train on 18k rows, so D = 30k factors the
+# 18k x 18k kernel and D = 12k the gram. k = 1 gives orders 12 and 18,
+# numpy's side of NUMPY_MAX_ORDER; k = 6 gives 72 and 108, scipy's side.
 _SOLVES = {
-    "solve_weights": lambda lam: cls.solve_weights(_state(lam)),
-    "cv-n<D": lambda lam: cls.select_lambda_cv(*_cv_data(30), [lam, 10.0], k_folds=2, seed=0),
-    "cv-n>=D": lambda lam: cls.select_lambda_cv(*_cv_data(12), [lam, 10.0], k_folds=2, seed=0),
+    "solve_weights": lambda lam, k: cls.solve_weights(_state(lam, 12 * k, 40 * k)),
+    "cv-n<D": lambda lam, k: cls.select_lambda_cv(*_cv_data(30 * k, 36 * k), [lam, 10.0], k_folds=2, seed=0),
+    "cv-n>=D": lambda lam, k: cls.select_lambda_cv(*_cv_data(12 * k, 36 * k), [lam, 10.0], k_folds=2, seed=0),
 }
+_ORDERS = {"solve_weights": 12, "cv-n<D": 18, "cv-n>=D": 12}
 
 
 def test_solve_retries_once_with_jitter(monkeypatch):
     lam = 0.1
-    for solve, size in (("solve_weights", 12), ("cv-n<D", 18), ("cv-n>=D", 12)):
-        clean = _flaky_cho_factor(monkeypatch, failures=0)
-        expected = _SOLVES[solve](lam)
+    for (solve, order), k in itertools.product(_ORDERS.items(), (1, 6)):
+        size = order * k
+        assert (size <= cls.NUMPY_MAX_ORDER) == (k == 1)  # each library's side of the limit
+        clean = _flaky_factor(monkeypatch, failures=0)
+        expected = _SOLVES[solve](lam, k)
         monkeypatch.undo()
-        seen = _flaky_cho_factor(monkeypatch, failures=1)
-        result = _SOLVES[solve](lam)
+        seen = _flaky_factor(monkeypatch, failures=1)
+        result = _SOLVES[solve](lam, k)
         monkeypatch.undo()
         assert len(seen) == len(clean) + 1
         first, retry = seen[0], seen[1]
@@ -398,37 +416,49 @@ def test_solve_retries_once_with_jitter(monkeypatch):
         if solve != "solve_weights":
             assert result == expected  # the retried fold picks the same lam
             continue
-        state = _state(lam)
+        state = _state(lam, size, 40 * k)
         jitter = 1e-10 * np.trace(state.gram) / state.dim
         assert np.array_equal(np.diag(retry), np.diag(state.gram) + lam + jitter)
         residual = np.max(np.abs((state.gram + lam * np.eye(state.dim)) @ result - state.cross))
         assert residual <= cls.RESIDUAL_RTOL * (1.0 + np.max(np.abs(state.cross)))
-        assert np.allclose(result, cls.solve_weights(_state(lam + jitter)), rtol=0.0, atol=1e-14)
+        assert np.allclose(result, cls.solve_weights(_state(lam + jitter, size, 40 * k)), rtol=0.0, atol=1e-14)
 
 
 def test_solve_fails_when_jitter_does_not_help(monkeypatch):
-    for solve in _SOLVES.values():
-        _flaky_cho_factor(monkeypatch, failures=2)
+    for solve, k in itertools.product(_SOLVES.values(), (1, 6)):
+        _flaky_factor(monkeypatch, failures=2)
         with pytest.raises(SolverError, match="even after jitter"):
-            solve(0.1)
-        _flaky_cho_factor(monkeypatch, failures=1)
+            solve(0.1, k)
+        _flaky_factor(monkeypatch, failures=1)
         with pytest.raises(SolverError, match="singular at lam = 0"):
-            solve(0.0)
+            solve(0.0, k)
         monkeypatch.undo()
+
+
+def _shifted_copy(gram, *shifts):
+    system = gram.copy(order="F")
+    for s in shifts:
+        system.flat[:: len(system) + 1] += s
+    return system
 
 
 def _f_ordered_solve(gram, cross, *shifts):
     """The solve as it was written before the contiguous copy: cho_solve of
     cho_factor on a Fortran-ordered copy of gram + s*I for each shift."""
-    system = gram.copy(order="F")
-    for s in shifts:
-        system.flat[:: len(system) + 1] += s
+    system = _shifted_copy(gram, *shifts)
     return scipy.linalg.cho_solve(scipy.linalg.cho_factor(system, lower=True), cross)
+
+
+def _numpy_solve(gram, cross, *shifts):
+    """numpy's Cholesky factor L of the same copy, then L Z = C and L^T W = Z."""
+    low = np.linalg.cholesky(_shifted_copy(gram, *shifts))
+    return np.linalg.solve(low.T, np.linalg.solve(low, cross))
 
 
 @pytest.mark.parametrize("dim", [32, 768])
 @pytest.mark.parametrize("retry", [False, True], ids=["first-try", "jitter-retry"])
 def test_solve_weights_matches_the_f_ordered_copy_bit_for_bit(tmp_path, monkeypatch, dim, retry):
+    oracle = _numpy_solve if dim <= cls.NUMPY_MAX_ORDER else _f_ordered_solve
     rng = np.random.default_rng(71)
     e, y = rng.normal(size=(dim // 2 + 40, dim)), np.eye(10)[np.arange(dim // 2 + 40) % 10]
     state = cls.fit_base(e, y, 0.5, labels=[f"c{k}" for k in range(10)])
@@ -437,11 +467,31 @@ def test_solve_weights_matches_the_f_ordered_copy_bit_for_bit(tmp_path, monkeypa
     for memory in (cls.RidgeState(state.gram, state.cross, state.lam, state.registry),
                    cls.load_state(path)):
         shifts = (memory.lam, 1e-10 * np.trace(memory.gram) / memory.dim) if retry else (memory.lam,)
-        expected = _f_ordered_solve(memory.gram, memory.cross, *shifts)
+        expected = oracle(memory.gram, memory.cross, *shifts)
         if retry:
-            _flaky_cho_factor(monkeypatch, failures=1)
+            _flaky_factor(monkeypatch, failures=1)
         assert np.array_equal(cls.solve_weights(memory), expected)
         monkeypatch.undo()
+
+
+_CHILD_SOLVE = """import sys
+import numpy as np
+from ffcac import classifiers as cls
+e = np.random.default_rng(0).normal(size=(100, {order}))
+cls.fit_base(e, np.eye(2)[np.arange(100) % 2], 0.5)
+print("scipy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("order", [64, 65])
+def test_only_a_solve_wider_than_the_limit_loads_scipy(order):
+    # a child interpreter: this module has imported scipy itself
+    src = str(Path(cls.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _CHILD_SOLVE.format(order=order)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(order > cls.NUMPY_MAX_ORDER)
 
 
 def test_empty_memory_solves_to_no_columns_that_predict_refuses(tmp_path):

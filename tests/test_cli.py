@@ -449,6 +449,9 @@ MALFORMED = {
         d / "c.cfg", b"train.epochs = 1\ntrain.epochs = 7\n"), "--out", str(d / "o")], 2),
     "run-manifest-label-too-long": (lambda d: _run_on(d, _manifest(d, _LONG_LABEL, "a.wav")),
                                     3, "m.csv:3: label longer than 65535 UTF-8 bytes"),
+    "run-manifest-label-whitespace": (lambda d: _run_on(d, _manifest(d, b"a.wav,c0,train\nb.wav, c0,train\n",
+                                                                     "a.wav", "b.wav")),
+                                      3, "m.csv:3: label ' c0' has leading or trailing whitespace"),
     "run-manifest-lists-a-clip-twice": (lambda d: _run_on(d, _manifest(d, _LISTED_TWICE, "class00_000.wav")),
                                         3, "already listed on line 2"),
     "run-manifest-lists-a-clip-through-a-symlink": (lambda d: _run_on(d, _linked_manifest(d, os.symlink)),

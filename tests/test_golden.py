@@ -20,6 +20,11 @@ thread count (with one thread classifier.weights differs while report.json
 does not), so each `ffcac run` runs in a child process with
 OPENBLAS_NUM_THREADS and OMP_NUM_THREADS pinned to 2. OpenBLAS uses at most
 one thread per core, so the hashes need a host with two cores or more.
+
+The child also reports whether it loaded scipy: no system at the golden
+configs' width is wider than classifiers.NUMPY_MAX_ORDER, so a run must not
+load it. This has to be a child process, as the tests import scipy
+themselves.
 """
 
 import hashlib
@@ -67,17 +72,20 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _ffcac_run(cfg, out) -> None:
+def _ffcac_run(cfg, out) -> bool:
+    """Run ``ffcac run`` in a child process; True if the child loaded scipy."""
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": BLAS_THREADS,
         "OMP_NUM_THREADS": BLAS_THREADS,
         "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
     }
-    code = "import sys; from ffcac import cli; sys.exit(cli.main(sys.argv[1:]))"
+    code = ("import sys; from ffcac import cli; rc = cli.main(sys.argv[1:]); "
+            "print('scipy' in sys.modules); sys.exit(rc)")
     argv = [sys.executable, "-c", code, "run", "--config", str(cfg), "--out", str(out)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "True"
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN))
@@ -89,3 +97,9 @@ def test_golden_report_bytes(case, tmp_path):
     _ffcac_run(cfg, out)
     assert _sha256(out / "report.json") == report_sha
     assert _sha256(out / "classifier.weights") == weights_sha
+
+
+def test_a_run_at_the_golden_width_does_not_load_scipy(tmp_path):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_BASE + GOLDEN["rrc"][0])
+    assert not _ffcac_run(cfg, tmp_path / "out")
