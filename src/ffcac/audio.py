@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ConfigError, DimensionError, IngestionError
 from .weights_io import MAX_TEXT_BYTES, open_input, read_text
@@ -87,7 +88,8 @@ def load_wav(path, expected_rate_hz: int = 16000) -> np.ndarray:
         raise IngestionError(f"{path}: sample rate {rate} Hz, expected {expected_rate_hz} Hz")
     if len(raw) % 2:
         raise IngestionError(f"{path}: data chunk ends inside a sample")
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / PCM_FULL_SCALE
+    # one pass; exact, since 1/32768 is a power of two
+    samples = np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / PCM_FULL_SCALE)
     if samples.size == 0:
         raise IngestionError(f"{path}: contains no samples")
     return samples
@@ -139,20 +141,33 @@ def _frontend_tables(cfg: FrontendConfig) -> tuple[np.ndarray, np.ndarray]:
 
 def log_mel_spectrogram(samples: np.ndarray, cfg: FrontendConfig) -> np.ndarray:
     """(S_f, S_t) array of ln(mel power + log_floor) over Hann-windowed
-    frames.
+    frames. It is a view: the transpose of a fresh (S_t, S_f) array, so
+    it is Fortran-ordered, not C-ordered.
 
     Frames lie fully inside the signal: S_t = 1 + (len - frame_len) // shift.
+    The result equals the textbook sliding-window, rfft(n=fft_size), power,
+    filterbank and log steps bit for bit.
     """
     n = samples.size
-    frame_len, shift = cfg.frame_len, cfg.frame_shift
+    frame_len, shift, fft_size = cfg.frame_len, cfg.frame_shift, cfg.fft_size
     if n < frame_len:
         raise IngestionError(f"clip of {n} samples shorter than one {frame_len}-sample frame")
-    frames = np.lib.stride_tricks.sliding_window_view(samples, frame_len)[::shift]
+    if fft_size < frame_len:  # rfft would crop every frame
+        raise ConfigError(f"frontend.fft_size: must be >= frame length {frame_len}")
+    step = samples.strides[0]
+    frames = as_strided(samples, (1 + (n - frame_len) // shift, frame_len), (shift * step, step),
+                        writeable=False)
     window, filterbank = _frontend_tables(cfg)
-    spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
-    powers = spectrum.real**2 + spectrum.imag**2
+    # the windowed frames, zero-padded in place to the FFT length
+    padded = np.empty((frames.shape[0], fft_size))
+    np.multiply(frames, window, out=padded[:, :frame_len])
+    padded[:, frame_len:] = 0.0
+    parts = np.fft.rfft(padded, axis=1).view(np.float64)  # (re, im) pairs
+    np.square(parts, out=parts)
+    powers = np.add(parts[:, 0::2], parts[:, 1::2])
     mel = powers @ filterbank.T
-    return np.log(mel + cfg.log_floor).T.copy()
+    mel += cfg.log_floor
+    return np.log(mel, out=mel).T
 
 
 def fit_to_length(samples: np.ndarray, num_samples: int) -> np.ndarray:
@@ -191,8 +206,10 @@ def patch_split(lms: np.ndarray, s_f: int, s_t: int, d: int) -> np.ndarray:
     a fresh (Z, s_f * s_t) matrix: rows in frequency-major, then time order,
     each window flattened row-major."""
     grid = patch_counts(*lms.shape, s_f, s_t, d)
-    windows = np.lib.stride_tricks.sliding_window_view(lms, (s_f, s_t))[::d, ::d]
-    return np.array(windows, dtype=np.float64).reshape(grid.z, s_f * s_t)
+    row, col = lms.strides  # any layout, e.g. the transposed view log_mel_spectrogram returns
+    windows = as_strided(lms, (grid.rows, grid.cols, s_f, s_t), (d * row, d * col, row, col),
+                         writeable=False)
+    return np.array(windows, dtype=np.float64, order="C").reshape(grid.z, s_f * s_t)
 
 
 # ---------------------------------------------------------------------------

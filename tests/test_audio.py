@@ -50,6 +50,17 @@ def test_full_scale_square_wave_pcm_scaling(tmp_path):
     assert np.allclose(np.unique(load_wav(path)), [-1.0, 32767 / 32768])
 
 
+def test_pcm_scaling_is_exact_for_every_16_bit_value(tmp_path):
+    ints = np.arange(-32768, 32768, dtype="<i2")
+    path = tmp_path / "every.wav"
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(ints.tobytes())
+    assert load_wav(path).tobytes() == (ints.astype(np.float64) / 32768).tobytes()
+
+
 def test_stereo_rejected(tmp_path):
     path = tmp_path / "stereo.wav"
     with wave.open(str(path), "wb") as wf:
@@ -189,6 +200,51 @@ def test_all_entries_finite_on_random_input():
     assert np.all(np.isfinite(lms))
 
 
+def _log_mel_reference(samples, cfg):
+    """The textbook frontend: window each frame, FFT, power, mel, log."""
+    frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.frame_len)[:: cfg.frame_shift]
+    window, filterbank = _frontend_tables(cfg)
+    spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
+    powers = spectrum.real**2 + spectrum.imag**2
+    return np.log(powers @ filterbank.T + cfg.log_floor).T
+
+
+ORACLE_CONFIGS = {
+    "default": (CFG, 16000),
+    "ragged-tail": (CFG, 16123),  # 123 samples after the last frame
+    "fft-equals-frame": (FrontendConfig(frame_ms=32.0, fft_size=512), 16000),
+    "odd-frame": (FrontendConfig(frame_ms=24.9375), 12345),  # 399-sample frames
+    "shift-past-frame": (FrontendConfig(frame_ms=10.0, shift_ms=15.0, fft_size=256, mel_bins=40), 9000),
+}
+
+
+@pytest.mark.parametrize("layout", ["float64", "float32", "strided", "reversed"])
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_log_mel_matches_the_textbook_formula_bit_for_bit(name, layout):
+    cfg, n = ORACLE_CONFIGS[name]
+    x = np.random.default_rng(7).uniform(-1.0, 1.0, 2 * n)
+    samples = {"float64": x[:n], "float32": x[:n].astype(np.float32),
+               "strided": x[::2], "reversed": x[: n - 1 : -1]}[layout]
+    assert samples.size == n
+    lms = log_mel_spectrogram(samples, cfg)
+    expected = _log_mel_reference(samples, cfg)
+    assert lms.shape == expected.shape == (cfg.mel_bins, 1 + (n - cfg.frame_len) // cfg.frame_shift)
+    assert lms.dtype == np.float64
+    assert lms.tobytes() == expected.tobytes()
+
+
+def test_log_mel_calls_share_no_memory():
+    x = np.random.default_rng(8).uniform(-1.0, 1.0, 16000)
+    first, second = log_mel_spectrogram(x, CFG), log_mel_spectrogram(x, CFG)
+    assert np.array_equal(first, second) and not np.shares_memory(first, second)
+
+
+def test_fft_shorter_than_the_frame_rejected():
+    # 400-sample frames: rfft(n=256) would crop every frame
+    with pytest.raises(ConfigError, match=r"frontend\.fft_size: must be >= frame length 400"):
+        log_mel_spectrogram(np.zeros(16000), FrontendConfig(fft_size=256))
+
+
 def test_fit_to_length_pads_and_crops():
     samples = np.ones(100)
     padded = fit_to_length(samples, 200)
@@ -258,15 +314,22 @@ def _patch_split_reference(data, s_f, s_t, d):
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 24), st.integers(1, 24), st.integers(1, 8), st.integers(1, 8),
-       st.integers(1, 8), st.integers(0, 2**31 - 1))
-def test_patch_split_matches_double_loop(big_f, big_t, s_f, s_t, d, seed):
-    # strides below the patch size make the patches overlap
+       st.integers(1, 8), st.integers(0, 2**31 - 1), st.booleans())
+def test_patch_split_matches_double_loop(big_f, big_t, s_f, s_t, d, seed, transposed):
+    # strides below the patch size make the patches overlap; a transposed
+    # input is the (S_f, S_t) transpose of every other row of a (2 * S_t, S_f) array
     s_f, s_t = min(s_f, big_f), min(s_t, big_t)
-    data = np.random.default_rng(seed).normal(size=(big_f, big_t))
+    rng = np.random.default_rng(seed)
+    if transposed:
+        data = rng.normal(size=(2 * big_t, big_f))[::2].T
+        assert data.strides == (8, 16 * big_f)
+    else:
+        data = rng.normal(size=(big_f, big_t))
     patches = patch_split(data, s_f, s_t, d)
     expected = _patch_split_reference(data, s_f, s_t, d)
     assert patches.shape == (patch_counts(big_f, big_t, s_f, s_t, d).z, s_f * s_t) == expected.shape
-    assert patches.dtype == np.float64 and patches.flags.writeable
+    assert patches.dtype == np.float64 and patches.flags.writeable and patches.flags.c_contiguous
+    assert not np.shares_memory(patches, data)
     assert np.array_equal(patches, expected)
 
 
