@@ -22,6 +22,7 @@ from .errors import DimensionError, UsageError
 
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+_GELU_3AC = 3.0 * _GELU_A * _GELU_C
 
 
 class Tensor:
@@ -78,7 +79,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     if g.shape == shape:
         return g
     while g.ndim > len(shape):
-        g = g.sum(axis=0)
+        g = sum_axis(g, 0)
     for ax, n in enumerate(shape):
         if n == 1 and g.shape[ax] != 1:
             g = g.sum(axis=ax, keepdims=True)
@@ -94,42 +95,96 @@ def _check_axis(axis: int, ndim: int) -> int:
 # ---------------------------------------------------------------------------
 # plain-array kernels, shared by the ops below and the extractor's
 # hand-written layers (encoder.py). Each writes only into arrays it made.
+#
+# The extractor's axes are short (32-64 features, 33 tokens), and there a
+# numpy reduction costs 2-4x a BLAS product with a ones vector, so the
+# kernels sum through ``sum_axis``. The product adds in BLAS's order, not
+# numpy's pairwise one, so the last bits differ from ``.sum``.
+
+
+def sum_axis(x: np.ndarray, axis: int, keepdims: bool = False) -> np.ndarray:
+    """``x.sum(axis=axis, keepdims=keepdims)``; over the last axis as
+    ``x.reshape(-1, n) @ ones(n)`` and over the first as
+    ``ones(n) @ x.reshape(n, -1)``. Any other axis, or an empty one, is
+    summed by ``.sum``."""
+    axis = _check_axis(axis, x.ndim)
+    n = x.shape[axis]
+    if axis == x.ndim - 1 and n:
+        s = x.reshape(-1, n) @ np.ones(n, dtype=x.dtype)
+    elif axis == 0 and n:
+        s = np.ones(n, dtype=x.dtype) @ x.reshape(n, -1)
+    else:
+        return x.sum(axis=axis, keepdims=keepdims)
+    return s.reshape(x.shape[:axis] + ((1,) if keepdims else ()) + x.shape[axis + 1:])
 
 
 def gelu_forward(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GELU of ``x`` and the tanh term its backward needs."""
-    t = np.tanh(_GELU_C * (x + _GELU_A * (x * x * x)))
-    return 0.5 * x * (1.0 + t), t
+    """GELU of ``x`` and the tanh term its backward needs:
+    t = tanh(C*x*(1 + A*x^2)) and 0.5*x*(1 + t), each pass in place."""
+    t = x * x
+    t *= _GELU_A
+    t += 1.0
+    t *= x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = t + 1.0
+    out *= x
+    out *= 0.5
+    return out, t
 
 
 def gelu_backward(g: np.ndarray, x: np.ndarray, t: np.ndarray) -> np.ndarray:
-    sech2 = 1.0 - t * t
-    return g * (0.5 * (1.0 + t) + 0.5 * x * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * x * x))
+    """0.5*g*((1 + t) + x*(1 - t^2)*(C + 3AC*x^2)), each pass in place."""
+    u = x * x
+    u *= _GELU_3AC
+    u += _GELU_C
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    s *= x
+    s *= u
+    np.add(t, 1.0, out=u)
+    u += s
+    u *= g
+    u *= 0.5
+    return u
 
 
 def softmax_forward(x: np.ndarray, axis: int) -> np.ndarray:
     # in place: on an attention batch one array instead of three halves the time
     out = x - x.max(axis=axis, keepdims=True)
     np.exp(out, out=out)
-    out /= out.sum(axis=axis, keepdims=True)
+    out /= sum_axis(out, axis, keepdims=True)
     return out
 
 
 def softmax_backward(g: np.ndarray, out: np.ndarray, axis: int) -> np.ndarray:
-    return out * (g - (g * out).sum(axis=axis, keepdims=True))
+    """out * (g - sum(g * out)), in one array."""
+    r = g * out
+    np.subtract(g, sum_axis(r, axis, keepdims=True), out=r)
+    r *= out
+    return r
 
 
 def layer_norm_forward(x: np.ndarray, axis: int, eps: float) -> tuple[np.ndarray, np.ndarray]:
     """Zero mean, unit variance along ``axis``; also the inverse std."""
-    xc = x - x.mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=axis, keepdims=True) + eps)
-    return xc * inv, inv
+    n = x.shape[axis]
+    xc = x - sum_axis(x, axis, keepdims=True) / n
+    var = sum_axis(xc * xc, axis, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xc *= inv
+    return xc, inv
 
 
 def layer_norm_backward(g: np.ndarray, out: np.ndarray, inv: np.ndarray, axis: int) -> np.ndarray:
-    gm = g.mean(axis=axis, keepdims=True)
-    gym = (g * out).mean(axis=axis, keepdims=True)
-    return inv * (g - gm - out * gym)
+    """inv * (g - mean(g) - out * mean(g * out)), in two arrays."""
+    n = g.shape[axis]
+    r = g * out
+    gym = sum_axis(r, axis, keepdims=True) / n
+    np.multiply(out, gym, out=r)
+    d = g - sum_axis(g, axis, keepdims=True) / n
+    d -= r
+    d *= inv
+    return d
 
 
 # ---------------------------------------------------------------------------

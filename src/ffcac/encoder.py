@@ -138,8 +138,8 @@ def _affine_norm(x: np.ndarray, p: dict, prefix: str):
 
 def _affine_norm_backward(g: np.ndarray, cache, p: dict, prefix: str, grads: dict) -> np.ndarray:
     n, inv = cache
-    grads[f"{prefix}.gain"] = (g * n).sum(axis=0)
-    grads[f"{prefix}.bias"] = g.sum(axis=0)
+    grads[f"{prefix}.gain"] = ad.sum_axis(g * n, 0)
+    grads[f"{prefix}.bias"] = ad.sum_axis(g, 0)
     return ad.layer_norm_backward(g * p[f"{prefix}.gain"], n, inv, -1)
 
 
@@ -152,7 +152,7 @@ def _linear(x: np.ndarray, p: dict, w: str, b: str) -> np.ndarray:
 def _linear_backward(g: np.ndarray, x: np.ndarray, p: dict, w: str, b: str, grads: dict) -> np.ndarray:
     """Gradients of ``x @ p[w] + p[b]``; returns the input's."""
     grads[w] = x.T @ g
-    grads[b] = g.sum(axis=0)
+    grads[b] = ad.sum_axis(g, 0)
     return g @ p[w].T
 
 
@@ -318,11 +318,11 @@ def encoder_forward(patches: np.ndarray, params, cfg: EncoderConfig) -> Tensor:
             g_x = _block_backward(g_pooled, g_x, caches[i], p, f"block{i}", cfg, batch, grads)
         g = (g_x[0] + g_x[1]).reshape(batch, t, d)
         grads["pos_table"] = np.zeros(p["pos_table"].shape)
-        grads["pos_table"][:t] = g.sum(axis=0)
+        grads["pos_table"][:t] = ad.sum_axis(g, 0)
         grads["cls_token"] = g[:, 0].sum(axis=0)
         g = g[:, 1:].reshape(batch * z, d)
         grads["patch_embed.weight"] = flat.T @ g
-        grads["patch_embed.bias"] = g.sum(axis=0)
+        grads["patch_embed.bias"] = ad.sum_axis(g, 0)
         return tuple(grads[name] for name in names)
 
     return ad.record(stack, [tensors[n] for n in names], backward)
@@ -369,7 +369,8 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     Missing, unexpected, and wrongly-shaped tensors are all reported in one
     error so a mismatched config is diagnosable in a single pass. The map
     is built in param_shapes order, whatever order the container lists its
-    tensors in. A tensor holding NaN or inf is refused by name.
+    tensors in. A tensor holding NaN or inf is refused by name. The
+    arrays are read-only: a loaded extractor is frozen.
     """
     tensors, _ = weights_io.load_container(path)
     expected = dict(param_shapes(cfg))
@@ -393,6 +394,8 @@ def load_params(path, cfg: EncoderConfig) -> MeeParams:
     if non_finite:
         raise WeightsFormatError("weight container holds non-finite values in: "
                                  + ", ".join(non_finite))
+    for n in expected:
+        tensors[n].flags.writeable = False
     return {n: tensors[n] for n in expected}
 
 

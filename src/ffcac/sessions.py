@@ -256,7 +256,9 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     embeddings, as every later session updates the current one. Its λ is
     inf for pbc (the prototype limit), else the fixed or the CV λ. Each
     epoch wraps the parameter arrays in fresh leaf tensors, which no later
-    step reads; nothing wraps the extractor it returns, so it is frozen."""
+    step reads. After the last step every extractor array is made
+    read-only, so the extractor it returns is frozen: a write into it
+    raises ValueError."""
     enc_cfg = pipeline.enc_cfg
     labels = episode.labels
 
@@ -283,6 +285,8 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
         ad.backward(loss)
         ad.sgd_step(arrays, [t.grad for t in leaves],
                     cfg.train.learning_rate, cfg.train.weight_decay)
+    for a in params.values():
+        a.flags.writeable = False
 
     # the frozen embeddings of the batch it trained on, chunked as embed_batch's
     embeddings = embed_chunks(len(batch), lambda i, j: batch[i:j], params, enc_cfg)
@@ -302,16 +306,12 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
 def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
                             pipeline: ClipPipeline):
     """Frozen-extractor session: embed the episode, update the classifier
-    analytically under the base session's λ. The extractor is checksummed
-    before and after."""
-    before = enc.params_checksum(params)
+    analytically under the base session's λ. The extractor's arrays are
+    read-only (``run_base_session``, ``load_params``), so nothing here can
+    write into them."""
     embeddings = pipeline.embed_batch(episode.pairs, params)
     onehot = np.eye(len(episode.labels))[episode.targets]
-    updated = cls.update_incremental(classifier, embeddings, onehot, episode.labels)
-    after = enc.params_checksum(params)
-    if before != after:
-        raise ProtocolViolationError("extractor weights changed during an incremental session")
-    return updated
+    return cls.update_incremental(classifier, embeddings, onehot, episode.labels)
 
 
 # ---------------------------------------------------------------------------

@@ -299,7 +299,9 @@ def test_transpose_axes_gradient():
 
 def test_in_place_softmax_kernel_equals_its_one_expression_form():
     """The hand-written extractor backward and the tape ops share this
-    kernel; its in-place form must give the bits of the plain expression."""
+    kernel; its in-place form must give the bits of the plain expression,
+    whose row sum is a product with a ones vector."""
     x = np.random.default_rng(47).normal(scale=2.0, size=(2, 7, 9))
     e = np.exp(x - x.max(axis=2, keepdims=True))
-    assert np.array_equal(ad.softmax_forward(x, 2), e / e.sum(axis=2, keepdims=True))
+    row_sums = (e.reshape(-1, 9) @ np.ones(9)).reshape(2, 7, 1)
+    assert np.array_equal(ad.softmax_forward(x, 2), e / row_sums)

@@ -294,6 +294,9 @@ def test_loaded_extractor_is_frozen(tmp_path):
     loaded = enc.load_params(path, TINY)
     assert list(loaded) == [name for name, _ in enc.param_shapes(TINY)]
     assert all(type(a) is np.ndarray and a.dtype == np.float64 for a in loaded.values())
+    assert not any(a.flags.writeable for a in loaded.values())
+    with pytest.raises(ValueError, match="read-only"):
+        loaded["block0.ln1.gain"][0] = 2.0
     before = enc.params_checksum(loaded)
     patches = np.random.default_rng(20).normal(size=(2, 4, TINY.patch_dim))
     enc.extract_embedding(patches, loaded, TINY)
