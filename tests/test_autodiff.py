@@ -305,3 +305,89 @@ def test_in_place_softmax_kernel_equals_its_one_expression_form():
     e = np.exp(x - x.max(axis=2, keepdims=True))
     row_sums = (e.reshape(-1, 9) @ np.ones(9)).reshape(2, 7, 1)
     assert np.array_equal(ad.softmax_forward(x, 2), e / row_sums)
+
+
+# The kernels sum their short axes as products with a ones vector and run
+# GELU in place; each must match its textbook numpy form, on a contiguous
+# input, a transposed (non-contiguous) one, an axis that is neither first
+# nor last (summed by .sum) and an axis of length 1, and write into no input.
+LAYOUTS = {
+    "contiguous": ((4, 6, 9), None, -1),
+    "transposed": ((4, 9, 6), (0, 2, 1), -1),
+    "middle-axis": ((4, 6, 9), None, 1),
+    "first-axis": ((4, 6, 9), None, 0),
+    "length-1": ((4, 6, 1), None, -1),
+}
+KERNEL_RTOL = 1e-12
+
+
+def _kernel_inputs(layout: str, count: int, seed: int = 71):
+    shape, axes, axis = LAYOUTS[layout]
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(scale=2.0, size=shape) for _ in range(count)]
+    if axes is not None:
+        arrays = [a.transpose(axes) for a in arrays]
+        assert not arrays[0].flags.c_contiguous
+    return arrays, axis
+
+
+def _unwritten(arrays, call):
+    before = [a.copy() for a in arrays]
+    result = call()
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    return result
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+@pytest.mark.parametrize("keepdims", [False, True])
+def test_sum_axis_matches_numpy_sum(layout, keepdims):
+    (x,), axis = _kernel_inputs(layout, 1)
+    got = _unwritten([x], lambda: ad.sum_axis(x, axis, keepdims=keepdims))
+    want = x.sum(axis=axis, keepdims=keepdims)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=KERNEL_RTOL)
+
+
+def test_sum_axis_of_an_empty_axis_is_zero():
+    assert np.array_equal(ad.sum_axis(np.zeros((3, 0)), -1), np.zeros(3))
+    assert np.array_equal(ad.sum_axis(np.zeros((0, 3)), 0, keepdims=True), np.zeros((1, 3)))
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_softmax_kernels_match_the_textbook_form(layout):
+    (x, g), axis = _kernel_inputs(layout, 2)
+    e = np.exp(x - x.max(axis=axis, keepdims=True))
+    want = e / e.sum(axis=axis, keepdims=True)
+    out = _unwritten([x], lambda: ad.softmax_forward(x, axis))
+    np.testing.assert_allclose(out, want, rtol=KERNEL_RTOL)
+    grad = _unwritten([g, out], lambda: ad.softmax_backward(g, out, axis))
+    np.testing.assert_allclose(grad, out * (g - (g * out).sum(axis=axis, keepdims=True)),
+                               rtol=KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_layer_norm_kernels_match_the_textbook_form(layout):
+    (x, g), axis = _kernel_inputs(layout, 2)
+    eps = 1e-5
+    want_inv = 1.0 / np.sqrt(x.var(axis=axis, keepdims=True) + eps)
+    want = (x - x.mean(axis=axis, keepdims=True)) * want_inv
+    out, inv = _unwritten([x], lambda: ad.layer_norm_forward(x, axis, eps))
+    np.testing.assert_allclose(inv, want_inv, rtol=KERNEL_RTOL)
+    np.testing.assert_allclose(out, want, rtol=KERNEL_RTOL)
+    grad = _unwritten([g, out, inv], lambda: ad.layer_norm_backward(g, out, inv, axis))
+    want_grad = inv * (g - g.mean(axis=axis, keepdims=True)
+                       - out * (g * out).mean(axis=axis, keepdims=True))
+    np.testing.assert_allclose(grad, want_grad, rtol=KERNEL_RTOL)
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_gelu_kernels_match_the_textbook_form(layout):
+    (x, g), _ = _kernel_inputs(layout, 2)
+    c = np.sqrt(2.0 / np.pi)
+    t = np.tanh(c * (x + 0.044715 * x**3))
+    out, got_t = _unwritten([x], lambda: ad.gelu_forward(x))
+    np.testing.assert_allclose(got_t, t, rtol=KERNEL_RTOL)
+    np.testing.assert_allclose(out, 0.5 * x * (1.0 + t), rtol=KERNEL_RTOL)
+    grad = _unwritten([g, x, got_t], lambda: ad.gelu_backward(g, x, got_t))
+    dgelu = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * c * (1.0 + 3.0 * 0.044715 * x**2)
+    np.testing.assert_allclose(grad, g * dgelu, rtol=KERNEL_RTOL)

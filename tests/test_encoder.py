@@ -160,6 +160,25 @@ def test_layer_backward_matches_the_tape_bit_for_bit(geometry, fusion, batched):
     assert unequal == []
 
 
+@pytest.mark.parametrize("transposed", [False, True])
+def test_linear_and_norm_gradients_match_the_textbook_sums(transposed):
+    """The bias and gain gradients are ones-vector products over the token
+    rows; they match numpy's sums over the same rows."""
+    rng = np.random.default_rng(41)
+    x, g = (rng.normal(size=(825, 32)) for _ in range(2))
+    if transposed:  # non-contiguous rows
+        x, g = (np.ascontiguousarray(a.T).T for a in (x, g))
+    p = {"w": rng.normal(size=(32, 16)), "n.gain": rng.normal(size=32)}
+    grads = {}
+    g_out = g[:, :16]
+    enc._linear_backward(g_out, x, p, "w", "b", grads)
+    np.testing.assert_allclose(grads["b"], g_out.sum(axis=0), rtol=1e-12)
+    n, inv = ad.layer_norm_forward(x, -1, enc.LN_EPS)
+    enc._affine_norm_backward(g, (n, inv), p, "n", grads)
+    np.testing.assert_allclose(grads["n.gain"], (g * n).sum(axis=0), rtol=1e-12)
+    np.testing.assert_allclose(grads["n.bias"], g.sum(axis=0), rtol=1e-12)
+
+
 def test_fusion_off_leaves_the_untapped_feature_norms_without_a_gradient():
     cfg, patches = _desk_episode()
     cfg = dataclasses.replace(cfg, use_fusion=False)
