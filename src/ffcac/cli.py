@@ -7,8 +7,12 @@ Exit codes: 0 ok, 2 config or out of memory, 3 IO, 4 numeric, 5 protocol violati
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import json
+import os
+import stat
 import sys
 from pathlib import Path
 
@@ -65,14 +69,11 @@ def cmd_synth_data(args) -> int:
     return 0
 
 
-def _write_run_outputs(out: Path, report, cfg, last) -> None:
+@contextlib.contextmanager
+def _outputs_to(out: Path):
+    """An OSError inside as the IngestionError that names ``out``."""
     try:
-        out.mkdir(parents=True, exist_ok=True)
-        json_text = sessions.report_to_json(report, cfg)
-        (out / "report.json").write_text(json_text, encoding="utf-8")
-        (out / "report.csv").write_text(sessions.json_report_to_csv(json_text), encoding="utf-8")
-        enc.save_params(out / "mee.weights", last.params)
-        cls.save_state(out / "classifier.weights", last.classifier)
+        yield
     except OSError as e:
         raise IngestionError(f"cannot write outputs to {out}: {e}") from e
 
@@ -82,8 +83,16 @@ def cmd_run(args) -> int:
     if args.threads is not None:
         cfg = dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=args.threads))
         validate_config(cfg)
-    report, last = sessions.run_repeated(cfg)
-    _write_run_outputs(Path(args.out), report, cfg, last)
+    out = Path(args.out)
+    with _outputs_to(out):  # before training, so an unusable --out costs none
+        out.mkdir(parents=True, exist_ok=True)
+    (report,), params, (state,) = sessions.run_repeated(cfg)
+    with _outputs_to(out):
+        json_text = sessions.report_to_json(report, cfg)
+        (out / "report.json").write_text(json_text, encoding="utf-8")
+        (out / "report.csv").write_text(sessions.json_report_to_csv(json_text), encoding="utf-8")
+        enc.save_params(out / "mee.weights", params)
+        cls.save_state(out / "classifier.weights", state)
     accs = " ".join(f"{a:.4f}" for a in report.mean_accuracies)
     print(f"sessions: {len(report.mean_accuracies)}  mean A_m: {accs}")
     print(f"AA {report.mean_aa:.4f} +/- {report.std_aa:.4f}   "
@@ -92,35 +101,39 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _check_table_path(path: str) -> None:
+    """Raise, before any training, the error that writing the table to
+    ``path`` would end with when its directory is missing or ``path`` is a
+    directory."""
+    try:
+        parent = os.stat(os.path.dirname(path) or ".")
+        code = (errno.ENOTDIR if not stat.S_ISDIR(parent.st_mode)
+                else errno.EISDIR if os.path.isdir(path) else 0)
+    except OSError as e:
+        code = e.errno
+    if code:
+        raise IngestionError(f"cannot write {path}: {OSError(code, os.strerror(code), path)}")
+
+
 def cmd_ablate(args) -> int:
     cfg = load_config(args.config)
-    if args.fusion != "both":
-        grid_fusion = [args.fusion == "on"]
-    else:
-        grid_fusion = [False, True]
-    if args.classifier != "both":
-        grid_classifier = [args.classifier]
-    else:
-        grid_classifier = ["pbc", "rrc"]
-    rows = []
-    for kind in grid_classifier:
-        for use_fusion in grid_fusion:
-            case_cfg = dataclasses.replace(
-                cfg,
-                encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion),
-                classifier=dataclasses.replace(cfg.classifier, kind=kind),
-            )
-            report, _ = sessions.run_repeated(case_cfg)
-            rows.append((use_fusion, kind, report))
-    header = ["fusion", "classifier"]
-    n_sessions = len(rows[0][2].mean_accuracies)
-    header += [f"A_{m}" for m in range(n_sessions)] + ["AA", "PD"]
+    fusions = [False, True] if args.fusion == "both" else [args.fusion == "on"]
+    kinds = ["pbc", "rrc"] if args.classifier == "both" else [args.classifier]
+    if args.out:
+        _check_table_path(args.out)
+    classifiers = [dataclasses.replace(cfg.classifier, kind=kind) for kind in kinds]
+    reports = {}
+    for use_fusion in fusions:  # one extractor per seed, scored by every classifier row
+        case = dataclasses.replace(cfg, encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion))
+        for kind, report in zip(kinds, sessions.run_repeated(case, classifiers)[0]):
+            reports[kind, use_fusion] = report
+    header = ["fusion", "classifier"] + [f"A_{m}" for m in range(cfg.plan.sessions + 1)] + ["AA", "PD"]
     lines = [",".join(header)]
-    for use_fusion, kind, report in rows:
-        cells = ["on" if use_fusion else "off", kind]
-        cells += [f"{a:.4f}" for a in report.mean_accuracies]
-        cells += [f"{report.mean_aa:.4f}", f"{report.mean_pd:.4f}"]
-        lines.append(",".join(cells))
+    for kind in kinds:
+        for use_fusion in fusions:
+            report = reports[kind, use_fusion]
+            values = report.mean_accuracies + [report.mean_aa, report.mean_pd]
+            lines.append(",".join(["on" if use_fusion else "off", kind] + [f"{v:.4f}" for v in values]))
     table = "\n".join(lines) + "\n"
     print(table, end="")
     if args.out:

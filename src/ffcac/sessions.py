@@ -2,13 +2,14 @@
 finetuning, incremental classifier updates with a frozen extractor,
 cumulative evaluation, and repeated-run aggregation.
 
-Session 0 finetunes the extractor on one few-shot episode and fits the
-classifier from the resulting embeddings. Sessions 1..M freeze the
-extractor, extract embeddings for a new episode of unseen classes, and
-update the classifier analytically. After session m the model is scored
-on the union of the test sets of sessions 0..m; since the extractor is
-frozen, every test clip is embedded once, right after session 0, and each
-session scores its rows of that matrix.
+Session 0 finetunes the extractor on one few-shot episode, freezes it and
+embeds that episode. The classifier starts from those embeddings alone, so
+one trained extractor serves every classifier config (``run_single``).
+Sessions 1..M embed a new episode of unseen classes with the frozen
+extractor and update the classifier analytically. After session m the
+model is scored on the union of the test sets of sessions 0..m; every test
+clip is embedded once, right after session 0, and each session scores its
+rows of that matrix.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .audio import (
     read_manifest,
     synth_class_waveform,
 )
-from .config import ExperimentConfig, PlanConfig
+from .config import ClassifierConfig, ExperimentConfig, PlanConfig
 from .errors import (
     DivergenceError,
     FfcacError,
@@ -245,25 +246,22 @@ class ClipPipeline:
 @dataclass
 class BaseSessionResult:
     params: enc.MeeParams
-    classifier: cls.RidgeState
+    embeddings: np.ndarray  # the frozen extractor's embeddings of the base episode
     epoch_losses: list[float]
 
 
 def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentConfig,
                      seed: int) -> BaseSessionResult:
     """Finetune the extractor on the base episode under the scaled
-    cosine-softmax loss, then update an empty ridge memory with the final
-    embeddings, as every later session updates the current one. Its λ is
-    inf for pbc (the prototype limit), else the fixed or the CV λ. Each
-    epoch wraps the parameter arrays in fresh leaf tensors, which no later
-    step reads. After the last step every extractor array is made
-    read-only, so the extractor it returns is frozen: a write into it
-    raises ValueError."""
+    cosine-softmax loss, then embed that episode with the final weights;
+    no classifier setting is read. Each epoch wraps the parameter arrays in
+    fresh leaf tensors, which no later step reads. After the last step
+    every extractor array is made read-only, so the extractor it returns
+    is frozen: a write into it raises ValueError."""
     enc_cfg = pipeline.enc_cfg
-    labels = episode.labels
 
     params = enc.init_mee_params(enc_cfg, int(_rng(seed, _TAG_INIT).integers(0, 2**31 - 1)))
-    head = cls.init_cosine_head(len(labels), enc_cfg.dim,
+    head = cls.init_cosine_head(len(episode.labels), enc_cfg.dim,
                                 int(_rng(seed, _TAG_HEAD).integers(0, 2**31 - 1)))
     arrays = [*params.values(), head]
     batch = np.stack([pipeline.patches(ref) for ref in episode.pairs])  # (B, Z, P)
@@ -293,14 +291,19 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
     if not np.isfinite(embeddings).all():  # a finite loss does not rule out overflowed weights
         raise DivergenceError("base-session embeddings are not finite after training at "
                               f"train.learning_rate = {cfg.train.learning_rate}")
-    onehot = np.eye(len(labels))[episode.targets]
-    lam = np.inf if cfg.classifier.kind == "pbc" else cfg.classifier.fixed_lam()
+    return BaseSessionResult(params=params, embeddings=embeddings, epoch_losses=losses)
+
+
+def base_classifier(classifier_cfg: ClassifierConfig, base: BaseSessionResult, episode: Episode,
+                    seed: int) -> cls.RidgeState:
+    """An empty ridge memory updated with the base episode's embeddings, as
+    every later session updates the current one. Its λ is inf for pbc (the
+    prototype limit), else the fixed or the CV λ."""
+    e, onehot = base.embeddings, np.eye(len(episode.labels))[episode.targets]
+    lam = np.inf if classifier_cfg.kind == "pbc" else classifier_cfg.fixed_lam()
     if lam is None:
-        lam = cls.select_lambda_cv(embeddings, onehot, cfg.classifier.lam_grid,
-                                   cfg.classifier.cv_folds, seed)
-    classifier = cls.update_incremental(cls.RidgeState.empty(embeddings.shape[1], lam),
-                                        embeddings, onehot, labels)
-    return BaseSessionResult(params=params, classifier=classifier, epoch_losses=losses)
+        lam = cls.select_lambda_cv(e, onehot, classifier_cfg.lam_grid, classifier_cfg.cv_folds, seed)
+    return cls.update_incremental(cls.RidgeState.empty(e.shape[1], lam), e, onehot, episode.labels)
 
 
 def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
@@ -419,45 +422,53 @@ def build_plan(cfg: ExperimentConfig) -> SessionPlan:
     return make_splits(refs, cfg.plan, cfg.run.seed)
 
 
-def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan,
-               pipeline: ClipPipeline) -> tuple[RunReport, BaseSessionResult]:
+def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan, pipeline: ClipPipeline,
+               classifiers=None) -> tuple[list[RunReport], enc.MeeParams, list[cls.RidgeState]]:
+    """One base session, then the analytic protocol of each classifier
+    config (by default the run's own) on its frozen extractor: a report and
+    a final ridge memory per config, and the extractor."""
     base_episode = sample_episode(plan, 0, run_seed)
     base = run_base_session(base_episode, pipeline, cfg, run_seed)
     # the extractor is frozen from here on: embed every test clip once
     embedded = pipeline.embed_batch(union_test_refs(plan, plan.num_incremental), base.params)
-    classifier = base.classifier
-    accuracies = [evaluate(classifier, plan, 0, embedded).accuracy]
-    for m in range(1, plan.num_incremental + 1):
-        episode = sample_episode(plan, m, run_seed)
-        classifier = run_incremental_session(base.params, classifier, episode, pipeline)
-        accuracies.append(evaluate(classifier, plan, m, embedded).accuracy)
-    report = RunReport(seed=run_seed, accuracies=accuracies,
-                       aa=compute_aa(accuracies), pd=compute_pd(accuracies))
-    base.classifier = classifier  # final state after all sessions
-    return report, base
+    reports, states = [], []
+    for classifier_cfg in classifiers or [cfg.classifier]:
+        classifier = base_classifier(classifier_cfg, base, base_episode, run_seed)
+        accuracies = [evaluate(classifier, plan, 0, embedded).accuracy]
+        for m in range(1, plan.num_incremental + 1):
+            episode = sample_episode(plan, m, run_seed)
+            classifier = run_incremental_session(base.params, classifier, episode, pipeline)
+            accuracies.append(evaluate(classifier, plan, m, embedded).accuracy)
+        reports.append(RunReport(seed=run_seed, accuracies=accuracies,
+                                 aa=compute_aa(accuracies), pd=compute_pd(accuracies)))
+        states.append(classifier)
+    return reports, base.params, states
 
 
-def run_repeated(cfg: ExperimentConfig) -> tuple[ExperimentReport, BaseSessionResult]:
-    """``cfg.run.repeats`` independent runs (seed = base_seed + r),
-    aggregated, plus the last run's BaseSessionResult so callers can
-    persist the trained artifacts. Each run owns its arrays, so runs on
-    separate threads cannot touch each other's extractor."""
+def run_repeated(cfg: ExperimentConfig, classifiers=None
+                 ) -> tuple[list[ExperimentReport], enc.MeeParams, list[cls.RidgeState]]:
+    """``cfg.run.repeats`` independent runs (seed = base_seed + r): one
+    aggregated report per classifier config (``run_single``), plus the last
+    run's extractor and ridge memories so callers can persist them. Each
+    run owns its arrays, so runs on separate threads cannot touch each
+    other's extractor."""
     plan = build_plan(cfg)
     pipeline = ClipPipeline(cfg)
 
     def one(r: int):
         try:
-            return run_single(cfg, cfg.run.seed + r, plan, pipeline)
+            return run_single(cfg, cfg.run.seed + r, plan, pipeline, classifiers)
         except FfcacError as e:
             raise type(e)(f"run {r}: {e}") from e
 
-    reports = []
+    runs = []
     with concurrent.futures.ThreadPoolExecutor(max_workers=cfg.run.threads) as pool:
         # lazy: a failed serial run stops the rest, and each run's artifacts
         # are released as the next returns, so only the last run's are kept
-        for report, last in (pool.map if cfg.run.threads > 1 else map)(one, range(cfg.run.repeats)):
-            reports.append(report)
-    return aggregate_runs(reports), last
+        for reports, params, states in (pool.map if cfg.run.threads > 1 else map)(
+                one, range(cfg.run.repeats)):
+            runs.append(reports)
+    return [aggregate_runs(list(column)) for column in zip(*runs)], params, states
 
 
 # ---------------------------------------------------------------------------

@@ -276,13 +276,14 @@ def desk_run():
     finals, firsts, pds, freezing_ok = [], [], [], []
     for r in range(DESK_SEEDS):
         run_seed = cfg.run.seed + r
-        base = sessions.run_base_session(sessions.sample_episode(plan, 0, run_seed),
-                                         pipeline, cfg, run_seed)
+        base_episode = sessions.sample_episode(plan, 0, run_seed)
+        base = sessions.run_base_session(base_episode, pipeline, cfg, run_seed)
+        memory = sessions.base_classifier(cfg.classifier, base, base_episode, run_seed)
         embedded = pipeline.embed_batch(sessions.union_test_refs(plan, 1), base.params)
-        a0 = sessions.evaluate(base.classifier, plan, 0, embedded).accuracy
+        a0 = sessions.evaluate(memory, plan, 0, embedded).accuracy
         before = enc.params_checksum(base.params)
         episode = sessions.sample_episode(plan, 1, run_seed)
-        state = sessions.run_incremental_session(base.params, base.classifier, episode, pipeline)
+        state = sessions.run_incremental_session(base.params, memory, episode, pipeline)
         freezing_ok.append(enc.params_checksum(base.params) == before)
         a1 = sessions.evaluate(state, plan, 1, embedded).accuracy
         firsts.append(a0)

@@ -1,7 +1,9 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,8 @@ from ffcac import weights_io as wio
 from ffcac.audio import FrontendConfig, SynthConfig, load_wav, read_manifest, synth_class_waveform
 from ffcac.config import ExperimentConfig, ast_base_config, load_config, parse_config_text
 from ffcac.errors import ConfigError, IngestionError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 TOY_CONFIG = """\
 # desk-scale settings for fast CLI runs
@@ -147,6 +151,24 @@ def test_run_byte_identical_reports(toy_config, tmp_path):
     assert (outs[0] / "report.csv").read_bytes() == (outs[1] / "report.csv").read_bytes()
 
 
+def _untrained(monkeypatch):
+    """Make any base session fail the test that reaches it."""
+    def refuse(*args):
+        raise AssertionError("run_base_session called")
+
+    monkeypatch.setattr(sessions, "run_base_session", refuse)
+
+
+def test_run_refuses_an_unusable_out_before_training(toy_config, tmp_path, capsys, monkeypatch):
+    (tmp_path / "file").write_text("")
+    out = tmp_path / "file" / "out"
+    with pytest.raises(OSError) as made:  # the error the outputs' directory ends with
+        out.mkdir(parents=True, exist_ok=True)
+    _untrained(monkeypatch)
+    assert cli.main(["run", "--config", str(toy_config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write outputs to {out}: {made.value}\n"
+
+
 def test_run_missing_config_is_io_error(tmp_path, capsys):
     rc = cli.main(["run", "--config", str(tmp_path / "ghost.cfg"), "--out", str(tmp_path / "o")])
     assert rc == 3
@@ -199,6 +221,11 @@ def test_run_rejects_out_of_range_value_without_traceback(line, tmp_path, capsys
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
     assert line.split(" =")[0] in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.cfg")), ids=lambda p: p.name)
+def test_every_shipped_config_loads(path):
+    assert isinstance(load_config(path), ExperimentConfig)
 
 
 def test_config_key_set_twice_names_both_lines():
@@ -372,6 +399,49 @@ def test_ablate_emits_four_rows(toy_config, tmp_path, capsys):
     assert lines[0].startswith("fusion,classifier,A_0")
     cases = {tuple(l.split(",")[:2]) for l in lines[1:]}
     assert cases == {("off", "pbc"), ("on", "pbc"), ("off", "rrc"), ("on", "rrc")}
+
+
+@pytest.mark.parametrize("out", ["missing/t.csv", "adir", "file/t.csv"])
+def test_ablate_refuses_an_unusable_out_before_training(out, toy_config, tmp_path, capsys, monkeypatch):
+    (tmp_path / "adir").mkdir()
+    (tmp_path / "file").write_text("")
+    out = tmp_path / out
+    with pytest.raises(OSError) as written:  # the error writing the table ends with
+        out.write_text("")
+    _untrained(monkeypatch)
+    assert cli.main(["ablate", "--config", str(toy_config), "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: cannot write {out}: {written.value}\n"
+
+
+def test_ablate_rows_equal_run_repeated_on_each_cell(tmp_path, capsys):
+    path = tmp_path / "noisy.cfg"
+    path.write_text(TOY_CONFIG + "synth.noise_amplitude = 0.8\n")  # below 1.0 and unequal cells
+    assert cli.main(["ablate", "--config", str(path)]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(set(row.split(",", 2)[2] for row in rows)) == 4
+    cfg = load_config(path)
+    expected = []
+    for kind in ("pbc", "rrc"):
+        for use_fusion in (False, True):
+            cell = dataclasses.replace(cfg, encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion),
+                                       classifier=dataclasses.replace(cfg.classifier, kind=kind))
+            (report,), _, _ = sessions.run_repeated(cell)
+            values = report.mean_accuracies + [report.mean_aa, report.mean_pd]
+            expected.append(",".join(["on" if use_fusion else "off", kind] + [f"{v:.4f}" for v in values]))
+    assert rows == expected
+
+
+def test_ablate_trains_once_per_seed_and_fusion_setting(toy_config, monkeypatch, capsys):
+    calls = []
+    run_base_session = sessions.run_base_session
+
+    def counting(episode, pipeline, cfg, seed):
+        calls.append((cfg.encoder.use_fusion, seed))
+        return run_base_session(episode, pipeline, cfg, seed)
+
+    monkeypatch.setattr(sessions, "run_base_session", counting)
+    assert cli.main(["ablate", "--config", str(toy_config)]) == 0
+    assert sorted(calls) == [(False, 7), (False, 8), (True, 7), (True, 8)]  # 2 settings x 2 seeds
 
 
 # ---------------------------------------------------------------------------

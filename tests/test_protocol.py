@@ -124,9 +124,10 @@ def test_base_session_epochs_zero_still_fits_classifier():
     cfg = desk_config(epochs=0)
     plan = sessions.build_plan(cfg)
     pipe = sessions.ClipPipeline(cfg)
-    out = sessions.run_base_session(sessions.sample_episode(plan, 0, 7), pipe, cfg, 7)
+    episode = sessions.sample_episode(plan, 0, 7)
+    out = sessions.run_base_session(episode, pipe, cfg, 7)
     assert out.epoch_losses == []
-    assert len(out.classifier.registry) == 5
+    assert len(sessions.base_classifier(cfg.classifier, out, episode, 7).registry) == 5
 
 
 def test_base_session_loss_descends_on_separable_data():
@@ -144,13 +145,25 @@ def test_base_session_loss_descends_on_separable_data():
 def test_base_session_deterministic():
     cfg = desk_config(epochs=2)
     plan = sessions.build_plan(cfg)
-    states = []
+    states, memories = [], []
     for _ in range(2):
         pipe = sessions.ClipPipeline(cfg)
-        out = sessions.run_base_session(sessions.sample_episode(plan, 0, 7), pipe, cfg, 7)
+        episode = sessions.sample_episode(plan, 0, 7)
+        out = sessions.run_base_session(episode, pipe, cfg, 7)
         states.append(out)
-    assert cls.state_checksum(states[0].classifier) == cls.state_checksum(states[1].classifier)
+        memories.append(sessions.base_classifier(cfg.classifier, out, episode, 7))
+    assert cls.state_checksum(memories[0]) == cls.state_checksum(memories[1])
     assert enc.params_checksum(states[0].params) == enc.params_checksum(states[1].params)
+
+
+def test_base_session_reads_no_classifier_setting():
+    """Training and the classifier meet only at the frozen embeddings."""
+    cfg = desk_config(epochs=1)
+    plan, pipe = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
+    episode = sessions.sample_episode(plan, 0, cfg.run.seed)
+    blind = sessions.run_base_session(episode, pipe, dataclasses.replace(cfg, classifier=None), cfg.run.seed)
+    seen = sessions.run_base_session(episode, pipe, cfg, cfg.run.seed)
+    assert np.array_equal(blind.embeddings, seen.embeddings)
 
 
 def test_base_session_freezes_the_extractor():
@@ -202,8 +215,9 @@ def test_base_session_cv_lambda_comes_from_grid():
     cfg = desk_config(epochs=0, lam="cv")
     plan = sessions.build_plan(cfg)
     pipe = sessions.ClipPipeline(cfg)
-    out = sessions.run_base_session(sessions.sample_episode(plan, 0, 7), pipe, cfg, 7)
-    assert out.classifier.lam in cfg.classifier.lam_grid
+    episode = sessions.sample_episode(plan, 0, 7)
+    out = sessions.run_base_session(episode, pipe, cfg, 7)
+    assert sessions.base_classifier(cfg.classifier, out, episode, 7).lam in cfg.classifier.lam_grid
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +231,18 @@ def _trained(cfg):
     return plan, pipe, base
 
 
+def _base_memory(cfg, plan, base):
+    """The run's own base ridge memory on a trained base session."""
+    episode = sessions.sample_episode(plan, 0, cfg.run.seed)
+    return sessions.base_classifier(cfg.classifier, base, episode, cfg.run.seed)
+
+
 def test_incremental_preserves_extractor_checksum():
     cfg = desk_config(epochs=1)
     plan, pipe, base = _trained(cfg)
     before = enc.params_checksum(base.params)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
-    sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
+    sessions.run_incremental_session(base.params, _base_memory(cfg, plan, base), ep, pipe)
     assert enc.params_checksum(base.params) == before
 
 
@@ -231,6 +251,7 @@ def test_incremental_session_catches_a_change_below_f32_resolution(monkeypatch):
     small to change its f32 container raises, and leaves every bit as it was."""
     cfg = desk_config(epochs=1)
     plan, pipe, base = _trained(cfg)
+    memory = _base_memory(cfg, plan, base)
     gain = base.params["block0.ln1.gain"]
     embed_batch = pipe.embed_batch
 
@@ -243,7 +264,7 @@ def test_incremental_session_catches_a_change_below_f32_resolution(monkeypatch):
     monkeypatch.setattr(pipe, "embed_batch", nudging)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
     with pytest.raises(ValueError, match="read-only"):
-        sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
+        sessions.run_incremental_session(base.params, memory, ep, pipe)
     assert wio.container_digest(list(base.params.items()), dtype="f32") == before
     assert enc.params_checksum(base.params) == before_f64
 
@@ -252,11 +273,12 @@ def test_incremental_grows_registry_by_session_ways():
     cfg = desk_config(epochs=1)
     plan, pipe, base = _trained(cfg)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep, pipe)
-    assert len(updated.registry) == len(base.classifier.registry) + 5
+    memory = _base_memory(cfg, plan, base)
+    updated = sessions.run_incremental_session(base.params, memory, ep, pipe)
+    assert len(updated.registry) == len(memory.registry) + 5
     # original indices unchanged
-    for label in base.classifier.registry:
-        assert updated.registry.index(label) == base.classifier.registry.index(label)
+    for label in memory.registry:
+        assert updated.registry.index(label) == memory.registry.index(label)
 
 
 def test_incremental_label_collision_rejected():
@@ -264,17 +286,18 @@ def test_incremental_label_collision_rejected():
     plan, pipe, base = _trained(cfg)
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
     with pytest.raises(ProtocolViolationError):
-        sessions.run_incremental_session(base.params, base.classifier, ep0, pipe)
+        sessions.run_incremental_session(base.params, _base_memory(cfg, plan, base), ep0, pipe)
 
 
 def test_incremental_equals_batch_refit_on_same_embeddings():
     cfg = desk_config(epochs=1, lam="0.5")
     plan, pipe, base = _trained(cfg)
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe)
+    memory = _base_memory(cfg, plan, base)
+    updated = sessions.run_incremental_session(base.params, memory, ep1, pipe)
 
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
-    all_labels = list(base.classifier.registry) + ep1.labels
+    all_labels = list(memory.registry) + ep1.labels
     e_all, rows = [], []
     for ref in list(ep0.pairs) + list(ep1.pairs):
         e_all.append(enc.extract_embedding(pipe.patches(ref)[None], base.params, pipe.enc_cfg)[0])
@@ -332,11 +355,12 @@ def test_base_session_embeds_the_batch_it_trained_on_in_embed_batch_chunks(monke
     monkeypatch.setattr(enc, "extract_embedding", chunking)
     base = sessions.run_base_session(episode, pipe, cfg, cfg.run.seed)
     assert fetched == episode.pairs and chunks == [4] * 6 + [1]
-    expected = cls.update_incremental(cls.RidgeState.empty(pipe.enc_cfg.dim, base.classifier.lam),
+    memory = sessions.base_classifier(cfg.classifier, base, episode, cfg.run.seed)
+    expected = cls.update_incremental(cls.RidgeState.empty(pipe.enc_cfg.dim, memory.lam),
                                       pipe.embed_batch(episode.pairs, base.params),
                                       np.eye(len(episode.labels))[episode.targets], episode.labels)
-    assert np.array_equal(base.classifier.gram, expected.gram)
-    assert np.array_equal(base.classifier.cross, expected.cross)
+    assert np.array_equal(memory.gram, expected.gram)
+    assert np.array_equal(memory.cross, expected.cross)
 
 
 # ---------------------------------------------------------------------------
@@ -378,10 +402,11 @@ def test_evaluate_covers_union_of_test_sets():
     cfg = desk_config(epochs=0)
     plan, pipe, base = _trained(cfg)
     embedded = pipe.embed_batch(sessions.union_test_refs(plan, 1), base.params)
-    r0 = sessions.evaluate(base.classifier, plan, 0, embedded)
+    memory = _base_memory(cfg, plan, base)
+    r0 = sessions.evaluate(memory, plan, 0, embedded)
     assert r0.total == sum(len(plan.test_items[l]) for l in plan.session_labels[0])
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, base.classifier, ep1, pipe)
+    updated = sessions.run_incremental_session(base.params, memory, ep1, pipe)
     r1 = sessions.evaluate(updated, plan, 1, embedded)
     assert r1.total == sum(len(plan.test_items[l]) for l in plan.labels_through(1))
 
@@ -391,7 +416,7 @@ def test_evaluate_unregistered_class_rejected():
     plan, pipe, base = _trained(cfg)
     embedded = pipe.embed_batch(sessions.union_test_refs(plan, 1), base.params)
     with pytest.raises(ProtocolViolationError):
-        sessions.evaluate(base.classifier, plan, 1, embedded)
+        sessions.evaluate(_base_memory(cfg, plan, base), plan, 1, embedded)
 
 
 def test_run_single_embeds_each_distinct_clip_once(monkeypatch):
@@ -517,7 +542,7 @@ def test_default_repeat_count_is_one_hundred():
 
 def test_run_repeated_aggregates_and_reports():
     cfg = desk_config(epochs=1, repeats=2)
-    report, _ = sessions.run_repeated(cfg)
+    (report,), _, _ = sessions.run_repeated(cfg)
     assert len(report.runs) == 2
     assert [r.seed for r in report.runs] == [7, 8]
     for run in report.runs:
@@ -529,8 +554,8 @@ def test_run_repeated_aggregates_and_reports():
 
 def test_run_repeated_threads_match_serial():
     cfg = desk_config(epochs=1, repeats=2)
-    serial, _ = sessions.run_repeated(cfg)
-    threaded, _ = sessions.run_repeated(
+    (serial,), _, _ = sessions.run_repeated(cfg)
+    (threaded,), _, _ = sessions.run_repeated(
         dataclasses.replace(cfg, run=dataclasses.replace(cfg.run, threads=2)))
     assert serial.mean_accuracies == threaded.mean_accuracies
     assert [r.accuracies for r in serial.runs] == [r.accuracies for r in threaded.runs]
@@ -541,24 +566,24 @@ def test_run_repeated_releases_each_runs_artifacts(monkeypatch):
     extractors = []  # weak references to each run's extractor arrays
     released = []  # at the start of run r: are run r - 2's arrays gone?
 
-    def tracking(cfg, run_seed, plan, pipeline):
+    def tracking(cfg, run_seed, plan, pipeline, classifiers=None):
         if len(extractors) >= 2:
             released.append(all(ref() is None for ref in extractors[-2]))
-        report, base = run_single(cfg, run_seed, plan, pipeline)
-        extractors.append([weakref.ref(a) for a in base.params.values()])
-        return report, base
+        reports, params, states = run_single(cfg, run_seed, plan, pipeline, classifiers)
+        extractors.append([weakref.ref(a) for a in params.values()])
+        return reports, params, states
 
     monkeypatch.setattr(sessions, "run_single", tracking)
-    report, last = sessions.run_repeated(desk_config(epochs=1, repeats=4))
+    (report,), last, _ = sessions.run_repeated(desk_config(epochs=1, repeats=4))
     assert len(report.runs) == 4 and released == [True, True]
     assert all(ref() is not None for ref in extractors[-1])  # the last run's are returned
 
 
 def test_report_json_deterministic_and_csv_consistent():
     cfg = desk_config(epochs=1, repeats=2)
-    report, _ = sessions.run_repeated(cfg)
+    (report,), _, _ = sessions.run_repeated(cfg)
     j1 = sessions.report_to_json(report, cfg)
-    j2 = sessions.report_to_json(sessions.run_repeated(cfg)[0], cfg)
+    j2 = sessions.report_to_json(sessions.run_repeated(cfg)[0][0], cfg)
     assert j1 == j2
     csv_text = sessions.json_report_to_csv(j1)
     # header, one row per run, then the mean and std rows, at 6 decimals
