@@ -3,12 +3,17 @@
 from __future__ import annotations
 
 import math
+import wave
+from pathlib import Path
 
 import numpy as np
 
 from ffcac import autodiff as ad
 from ffcac import encoder as enc
+from ffcac.audio import PCM_FULL_SCALE
 from ffcac.autodiff import Tensor
+from ffcac.errors import IngestionError
+from ffcac.weights_io import open_input
 
 
 def rel_err(analytic, numeric, floor: float = 1e-2) -> float:
@@ -74,6 +79,32 @@ def grad_check(make_loss, params, h: float = 1e-5, floor: float = 1e-2,
             numeric = (fp - fm) / (2.0 * h)
             worst = max(worst, rel_err(a.reshape(-1)[i], numeric, floor))
     return worst
+
+
+def load_wav_reference(path, expected_rate_hz: int = 16000) -> np.ndarray:
+    """``audio.load_wav`` as it read WAVs through the standard ``wave``
+    module: mono 16-bit PCM at ``expected_rate_hz``, scaled by 1/32768."""
+    path = Path(path)
+    try:
+        with open_input(path) as fh, wave.open(fh, "rb") as wf:
+            channels = wf.getnchannels()
+            width = wf.getsampwidth()
+            rate = wf.getframerate()
+            raw = wf.readframes(wf.getnframes())
+    except (wave.Error, EOFError, RuntimeError) as e:  # RuntimeError: a chunk seek out of range
+        raise IngestionError(f"{path}: not a readable PCM WAV file ({e!r})") from e
+    if channels != 1:
+        raise IngestionError(f"{path}: expected mono, got {channels} channels")
+    if width != 2:
+        raise IngestionError(f"{path}: expected 16-bit samples, got {8 * width}-bit")
+    if rate != expected_rate_hz:
+        raise IngestionError(f"{path}: sample rate {rate} Hz, expected {expected_rate_hz} Hz")
+    if len(raw) % 2:
+        raise IngestionError(f"{path}: data chunk ends inside a sample")
+    samples = np.multiply(np.frombuffer(raw, dtype="<i2"), 1.0 / PCM_FULL_SCALE)
+    if samples.size == 0:
+        raise IngestionError(f"{path}: contains no samples")
+    return samples
 
 
 def enumerate_patch_count(big_f: int, big_t: int, s_f: int, s_t: int, d: int) -> int:

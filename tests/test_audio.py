@@ -1,6 +1,10 @@
 import os
 import re
+import struct
+import subprocess
+import sys
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from ffcac.audio import (
 )
 from ffcac.errors import ConfigError, DimensionError, IngestionError
 
-from tests.helpers import enumerate_patch_count, reassemble_patches
+from tests.helpers import enumerate_patch_count, load_wav_reference, reassemble_patches
 
 CFG = FrontendConfig()
 
@@ -142,6 +146,109 @@ def test_mutated_header_loads_or_raises_ingestion_error(tmp_path_factory, data):
     assert samples.ndim == 1 and samples.size > 0
 
 
+def _riff(*chunks, riff_size=None) -> bytes:
+    """A RIFF WAVE file of (chunk id, payload) pairs, each padded to even length."""
+    body = b"WAVE" + b"".join(name + struct.pack("<I", len(data)) + data + b"\0" * (len(data) % 2)
+                              for name, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body) if riff_size is None else riff_size) + body
+
+
+def _fmt(channels=1, rate=16000, bits=16, tag=1, extra=b""):
+    block = channels * ((bits + 7) // 8)
+    return b"fmt ", struct.pack("<HHIIHH", tag, channels, rate, rate * block, block, bits) + extra
+
+
+_PCM = (np.sin(np.arange(64) / 3.0) * 12000).astype("<i2").tobytes()
+
+
+def test_chunk_past_the_end_of_the_riff_chunk_rejected_by_name(tmp_path):
+    path = tmp_path / "overrun.wav"
+    path.write_bytes(_riff((b"LIST", b"info"), _fmt(), (b"data", _PCM), riff_size=12))
+    with pytest.raises(IngestionError, match="chunk b'LIST' runs past the end of the RIFF chunk"):
+        load_wav(path)
+
+
+@pytest.fixture(scope="module")
+def wav_fixtures(tmp_path_factory):
+    """name -> bytes: the WAVs the tests above write, and chunk layouts
+    that take each turn of the RIFF walk."""
+    base = tmp_path_factory.mktemp("wav_fixtures")
+
+    def wave_written(name, channels, width, rate, frames):
+        with wave.open(str(base / name), "wb") as wf:
+            wf.setnchannels(channels)
+            wf.setsampwidth(width)
+            wf.setframerate(rate)
+            wf.writeframes(frames)
+        return (base / name).read_bytes()
+
+    def written(name, samples, rate=16000):
+        write_wav(base / name, samples, rate)
+        return (base / name).read_bytes()
+
+    return {
+        "silence": written("silence.wav", np.zeros(16000)),
+        "square": written("square.wav", np.where(np.arange(1600) % 2 == 0, 1.0, -1.0)),
+        "every": wave_written("every.wav", 1, 2, 16000, np.arange(-32768, 32768, dtype="<i2").tobytes()),
+        "stereo": wave_written("stereo.wav", 2, 2, 16000, b"\x00\x00" * 2000),
+        "slow": written("slow.wav", np.zeros(8000), 8000),
+        "8-bit": wave_written("w8.wav", 1, 1, 16000, b"\x00" * 2000),
+        "garbage": b"not a riff file at all",
+        "short": _short_wav_bytes(base),
+        "odd-chunk-before-fmt": _riff((b"LIST", b"odd"), _fmt(), (b"data", _PCM)),
+        "fmt-with-extension": _riff(_fmt(extra=b"\0\0"), (b"data", _PCM)),
+        "two-fmt-chunks": _riff(_fmt(rate=8000), _fmt(), (b"data", _PCM)),
+        "data-before-fmt": _riff((b"data", _PCM), _fmt(), (b"data", _PCM)),
+        "12-bit": _riff(_fmt(bits=12), (b"data", _PCM)),
+        "24-bit": _riff(_fmt(bits=24), (b"data", _PCM)),
+        "extensible": _riff(_fmt(tag=0xFFFE, extra=b"\x16\0" + bytes(22)), (b"data", _PCM)),
+        "odd-data": _riff(_fmt(), (b"data", _PCM + b"\x01")),
+        "empty-data": _riff(_fmt(), (b"data", b"")),
+        "chunk-after-data": _riff(_fmt(), (b"data", _PCM), (b"LIST", b"tail")),
+        "riff-past-the-file": _riff(_fmt(), (b"data", _PCM), riff_size=1 << 20),
+        "riff-too-short": _riff(_fmt(), (b"data", _PCM), riff_size=3),
+    }
+
+
+def _loaded(load, path):
+    """The samples' bytes, or None where ``load`` raises IngestionError."""
+    try:
+        return load(path).tobytes()
+    except IngestionError:
+        return None
+
+
+def test_load_wav_matches_the_wave_module_reader_on_every_fixture(wav_fixtures, tmp_path):
+    loaded = {}
+    for name, blob in wav_fixtures.items():
+        path = tmp_path / f"{name}.wav"
+        path.write_bytes(blob)
+        loaded[name] = _loaded(load_wav, path)
+        assert loaded[name] == _loaded(load_wav_reference, path), name
+    assert {name for name, samples in loaded.items() if samples is not None} == {
+        "silence", "square", "every", "short", "odd-chunk-before-fmt", "fmt-with-extension",
+        "two-fmt-chunks", "12-bit", "odd-data", "chunk-after-data", "riff-past-the-file"}
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.data())
+def test_load_wav_matches_the_wave_module_reader_on_mutated_headers(wav_fixtures, tmp_path_factory, data):
+    """Up to four bytes of a fixture's first 80 overwritten, at random or
+    nudged by one or two, with an optional truncation: load_wav loads the
+    reference's samples wherever the reference loads, and raises
+    IngestionError wherever it refuses."""
+    blob = bytearray(wav_fixtures[data.draw(st.sampled_from(sorted(wav_fixtures)))])
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, min(len(blob), 80) - 1))
+        nudged = st.sampled_from([(blob[at] + d) % 256 for d in (-2, -1, 1, 2)])
+        blob[at] = data.draw(st.integers(0, 255) | nudged)
+    if data.draw(st.booleans()):
+        blob = blob[: data.draw(st.integers(0, len(blob)))]
+    path = tmp_path_factory.getbasetemp() / "mutated-fixture.wav"
+    path.write_bytes(bytes(blob))
+    assert _loaded(load_wav, path) == _loaded(load_wav_reference, path)
+
+
 # ---------------------------------------------------------------------------
 # log mel spectrogram
 
@@ -176,13 +283,43 @@ def test_pure_tone_argmax_bin_constant_and_contains_tone():
 
 
 def test_frontend_tables_built_once_per_config_and_read_only():
-    window, filterbank = _frontend_tables(CFG)
+    window, filterbank, bands = _frontend_tables(CFG)
     again = _frontend_tables(FrontendConfig())  # an equal config, another object
-    assert again[0] is window and again[1] is filterbank
+    assert again[0] is window and again[1] is filterbank and again[2] is bands
     assert np.array_equal(filterbank, mel_filterbank(CFG))
-    for table in (window, filterbank):
+    for table in (window, filterbank, *(table for _, _, table in bands)):
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+# 1000 filters over 129 FFT bins: some groups of 16 weight no bin at all
+SPARSE = FrontendConfig(frame_ms=15.0, fft_size=256, mel_bins=1000)
+
+
+@pytest.mark.parametrize("cfg, sizes", [
+    (CFG, [16] * 8),
+    (FrontendConfig(frame_ms=10.0, fft_size=256, mel_bins=40), [16, 16, 8]),
+    (FrontendConfig(mel_bins=100), [16] * 5 + [20]),  # a remainder of 4 joins the last group
+    (FrontendConfig(mel_bins=12), [12]),
+    (FrontendConfig(fft_size=1024, mel_bins=64), [16] * 4),
+    (SPARSE, [16] * 62 + [8]),
+], ids=["default", "40-mel-bins", "100-mel-bins", "12-mel-bins", "fft-1024", "1000-mel-bins"])
+def test_frontend_bands_scatter_back_to_the_filterbank(cfg, sizes):
+    """Each band covers the next consecutive filters, holds every nonzero
+    weight of them inside its bin slice, and is a contiguous read-only
+    copy: scattered back, the bands give filterbank.T exactly."""
+    _, filterbank, bands = _frontend_tables(cfg)
+    assert [f.stop - f.start for f, _, _ in bands] == sizes
+    assert [f.start for f, _, _ in bands] == list(np.cumsum([0] + sizes[:-1]))
+    scattered = np.zeros_like(filterbank.T)
+    for filters, bins, table in bands:
+        outside = filterbank[filters].copy()
+        outside[:, bins] = 0.0
+        assert not outside.any()
+        assert table.flags.c_contiguous and not table.flags.writeable
+        scattered[bins, filters] = table
+    assert np.array_equal(scattered, filterbank.T)
+    assert (cfg is SPARSE) == any(bins.stop == bins.start for _, bins, _ in bands)
 
 
 def test_translation_by_one_frame_shift_moves_columns():
@@ -203,34 +340,112 @@ def test_all_entries_finite_on_random_input():
 def _log_mel_reference(samples, cfg):
     """The textbook frontend: window each frame, FFT, power, mel, log."""
     frames = np.lib.stride_tricks.sliding_window_view(samples, cfg.frame_len)[:: cfg.frame_shift]
-    window, filterbank = _frontend_tables(cfg)
+    window, filterbank, _ = _frontend_tables(cfg)
     spectrum = np.fft.rfft(frames * window, n=cfg.fft_size, axis=1)
     powers = spectrum.real**2 + spectrum.imag**2
     return np.log(powers @ filterbank.T + cfg.log_floor).T
 
 
+# The mel product is banded (see log_mel_spectrogram); the reference is the
+# dense product. These geometries hold bit for bit on numpy's bundled OpenBLAS.
 ORACLE_CONFIGS = {
     "default": (CFG, 16000),
     "ragged-tail": (CFG, 16123),  # 123 samples after the last frame
     "fft-equals-frame": (FrontendConfig(frame_ms=32.0, fft_size=512), 16000),
     "odd-frame": (FrontendConfig(frame_ms=24.9375), 12345),  # 399-sample frames
     "shift-past-frame": (FrontendConfig(frame_ms=10.0, shift_ms=15.0, fft_size=256, mel_bins=40), 9000),
+    "64-mel-bins": (FrontendConfig(mel_bins=64), 16000),
+    "10ms-shift-2s": (FrontendConfig(shift_ms=10.0), 32000),
 }
+LAYOUTS = ("float64", "float32", "strided", "reversed")
+PINNED_FRAMES = range(10, 201)  # clip lengths, in frames, pinned at the default geometry
 
 
-@pytest.mark.parametrize("layout", ["float64", "float32", "strided", "reversed"])
-@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
-def test_log_mel_matches_the_textbook_formula_bit_for_bit(name, layout):
-    cfg, n = ORACLE_CONFIGS[name]
+def _oracle_samples(n, layout):
     x = np.random.default_rng(7).uniform(-1.0, 1.0, 2 * n)
     samples = {"float64": x[:n], "float32": x[:n].astype(np.float32),
                "strided": x[::2], "reversed": x[: n - 1 : -1]}[layout]
     assert samples.size == n
+    return samples
+
+
+def _samples_for_frames(frames):
+    return CFG.frame_len + (frames - 1) * CFG.frame_shift
+
+
+def _differs(samples, cfg) -> bool:
+    return log_mel_spectrogram(samples, cfg).tobytes() != _log_mel_reference(samples, cfg).tobytes()
+
+
+def _length_mismatches() -> list[str]:
+    """Each clip length of PINNED_FRAMES at which the default geometry's
+    log mel differs in any bit from the dense reference."""
+    x = _oracle_samples(_samples_for_frames(PINNED_FRAMES[-1]), "float64")
+    return [f"{frames}-frames" for frames in PINNED_FRAMES if _differs(x[: _samples_for_frames(frames)], CFG)]
+
+
+def _oracle_mismatches() -> list[str]:
+    """Every pinned case that differs in any bit from the dense reference:
+    each ORACLE_CONFIGS entry in each layout, and each pinned clip length."""
+    return [f"{name}-{layout}" for name, (cfg, n) in ORACLE_CONFIGS.items() for layout in LAYOUTS
+            if _differs(_oracle_samples(n, layout), cfg)] + _length_mismatches()
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+@pytest.mark.parametrize("name", sorted(ORACLE_CONFIGS))
+def test_log_mel_matches_the_textbook_formula_bit_for_bit(name, layout):
+    cfg, n = ORACLE_CONFIGS[name]
+    samples = _oracle_samples(n, layout)
     lms = log_mel_spectrogram(samples, cfg)
     expected = _log_mel_reference(samples, cfg)
     assert lms.shape == expected.shape == (cfg.mel_bins, 1 + (n - cfg.frame_len) // cfg.frame_shift)
     assert lms.dtype == np.float64
     assert lms.tobytes() == expected.tobytes()
+
+
+def test_log_mel_matches_the_textbook_formula_at_every_clip_length_from_10_frames():
+    assert _length_mismatches() == []
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_log_mel_oracle_holds_under_each_blas_thread_count(threads):
+    """The pinned cases in a child process whose OpenBLAS runs ``threads``
+    threads (two need a host with two cores, as tests/test_golden.py)."""
+    root = Path(__file__).resolve().parent.parent
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+           "PYTHONPATH": os.pathsep.join([str(root / "src"), str(root)])}
+    code = "from tests.test_audio import _oracle_mismatches; print(_oracle_mismatches())"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+# Where OpenBLAS evaluates the dense reference along another path than the
+# banded product, the two differ in the last bits of the mel power. No
+# shipped config, golden config or benchmark workload uses these geometries.
+LOOSE_CONFIGS = {
+    "fft-1024": (FrontendConfig(fft_size=1024), 16000),
+    "12-mel-bins": (FrontendConfig(mel_bins=12), 16000),
+    "20-mel-bins": (FrontendConfig(mel_bins=20), 16000),
+    "100-mel-bins": (FrontendConfig(mel_bins=100), 16000),
+    "5-frames": (CFG, _samples_for_frames(5)),
+    "9-frames": (CFG, _samples_for_frames(9)),
+    "64-mel-bins-18-frames": (FrontendConfig(mel_bins=64), _samples_for_frames(18)),
+    "1000-mel-bins": (SPARSE, 16000),  # its empty bands must write zeros
+}
+
+
+@pytest.mark.parametrize("name", sorted(LOOSE_CONFIGS))
+def test_log_mel_within_32_eps_of_the_textbook_formula_elsewhere(name):
+    """32 machine epsilons on the log: the mel powers agree to about 32
+    eps relative (the widest gap seen is 8 eps, over fft sizes 256-1024,
+    1-259 mel bins and clips of 1-66 frames)."""
+    cfg, n = LOOSE_CONFIGS[name]
+    samples = _oracle_samples(n, "float64")
+    lms, expected = log_mel_spectrogram(samples, cfg), _log_mel_reference(samples, cfg)
+    assert lms.shape == expected.shape
+    assert np.max(np.abs(lms - expected)) <= 32 * np.finfo(np.float64).eps
 
 
 def test_log_mel_calls_share_no_memory():

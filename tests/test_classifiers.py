@@ -312,15 +312,21 @@ def test_incremental_batch_equivalence_property(seed, dim, n_sessions):
     assert np.max(np.abs(cls.solve_weights(state) - cls.solve_weights(batch))) <= 1e-8
 
 
-def test_gram_stays_symmetric_psd_over_updates():
+@pytest.mark.parametrize("rows", [4, 400])
+@pytest.mark.parametrize("d", [6, 33, 65, 768])
+def test_gram_stays_symmetric_psd_over_updates(d, rows):
+    """Exactly symmetric, as ``_shifted`` and load_state's check rely on. A
+    gemm on a contiguous E_m.T would not be: at 400 rows its gram is
+    asymmetric at D = 33 under one OpenBLAS thread, and at 33 and 65 under
+    two."""
     rng = np.random.default_rng(13)
-    state = cls.fit_base(rng.normal(size=(5, 6)), np.eye(2)[rng.integers(0, 2, 5)], 1.0,
+    state = cls.fit_base(rng.normal(size=(rows + 1, d)), np.eye(2)[rng.integers(0, 2, rows + 1)], 1.0,
                          labels=["s0a", "s0b"])
     for m in range(5):
-        e = rng.normal(size=(4, 6))
-        y = np.eye(1)[np.zeros(4, dtype=int)]
+        e = rng.normal(size=(rows, d))
+        y = np.eye(1)[np.zeros(rows, dtype=int)]
         state = cls.update_incremental(state, e, y, [f"s{m + 1}"])
-        assert np.max(np.abs(state.gram - state.gram.T)) <= 1e-10
+        assert np.array_equal(state.gram, state.gram.T)
         eigs = np.linalg.eigvalsh(state.gram)
         assert eigs.min() >= -1e-9 * np.trace(state.gram)
 
