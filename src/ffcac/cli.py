@@ -122,6 +122,8 @@ def cmd_ablate(args) -> int:
     if args.out:
         _check_table_path(args.out)
     classifiers = [dataclasses.replace(cfg.classifier, kind=kind) for kind in kinds]
+    for classifier in classifiers:  # each row under the config's rules, before any training
+        validate_config(dataclasses.replace(cfg, classifier=classifier))
     reports = {}
     for use_fusion in fusions:  # one extractor per seed, scored by every classifier row
         case = dataclasses.replace(cfg, encoder=dataclasses.replace(cfg.encoder, use_fusion=use_fusion))

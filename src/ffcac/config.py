@@ -254,6 +254,9 @@ def validate_config(cfg: ExperimentConfig) -> None:
     check(pl.inc_classes >= 1 or pl.sessions == 0, "plan.inc_classes", "must be >= 1")
     check(pl.sessions >= 0, "plan.sessions", "must be >= 0")
     check(pl.shots >= 1, "plan.shots", "must be >= 1")
+    # λ-CV stratifies the base episode, which holds plan.shots clips per class
+    check(cl.kind != "rrc" or cl.lam != "cv" or cl.cv_folds <= pl.shots, "classifier.cv_folds",
+          f"must be <= plan.shots ({pl.shots}) for rrc to cross-validate lambda")
 
     bad += [f"synth.{name}: {why}" for name, why in cfg.synth.problems(fe.sample_rate_hz)]
 

@@ -3,13 +3,12 @@ finetuning, incremental classifier updates with a frozen extractor,
 cumulative evaluation, and repeated-run aggregation.
 
 Session 0 finetunes the extractor on one few-shot episode, freezes it and
-embeds that episode. The classifier starts from those embeddings alone, so
-one trained extractor serves every classifier config (``run_single``).
-Sessions 1..M embed a new episode of unseen classes with the frozen
-extractor and update the classifier analytically. After session m the
-model is scored on the union of the test sets of sessions 0..m; every test
-clip is embedded once, right after session 0, and each session scores its
-rows of that matrix.
+embeds that episode; sessions 1..M embed a new episode of unseen classes
+with the frozen extractor. No session reads a classifier: ``run_single``
+updates the ridge memory of every classifier config with each session's
+embeddings, so one extractor and one embedding of each clip serve every
+config. After session m each memory is scored on the union of the test
+sets of sessions 0..m, whose clips are all embedded right after session 0.
 """
 
 from __future__ import annotations
@@ -151,6 +150,10 @@ class Episode:
     labels: list[str]  # the session's classes, in the order of their columns
     pairs: list[ClipRef]  # exactly N_m * K refs, grouped by class in label order
     targets: np.ndarray  # each pair's column: 0 (K times), 1 (K times), ...
+
+    @property
+    def onehot(self) -> np.ndarray:  # (N_m * K, N_m): row i is the identity's row targets[i]
+        return np.eye(len(self.labels))[self.targets]
 
 
 def sample_episode(plan: SessionPlan, m: int, seed: int) -> Episode:
@@ -296,25 +299,21 @@ def run_base_session(episode: Episode, pipeline: ClipPipeline, cfg: ExperimentCo
 
 def base_classifier(classifier_cfg: ClassifierConfig, base: BaseSessionResult, episode: Episode,
                     seed: int) -> cls.RidgeState:
-    """An empty ridge memory updated with the base episode's embeddings, as
-    every later session updates the current one. Its λ is inf for pbc (the
-    prototype limit), else the fixed or the CV λ."""
-    e, onehot = base.embeddings, np.eye(len(episode.labels))[episode.targets]
+    """The empty ridge memory that every session, the base one first,
+    updates. Its λ is inf for pbc (the prototype limit), else the fixed λ or
+    the one cross-validated on the base episode's embeddings."""
     lam = np.inf if classifier_cfg.kind == "pbc" else classifier_cfg.fixed_lam()
     if lam is None:
-        lam = cls.select_lambda_cv(e, onehot, classifier_cfg.lam_grid, classifier_cfg.cv_folds, seed)
-    return cls.update_incremental(cls.RidgeState.empty(e.shape[1], lam), e, onehot, episode.labels)
+        lam = cls.select_lambda_cv(base.embeddings, episode.onehot, classifier_cfg.lam_grid,
+                                   classifier_cfg.cv_folds, seed)
+    return cls.RidgeState.empty(base.embeddings.shape[1], lam)
 
 
-def run_incremental_session(params: enc.MeeParams, classifier, episode: Episode,
-                            pipeline: ClipPipeline):
-    """Frozen-extractor session: embed the episode, update the classifier
-    analytically under the base session's λ. The extractor's arrays are
-    read-only (``run_base_session``, ``load_params``), so nothing here can
-    write into them."""
-    embeddings = pipeline.embed_batch(episode.pairs, params)
-    onehot = np.eye(len(episode.labels))[episode.targets]
-    return cls.update_incremental(classifier, embeddings, onehot, episode.labels)
+def run_incremental_session(params: enc.MeeParams, episode: Episode, pipeline: ClipPipeline) -> np.ndarray:
+    """Frozen-extractor session: the episode's (n, D) embeddings. The
+    extractor's arrays are read-only (``run_base_session``,
+    ``load_params``), so nothing here can write into them."""
+    return pipeline.embed_batch(episode.pairs, params)
 
 
 # ---------------------------------------------------------------------------
@@ -424,24 +423,23 @@ def build_plan(cfg: ExperimentConfig) -> SessionPlan:
 
 def run_single(cfg: ExperimentConfig, run_seed: int, plan: SessionPlan, pipeline: ClipPipeline,
                classifiers=None) -> tuple[list[RunReport], enc.MeeParams, list[cls.RidgeState]]:
-    """One base session, then the analytic protocol of each classifier
-    config (by default the run's own) on its frozen extractor: a report and
-    a final ridge memory per config, and the extractor."""
+    """One base session, then sessions 0..M in turn: each one's embeddings
+    update and score the ridge memory of each classifier config (by default
+    the run's own). A report and a final memory per config, and the extractor."""
     base_episode = sample_episode(plan, 0, run_seed)
     base = run_base_session(base_episode, pipeline, cfg, run_seed)
     # the extractor is frozen from here on: embed every test clip once
     embedded = pipeline.embed_batch(union_test_refs(plan, plan.num_incremental), base.params)
-    reports, states = [], []
-    for classifier_cfg in classifiers or [cfg.classifier]:
-        classifier = base_classifier(classifier_cfg, base, base_episode, run_seed)
-        accuracies = [evaluate(classifier, plan, 0, embedded).accuracy]
-        for m in range(1, plan.num_incremental + 1):
-            episode = sample_episode(plan, m, run_seed)
-            classifier = run_incremental_session(base.params, classifier, episode, pipeline)
-            accuracies.append(evaluate(classifier, plan, m, embedded).accuracy)
-        reports.append(RunReport(seed=run_seed, accuracies=accuracies,
-                                 aa=compute_aa(accuracies), pd=compute_pd(accuracies)))
-        states.append(classifier)
+    states = [base_classifier(c, base, base_episode, run_seed) for c in classifiers or [cfg.classifier]]
+    accuracies = [[] for _ in states]
+    for m in range(plan.num_incremental + 1):
+        episode = sample_episode(plan, m, run_seed) if m else base_episode
+        embeddings = run_incremental_session(base.params, episode, pipeline) if m else base.embeddings
+        states = [cls.update_incremental(s, embeddings, episode.onehot, episode.labels) for s in states]
+        for state, acc in zip(states, accuracies):
+            acc.append(evaluate(state, plan, m, embedded).accuracy)
+    reports = [RunReport(seed=run_seed, accuracies=acc, aa=compute_aa(acc), pd=compute_pd(acc))
+               for acc in accuracies]
     return reports, base.params, states
 
 

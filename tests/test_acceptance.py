@@ -278,12 +278,14 @@ def desk_run():
         run_seed = cfg.run.seed + r
         base_episode = sessions.sample_episode(plan, 0, run_seed)
         base = sessions.run_base_session(base_episode, pipeline, cfg, run_seed)
-        memory = sessions.base_classifier(cfg.classifier, base, base_episode, run_seed)
+        memory = cls.update_incremental(sessions.base_classifier(cfg.classifier, base, base_episode, run_seed),
+                                        base.embeddings, base_episode.onehot, base_episode.labels)
         embedded = pipeline.embed_batch(sessions.union_test_refs(plan, 1), base.params)
         a0 = sessions.evaluate(memory, plan, 0, embedded).accuracy
         before = enc.params_checksum(base.params)
         episode = sessions.sample_episode(plan, 1, run_seed)
-        state = sessions.run_incremental_session(base.params, memory, episode, pipeline)
+        embeddings = sessions.run_incremental_session(base.params, episode, pipeline)
+        state = cls.update_incremental(memory, embeddings, episode.onehot, episode.labels)
         freezing_ok.append(enc.params_checksum(base.params) == before)
         a1 = sessions.evaluate(state, plan, 1, embedded).accuracy
         firsts.append(a0)

@@ -4,6 +4,7 @@ classifier by replacing module attributes that ``sessions`` and
 would leave those spans empty without any error, so this checks that each
 wrap point still records its span."""
 
+import dataclasses
 import importlib
 from pathlib import Path
 
@@ -55,13 +56,17 @@ def test_frontend_wrap_points_record_one_span_per_stage(tmp_path, monkeypatch):
     assert sessions.load_wav is audio.load_wav  # restore() put the originals back
 
 
+# two incremental sessions; rrc cross-validates lambda on the base episode
+_SMALL_CV = ExperimentConfig(
+    train=TrainConfig(epochs=1),
+    classifier=ClassifierConfig(kind="rrc", lam="cv", cv_folds=2),
+    plan=PlanConfig(base_classes=2, inc_classes=2, sessions=2, shots=2),
+    synth=SynthConfig(num_classes=6, clips_per_class=3, train_per_class=2),
+)
+
+
 def test_classifier_wrap_points_record_every_update(monkeypatch):
-    cfg = ExperimentConfig(
-        train=TrainConfig(epochs=1),
-        classifier=ClassifierConfig(kind="rrc", lam="cv", cv_folds=2),
-        plan=PlanConfig(base_classes=2, inc_classes=2, sessions=2, shots=2),
-        synth=SynthConfig(num_classes=6, clips_per_class=3, train_per_class=2),
-    )
+    cfg = _SMALL_CV
     plan, pipeline = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
     original = cls.update_incremental
 
@@ -85,6 +90,28 @@ def test_classifier_wrap_points_record_every_update(monkeypatch):
     assert fit_names.count("classifiers.fit_base") == 1
     assert fit_names.count("classifiers.update_incremental") == 1
     assert cls.update_incremental is original  # restore() put the original back
+
+
+def test_two_classifier_rows_share_each_session(monkeypatch):
+    """With a pbc and an rrc row, each session runs once and updates both
+    memories; only rrc cross-validates its lambda."""
+    cfg = _SMALL_CV
+    plan, pipeline = sessions.build_plan(cfg), sessions.ClipPipeline(cfg)
+    rows = [dataclasses.replace(cfg.classifier, kind=kind) for kind in ("pbc", "rrc")]
+
+    tracer = _installed(monkeypatch)
+    try:
+        tracer.recording = True
+        reports, _, states = sessions.run_single(cfg, cfg.run.seed, plan, pipeline, rows)
+        tracer.recording = False
+    finally:
+        tracer.restore()
+
+    names = [span[1] for span in tracer.spans]
+    assert len(reports) == len(states) == 2
+    assert names.count("sessions.run_incremental_session") == cfg.plan.sessions
+    assert names.count("classifiers.update_incremental") == 2 * (1 + cfg.plan.sessions)
+    assert names.count("classifiers.select_lambda_cv") == 1
 
 
 def test_training_wrap_points_record_one_span_each_per_epoch(monkeypatch):

@@ -197,6 +197,34 @@ def test_removed_relambda_key_is_rejected_as_unknown(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# rrc with classifier.lambda = cv splits each class's plan.shots = 5 base clips into 6 folds
+_TOO_MANY_FOLDS = TOY_CONFIG.replace("classifier.lambda = 0.1\n", "") + "classifier.cv_folds = 6\n"
+
+
+def test_run_rejects_more_folds_than_shots_before_training(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "folds.cfg"
+    path.write_text(_TOO_MANY_FOLDS)
+    _untrained(monkeypatch)
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "classifier.cv_folds" in err and "plan.shots" in err
+    assert not (tmp_path / "o").exists()
+    # pbc and a fixed lambda cross-validate nothing, so the same fold count loads
+    for line in ("classifier.kind = pbc\n", "classifier.lambda = 0.1\n"):
+        assert parse_config_text(_TOO_MANY_FOLDS + line).classifier.cv_folds == 6
+
+
+def test_ablate_rejects_more_folds_than_shots_for_its_rrc_row(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "folds.cfg"
+    path.write_text(_TOO_MANY_FOLDS + "classifier.kind = pbc\n")  # loads, as pbc
+    _untrained(monkeypatch)
+    out = tmp_path / "table.csv"
+    assert cli.main(["ablate", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "classifier.cv_folds" in err and "plan.shots" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("line", [
     "classifier.lambda = nan",
     "classifier.lambda = inf",

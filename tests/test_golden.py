@@ -1,5 +1,6 @@
 """Golden reports: `ffcac run` on small synthetic configs must reproduce
-the exact bytes of report.json and of classifier.weights.
+the exact bytes of report.json and of classifier.weights, and `ffcac
+ablate` those of its table.
 
 The hashes were recorded before the frozen sessions moved onto embedding
 matrices, so any refactor of the session protocol, the classifiers or the
@@ -22,9 +23,9 @@ The hashes hold for the float64 numpy/OpenBLAS stack the project is
 developed on (x86-64); another BLAS may round differently. They were
 recorded with two OpenBLAS threads, and the weights bytes depend on the
 thread count (with one thread classifier.weights differs while report.json
-does not), so each `ffcac run` runs in a child process with
-OPENBLAS_NUM_THREADS and OMP_NUM_THREADS pinned to 2. OpenBLAS uses at most
-one thread per core, so the hashes need a host with two cores or more.
+does not), so each `ffcac run` or `ffcac ablate` runs in a child process
+with OPENBLAS_NUM_THREADS and OMP_NUM_THREADS pinned to 2. OpenBLAS uses at
+most one thread per core, so the hashes need a host with two cores or more.
 
 The child also reports whether it loaded scipy: no system at the golden
 configs' width is wider than classifiers.NUMPY_MAX_ORDER, so a run must not
@@ -77,8 +78,14 @@ def _sha256(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _ffcac_run(cfg, out) -> bool:
-    """Run ``ffcac run`` in a child process; True if the child loaded scipy."""
+# the sha256 of the `ffcac ablate --out` table on GOLDEN_BASE: the 2 x 2 grid,
+# both classifier rows on each (seed, fusion setting)'s one extractor
+GOLDEN_ABLATE = "9405ec7f0353e5e98d2a949682892fe36b68eae005b10578547c0ffa74c889ca"
+
+
+def _ffcac(command, cfg, out) -> bool:
+    """Run ``ffcac run`` or ``ffcac ablate`` in a child process; True if the
+    child loaded scipy."""
     env = {
         **os.environ,
         "OPENBLAS_NUM_THREADS": BLAS_THREADS,
@@ -87,7 +94,7 @@ def _ffcac_run(cfg, out) -> bool:
     }
     code = ("import sys; from ffcac import cli; rc = cli.main(sys.argv[1:]); "
             "print('scipy' in sys.modules); sys.exit(rc)")
-    argv = [sys.executable, "-c", code, "run", "--config", str(cfg), "--out", str(out)]
+    argv = [sys.executable, "-c", code, command, "--config", str(cfg), "--out", str(out)]
     proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()[-1] == "True"
@@ -99,7 +106,7 @@ def test_golden_report_bytes(case, tmp_path):
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(GOLDEN_BASE + extra)
     out = tmp_path / "out"
-    _ffcac_run(cfg, out)
+    _ffcac("run", cfg, out)
     assert _sha256(out / "report.json") == report_sha
     assert _sha256(out / "classifier.weights") == weights_sha
 
@@ -107,4 +114,11 @@ def test_golden_report_bytes(case, tmp_path):
 def test_a_run_at_the_golden_width_does_not_load_scipy(tmp_path):
     cfg = tmp_path / "golden.cfg"
     cfg.write_text(GOLDEN_BASE + GOLDEN["rrc"][0])
-    assert not _ffcac_run(cfg, tmp_path / "out")
+    assert not _ffcac("run", cfg, tmp_path / "out")
+
+
+def test_golden_ablate_table_bytes(tmp_path):
+    cfg = tmp_path / "golden.cfg"
+    cfg.write_text(GOLDEN_BASE)
+    _ffcac("ablate", cfg, tmp_path / "table.csv")
+    assert _sha256(tmp_path / "table.csv") == GOLDEN_ABLATE

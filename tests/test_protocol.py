@@ -120,6 +120,13 @@ def test_episode_underfilled_class():
 # base session
 
 
+def _base_fit(classifier_cfg, base, episode, seed):
+    """The base session's ridge memory, as ``run_single`` makes it: the empty
+    memory of ``base_classifier`` updated with the base embeddings."""
+    return cls.update_incremental(sessions.base_classifier(classifier_cfg, base, episode, seed),
+                                  base.embeddings, episode.onehot, episode.labels)
+
+
 def test_base_session_epochs_zero_still_fits_classifier():
     cfg = desk_config(epochs=0)
     plan = sessions.build_plan(cfg)
@@ -127,7 +134,7 @@ def test_base_session_epochs_zero_still_fits_classifier():
     episode = sessions.sample_episode(plan, 0, 7)
     out = sessions.run_base_session(episode, pipe, cfg, 7)
     assert out.epoch_losses == []
-    assert len(sessions.base_classifier(cfg.classifier, out, episode, 7).registry) == 5
+    assert len(_base_fit(cfg.classifier, out, episode, 7).registry) == 5
 
 
 def test_base_session_loss_descends_on_separable_data():
@@ -151,7 +158,7 @@ def test_base_session_deterministic():
         episode = sessions.sample_episode(plan, 0, 7)
         out = sessions.run_base_session(episode, pipe, cfg, 7)
         states.append(out)
-        memories.append(sessions.base_classifier(cfg.classifier, out, episode, 7))
+        memories.append(_base_fit(cfg.classifier, out, episode, 7))
     assert cls.state_checksum(memories[0]) == cls.state_checksum(memories[1])
     assert enc.params_checksum(states[0].params) == enc.params_checksum(states[1].params)
 
@@ -234,7 +241,14 @@ def _trained(cfg):
 def _base_memory(cfg, plan, base):
     """The run's own base ridge memory on a trained base session."""
     episode = sessions.sample_episode(plan, 0, cfg.run.seed)
-    return sessions.base_classifier(cfg.classifier, base, episode, cfg.run.seed)
+    return _base_fit(cfg.classifier, base, episode, cfg.run.seed)
+
+
+def _session(memory, base, episode, pipe):
+    """``memory`` updated with the frozen-extractor session on ``episode``,
+    as ``run_single`` updates it."""
+    embeddings = sessions.run_incremental_session(base.params, episode, pipe)
+    return cls.update_incremental(memory, embeddings, episode.onehot, episode.labels)
 
 
 def test_incremental_preserves_extractor_checksum():
@@ -242,7 +256,7 @@ def test_incremental_preserves_extractor_checksum():
     plan, pipe, base = _trained(cfg)
     before = enc.params_checksum(base.params)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
-    sessions.run_incremental_session(base.params, _base_memory(cfg, plan, base), ep, pipe)
+    _session(_base_memory(cfg, plan, base), base, ep, pipe)
     assert enc.params_checksum(base.params) == before
 
 
@@ -264,7 +278,7 @@ def test_incremental_session_catches_a_change_below_f32_resolution(monkeypatch):
     monkeypatch.setattr(pipe, "embed_batch", nudging)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
     with pytest.raises(ValueError, match="read-only"):
-        sessions.run_incremental_session(base.params, memory, ep, pipe)
+        _session(memory, base, ep, pipe)
     assert wio.container_digest(list(base.params.items()), dtype="f32") == before
     assert enc.params_checksum(base.params) == before_f64
 
@@ -274,7 +288,7 @@ def test_incremental_grows_registry_by_session_ways():
     plan, pipe, base = _trained(cfg)
     ep = sessions.sample_episode(plan, 1, cfg.run.seed)
     memory = _base_memory(cfg, plan, base)
-    updated = sessions.run_incremental_session(base.params, memory, ep, pipe)
+    updated = _session(memory, base, ep, pipe)
     assert len(updated.registry) == len(memory.registry) + 5
     # original indices unchanged
     for label in memory.registry:
@@ -286,7 +300,7 @@ def test_incremental_label_collision_rejected():
     plan, pipe, base = _trained(cfg)
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
     with pytest.raises(ProtocolViolationError):
-        sessions.run_incremental_session(base.params, _base_memory(cfg, plan, base), ep0, pipe)
+        _session(_base_memory(cfg, plan, base), base, ep0, pipe)
 
 
 def test_incremental_equals_batch_refit_on_same_embeddings():
@@ -294,7 +308,7 @@ def test_incremental_equals_batch_refit_on_same_embeddings():
     plan, pipe, base = _trained(cfg)
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
     memory = _base_memory(cfg, plan, base)
-    updated = sessions.run_incremental_session(base.params, memory, ep1, pipe)
+    updated = _session(memory, base, ep1, pipe)
 
     ep0 = sessions.sample_episode(plan, 0, cfg.run.seed)
     all_labels = list(memory.registry) + ep1.labels
@@ -355,7 +369,7 @@ def test_base_session_embeds_the_batch_it_trained_on_in_embed_batch_chunks(monke
     monkeypatch.setattr(enc, "extract_embedding", chunking)
     base = sessions.run_base_session(episode, pipe, cfg, cfg.run.seed)
     assert fetched == episode.pairs and chunks == [4] * 6 + [1]
-    memory = sessions.base_classifier(cfg.classifier, base, episode, cfg.run.seed)
+    memory = _base_fit(cfg.classifier, base, episode, cfg.run.seed)
     expected = cls.update_incremental(cls.RidgeState.empty(pipe.enc_cfg.dim, memory.lam),
                                       pipe.embed_batch(episode.pairs, base.params),
                                       np.eye(len(episode.labels))[episode.targets], episode.labels)
@@ -406,7 +420,7 @@ def test_evaluate_covers_union_of_test_sets():
     r0 = sessions.evaluate(memory, plan, 0, embedded)
     assert r0.total == sum(len(plan.test_items[l]) for l in plan.session_labels[0])
     ep1 = sessions.sample_episode(plan, 1, cfg.run.seed)
-    updated = sessions.run_incremental_session(base.params, memory, ep1, pipe)
+    updated = _session(memory, base, ep1, pipe)
     r1 = sessions.evaluate(updated, plan, 1, embedded)
     assert r1.total == sum(len(plan.test_items[l]) for l in plan.labels_through(1))
 
@@ -419,8 +433,11 @@ def test_evaluate_unregistered_class_rejected():
         sessions.evaluate(_base_memory(cfg, plan, base), plan, 1, embedded)
 
 
-def test_run_single_embeds_each_distinct_clip_once(monkeypatch):
+@pytest.mark.parametrize("kinds", [None, ("pbc", "rrc")], ids=["own-row", "pbc-rrc"])
+def test_run_single_embeds_each_distinct_clip_once(kinds, monkeypatch):
+    """Once per run, for the run's own classifier row or for two rows."""
     cfg = desk_config(epochs=1, clips_per_class=25, train_per_class=15)  # configs/desk.cfg
+    rows = kinds and [dataclasses.replace(cfg.classifier, kind=kind) for kind in kinds]
     plan = sessions.build_plan(cfg)
     pipe = sessions.ClipPipeline(cfg)
     seen = []
@@ -431,7 +448,7 @@ def test_run_single_embeds_each_distinct_clip_once(monkeypatch):
         return extract(patches, params, enc_cfg)
 
     monkeypatch.setattr(enc, "extract_embedding", counting)
-    sessions.run_single(cfg, cfg.run.seed, plan, pipe)
+    sessions.run_single(cfg, cfg.run.seed, plan, pipe, rows)
     clips = {ref for m in range(2) for ref in sessions.sample_episode(plan, m, cfg.run.seed).pairs}
     clips.update(sessions.union_test_refs(plan, 1))
     assert len(clips) == 150  # 50 episode clips + 100 test clips
